@@ -81,13 +81,14 @@ func cancelAlgos() []cancelAlgo {
 	}
 }
 
-// runCancelCase drives one (algorithm, backend) cell: park the job in a
-// scripted retry storm, cancel its context, and require a prompt typed
-// failure with full teardown.
-func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline) {
+// runCancelCase drives one (algorithm, backend, workers) cell: park the job
+// in a scripted retry storm, cancel its context, and require a prompt typed
+// failure with full teardown. With workers the storm hits shard 1 only, so
+// the cancel must also stop the workers running the other shards.
+func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline, workers int) {
 	t.Helper()
 	const n = 1 << 14
-	cfg := Config{M: 1 << 10, B: 1 << 5}
+	cfg := Config{M: 1 << 10, B: 1 << 5, Workers: workers}
 	cfg.Pipeline = pipe
 	// An effectively unbounded storm: the job cannot finish on its own, so
 	// the only way out of this test is a cancel that actually works.
@@ -108,7 +109,16 @@ func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline) {
 
 	inj := NewInjector(0xca9ce1)
 	inj.FailRead(10, 1<<30) // storm at the 11th physical read, post-staging
-	sys.SetInjector(inj)
+	if workers > 0 {
+		// Shards carry their own injector slots (the retry policy is shared).
+		sys.SetShardHook(func(k int, d *Disk) {
+			if k == 1 {
+				d.SetInjector(inj)
+			}
+		})
+	} else {
+		sys.SetInjector(inj)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -168,7 +178,27 @@ func TestCancellationMatrix(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, a := range cancelAlgos() {
 				t.Run(a.name, func(t *testing.T) {
-					runCancelCase(t, a, mode.backed, mode.pipe)
+					runCancelCase(t, a, mode.backed, mode.pipe, 0)
+				})
+			}
+		})
+	}
+}
+
+// TestCancellationWorkers runs the engine-routed cells on two workers: one
+// shard's worker is parked in the storm while the other shards stage and
+// read ahead through the coalescing shard I/O, and the cancel must unwind
+// them all, release every shard file and leave no transfer in flight.
+func TestCancellationWorkers(t *testing.T) {
+	routed := map[string]bool{"extsort": true, "distsort": true, "mpart": true, "approxsplit": true}
+	for _, mode := range cancelMatrixModes() {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, a := range cancelAlgos() {
+				if !routed[a.name] {
+					continue
+				}
+				t.Run(a.name, func(t *testing.T) {
+					runCancelCase(t, a, mode.backed, mode.pipe, 2)
 				})
 			}
 		})
@@ -182,7 +212,7 @@ func TestCancellationSingleProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	runCancelCase(t, cancelAlgos()[0], true,
-		Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4})
+		Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}, 0)
 }
 
 // TestBindContextRaceFree exercises the context watcher's lifecycle: binding

@@ -70,8 +70,8 @@ type Config struct {
 // Uring routes physical transfers through a Linux io_uring: SQEs are batched
 // and submitted with one io_uring_enter per batch instead of one blocking
 // pread/pwrite syscall per transfer, with the store's pooled buffers
-// registered as fixed buffers and completions dispatched by a dedicated
-// reaper goroutine. Like Direct it is independent of Enabled and composes
+// registered as fixed buffers and completions drained by whichever goroutine
+// is waiting on one. Like Direct it is independent of Enabled and composes
 // with it (an O_DIRECT backing driven through the ring is the
 // closest-to-device configuration), and like Direct it degrades silently —
 // to the syscall paths — where UringSupported reports false. UringDepth is

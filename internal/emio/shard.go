@@ -77,9 +77,10 @@ func (s *fileStore) readShared(d *Disk, src *File, blk int, buf []Elem, scratch 
 	if cap(buf) < n {
 		return 0, fmt.Errorf("%w: buffer cap %d < block len %d", ErrBlockSize, cap(buf), n)
 	}
-	// Shard reads bypass the async pipeline: shard-written blocks are always
-	// synchronous, and the engine syncs parent input files before handing
-	// views to workers, so the extents below are settled bytes.
+	// Shard reads bypass the parent's async pipeline: the engine syncs parent
+	// input files before handing views to workers, and a shard's staged
+	// writes are drained before the file is read here or settled before
+	// another shard reads it, so the extents below are settled bytes.
 	raw := scratch[:s.pad(n*elemBytes)]
 	s.physR.Add(1)
 	sm := s.sm.Load()
@@ -107,7 +108,7 @@ func (s *fileStore) appendShared(d *Disk, f *File, payload []Elem, scratch []byt
 	encodeElems(raw[:nbytes], payload, true)
 	clear(raw[nbytes:])
 	if err := s.physWriteOn(d, f.name, raw, off); err != nil {
-		s.freeExtent(off, pn)
+		s.freeRun(off, pn, 1)
 		return storeWriteError(d, f.name, off, err)
 	}
 	if sm := s.sm.Load(); sm != nil {
@@ -120,41 +121,74 @@ func (s *fileStore) appendShared(d *Disk, f *File, payload []Elem, scratch []byt
 func (s *fileStore) releaseShared(f *File) {
 	// Shard files never enter the write-behind queue, so there is nothing to
 	// drain; just return the extents to the shared allocator.
-	for i, off := range f.extents {
-		if off < 0 {
-			continue // reclaimed by ReleasePrefix
-		}
-		s.freeExtent(off, s.extentBytes(f, i))
-	}
+	s.freeBlocks(f, 0, len(f.extents))
 	f.extents = nil
 }
 
 // shardStore is the blockStore of a shard sub-disk: a thin adapter that
 // routes every operation to the parent's shared store with the acting disk
 // and a per-shard scratch buffer, resolving views to their backing file.
+// Over a pipelined file store, io coalesces the shard's transfers (see
+// shard_io.go).
 type shardStore struct {
 	base    blockStore  // the parent's store, for same-backing identity checks
 	sh      sharedStore // the same store through its shared-access capability
 	scratch []byte      // per-shard codec scratch (aligned for O_DIRECT backings)
+	io      *shardIO    // staged writes and read-ahead; nil without a pipeline
 }
 
 func (st *shardStore) read(f *File, i int, buf []Elem) (int, error) {
+	return st.readAhead(f, i, buf, 0)
+}
+
+func (st *shardStore) readAhead(f *File, i int, buf []Elem, ahead int) (int, error) {
 	src, blk := f, i
 	if f.viewSrc != nil {
 		src, blk = f.viewSrc, f.viewOff+i
+	}
+	if st.io != nil {
+		return st.io.read(f.disk, f, src, i, blk, buf, ahead, st.scratch)
 	}
 	return st.sh.readShared(f.disk, src, blk, buf, st.scratch)
 }
 
 func (st *shardStore) append(f *File, payload []Elem) error {
+	if st.io != nil {
+		return st.io.append(f.disk, f, payload, st.scratch)
+	}
 	return st.sh.appendShared(f.disk, f, payload, st.scratch)
 }
 
+// syncFile writes f's staged blocks and reports their failure, if any.
+func (st *shardStore) syncFile(f *File) error {
+	if st.io == nil {
+		return nil
+	}
+	st.io.drain(f.disk, f)
+	return st.io.fileErr(f)
+}
+
 func (st *shardStore) release(f *File) {
+	if st.io != nil {
+		st.io.forget(f.disk, f)
+	}
 	if f.viewSrc != nil {
 		return // views own no storage
 	}
 	st.sh.releaseShared(f)
+}
+
+// Settle ends a shard task's use of the shared backing: it writes the
+// shard's staged blocks, returns its unused extent reservation to the
+// allocator and reports the first staged-write failure that no operation
+// has reported yet. The parallel engine settles every shard at the end of
+// each of its tasks, so a phase barrier hands only settled files to the
+// next phase. A no-op (nil) on disks that are not coalescing shards.
+func (d *Disk) Settle() error {
+	if st, ok := d.store.(*shardStore); ok && st.io != nil {
+		return st.io.settle(d)
+	}
+	return nil
 }
 
 // close is a no-op: the parent owns the store.
@@ -175,7 +209,9 @@ func storeBase(d *Disk) blockStore {
 // parent's block size, checksum arming and retry policy (the retrier's
 // counters are shared and atomic); it inherits neither metrics, logging nor
 // fault injectors — those stay per-disk so schedules armed on one shard
-// fire only there.
+// fire only there. On a pipelined file store the shard coalesces its
+// transfers (see shard_io.go) and must be settled (Settle) before another
+// disk reads the files it wrote.
 //
 // Concurrent use: different shard disks may be driven from different
 // goroutines at the same time; one shard disk is still single-goroutine,
@@ -192,13 +228,19 @@ func (d *Disk) NewShard(k int) (*Disk, error) {
 	} else {
 		return nil, fmt.Errorf("emio: disk %s: store %T does not support sharding", d.id, d.store)
 	}
-	var scratch []byte
+	st := &shardStore{base: base, sh: sh}
+	prefetch := 0
 	if fs, ok := base.(*fileStore); ok {
-		scratch = alignedBytes(fs.pad(d.blockSize*elemBytes), fs.direct)
+		st.scratch = alignedBytes(fs.pad(d.blockSize*elemBytes), fs.direct)
+		if fs.async != nil {
+			st.io = newShardIO(fs)
+			prefetch = fs.pipe.PrefetchDepth
+		}
 	}
 	return &Disk{
 		blockSize: d.blockSize,
-		store:     &shardStore{base: base, sh: sh, scratch: scratch},
+		store:     st,
+		prefetch:  prefetch,
 		id:        fmt.Sprintf("%s/shard-%d", d.id, k),
 		checksum:  d.checksum,
 		retry:     d.retry,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -357,6 +358,43 @@ func (s *fileStore) allocExtent(nbytes int) int64 {
 	return off
 }
 
+// allocRun reserves a contiguous run of up to want extents of nbytes each
+// and returns its first offset and its length (at least one). Released
+// extents are reused first: the run is the head of the size's FIFO queue
+// plus every following queued extent that continues it, so space freed by
+// one file is handed back as contiguous as it was released. Only when no
+// extent of the size is free does the run come off the append cursor, at
+// its full length.
+func (s *fileStore) allocRun(nbytes, want int) (int64, int) {
+	s.amu.Lock()
+	if q := s.free[nbytes]; q != nil {
+		if off, ok := q.pop(); ok {
+			n := 1
+			for n < want && q.head < len(q.offs) && q.offs[q.head] == off+int64(n*nbytes) {
+				q.pop()
+				n++
+			}
+			s.nfree -= int64(n)
+			s.amu.Unlock()
+			if sm := s.sm.Load(); sm != nil {
+				sm.extentReuses.Add(int64(n))
+			}
+			return off, n
+		}
+	}
+	off := s.end
+	s.end += int64(want * nbytes)
+	end := s.end
+	if s.direct && end > s.zeroed {
+		s.prewriteLocked(end)
+	}
+	s.amu.Unlock()
+	if sm := s.sm.Load(); sm != nil {
+		sm.backingBytes.Set(end)
+	}
+	return off, want
+}
+
 // prewriteChunk is how far the backing file is zero-filled ahead of the
 // allocation cursor in direct mode. ext4 serializes extending O_DIRECT
 // writes on the exclusive inode lock (they allocate blocks and move i_size),
@@ -387,9 +425,42 @@ func (s *fileStore) prewriteLocked(end int64) {
 	}
 }
 
-// freeExtent returns an extent to the free list.
-func (s *fileStore) freeExtent(off int64, nbytes int) {
+// freeBlocks returns the extents of f's blocks [lo, hi) to the free list
+// under one lock acquisition, marking them reclaimed. Freeing a file in one
+// critical section keeps its extents adjacent in the FIFO queue even while
+// other shards free theirs concurrently, so allocRun can hand them back as
+// one contiguous run.
+func (s *fileStore) freeBlocks(f *File, lo, hi int) {
+	var n int64
 	s.amu.Lock()
+	for i := lo; i < hi; i++ {
+		if off := f.extents[i]; off >= 0 {
+			s.pushFreeLocked(off, s.extentBytes(f, i))
+			f.extents[i] = -1
+			n++
+		}
+	}
+	s.amu.Unlock()
+	if sm := s.sm.Load(); sm != nil && n > 0 {
+		sm.extentFrees.Add(n)
+	}
+}
+
+// freeRun returns n adjacent extents of nbytes starting at off to the free
+// list, in ascending order: the unused rest of an allocRun reservation, or
+// the extent of a block whose write failed.
+func (s *fileStore) freeRun(off int64, nbytes, n int) {
+	s.amu.Lock()
+	for k := 0; k < n; k++ {
+		s.pushFreeLocked(off+int64(k*nbytes), nbytes)
+	}
+	s.amu.Unlock()
+	if sm := s.sm.Load(); sm != nil {
+		sm.extentFrees.Add(int64(n))
+	}
+}
+
+func (s *fileStore) pushFreeLocked(off int64, nbytes int) {
 	q := s.free[nbytes]
 	if q == nil {
 		q = &extentQueue{}
@@ -397,10 +468,23 @@ func (s *fileStore) freeExtent(off int64, nbytes int) {
 	}
 	q.push(off)
 	s.nfree++
-	s.amu.Unlock()
-	if sm := s.sm.Load(); sm != nil {
-		sm.extentFrees.Inc()
+}
+
+// orderFree sorts every size's free queue by offset. The queues hold
+// extents in release order: files freed while shards were still writing
+// others come back cut at their reservation seams, and reservations drawn
+// from such a queue are shorter than the last, so without a reorder the
+// layout fragments a little more with every call. Sorted, the queue hands
+// out the longest runs the free space holds, in an order that does not
+// depend on how earlier calls interleaved.
+func (s *fileStore) orderFree() {
+	s.amu.Lock()
+	for _, q := range s.free {
+		q.offs = q.offs[:copy(q.offs, q.offs[q.head:])]
+		q.head = 0
+		slices.Sort(q.offs)
 	}
+	s.amu.Unlock()
 }
 
 func (s *fileStore) backingBytes() int64 {
@@ -535,7 +619,7 @@ func (s *fileStore) append(f *File, payload []Elem) error {
 	encodeElems(raw[:nbytes], payload, s.bulk)
 	clear(raw[nbytes:])
 	if err := s.physWrite(f.name, raw, off); err != nil {
-		s.freeExtent(off, pn)
+		s.freeRun(off, pn, 1)
 		return storeWriteError(s.disk, f.name, off, err)
 	}
 	if sm := s.sm.Load(); sm != nil {
@@ -606,12 +690,7 @@ func (s *fileStore) release(f *File) {
 		s.drainFileQuiet(f)
 		s.dropPrefetch(f)
 	}
-	for i, off := range f.extents {
-		if off < 0 {
-			continue // already reclaimed by ReleasePrefix
-		}
-		s.freeExtent(off, s.extentBytes(f, i))
-	}
+	s.freeBlocks(f, 0, len(f.extents))
 	f.extents = nil
 }
 
@@ -619,14 +698,7 @@ func (s *fileStore) release(f *File) {
 // readable (File.ReleasePrefix). The caller guarantees the blocks are
 // settled and behind any live read-ahead window, so the extents can be
 // reused by the very next append.
-func (s *fileStore) releaseRange(f *File, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if off := f.extents[i]; off >= 0 {
-			s.freeExtent(off, s.extentBytes(f, i))
-			f.extents[i] = -1
-		}
-	}
-}
+func (s *fileStore) releaseRange(f *File, lo, hi int) { s.freeBlocks(f, lo, hi) }
 
 // adoptFloor raises the append cursor to at least end: the resume-safety
 // invariant of AdoptFile, guaranteeing fresh allocations never land on
@@ -690,8 +762,8 @@ func (s *fileStore) close() error {
 		err = s.stopAsync()
 	}
 	if s.ring != nil {
-		// After stopAsync no transfer is in flight; closing the ring joins the
-		// completion reaper before the backing fd goes away.
+		// After stopAsync only dropped read-ahead may still be in flight;
+		// closing the ring drains it before the backing fd goes away.
 		err = joinErr(err, s.ring.close())
 	}
 	err = joinErr(err, s.fd.Close())

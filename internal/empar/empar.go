@@ -192,6 +192,9 @@ func (e *Engine) Sort(in *emio.File) (*emio.File, error) {
 	if err := in.Sync(); err != nil {
 		return nil, err
 	}
+	// Start every call from the same free-space order, so shard
+	// reservations do not shorten from one call to the next.
+	e.ctx.Disk().OrderFreeExtents()
 
 	sh := make([]*shardState, s)
 	for k := range sh {
@@ -234,7 +237,7 @@ func (e *Engine) Sort(in *emio.File) (*emio.File, error) {
 
 	// Phase 2: per-shard run formation with per-range cut counting.
 	rsp := e.ctx.StartSpan("empar/runs", emio.AttrInt("n", n))
-	err = e.runTasks(len(sh), func(k int) error { return formShardRuns(sh[k], in, splitters) })
+	err = e.runTasks(sh, func(st *shardState) error { return formShardRuns(st, in, splitters) })
 	e.fold(sh)
 	rsp.End()
 	if err != nil {
@@ -271,7 +274,7 @@ func (e *Engine) Sort(in *emio.File) (*emio.File, error) {
 
 	// Phase 3: each shard merges its key range out of all runs.
 	msp := e.ctx.StartSpan("empar/range-merge", emio.AttrInt("n", n))
-	err = e.runTasks(len(sh), func(t int) error { return mergeShardRange(sh, t, cnt[t], gstart[t]) })
+	err = e.runTasks(sh, func(st *shardState) error { return mergeShardRange(sh, st.k, cnt[st.k], gstart[st.k]) })
 	if err == nil {
 		for _, st := range sh {
 			for _, run := range st.runs {
@@ -308,11 +311,10 @@ func (e *Engine) sampleSplitters(sh []*shardState, in *emio.File) ([]emio.Elem, 
 	// block buffer inside the M/S budget even for tiny configurations).
 	se := min(4, b)
 	samples := make([][]emio.Elem, s)
-	err := e.runTasks(s, func(k int) error {
-		st := sh[k]
+	err := e.runTasks(sh, func(st *shardState) error {
 		cs := min(32, st.nblk, max(1, 4*b/se))
 		got, err := sampleShard(st, in, cs, se)
-		samples[k] = got
+		samples[st.k] = got
 		return err
 	})
 	e.fold(sh)
@@ -520,6 +522,15 @@ func mergeShardRange(sh []*shardState, t int, total, gs int64) error {
 	if err != nil {
 		return err
 	}
+	// The final merge consumed the last intermediates; without this their
+	// extents would stay allocated after the call, and the backing file
+	// would grow by about one input per Sort.
+	for _, spec := range specs {
+		if spec.whole != nil {
+			spec.whole.Release()
+			st.dropInter(spec.whole)
+		}
+	}
 	if got := st.body.Len(); got != bodyEnd-bodyStart {
 		return fmt.Errorf("empar: range %d body holds %d of %d elements", t, got, bodyEnd-bodyStart)
 	}
@@ -683,12 +694,15 @@ func (e *Engine) assemble(sh []*shardState, n int64) (*emio.File, error) {
 	return out, nil
 }
 
-// runTasks executes fn(0..n-1) on up to e.workers goroutines pulling task
-// indexes from a shared counter. The first error (by lowest task index) is
-// returned wrapped in a ShardError; a failure stops idle workers from
+// runTasks executes fn on every shard with up to e.workers goroutines
+// pulling shard indexes from a shared counter, and settles each shard's
+// disk when its task ends (emio.Disk.Settle), so the barrier hands only
+// written files to the next phase. The first error (by lowest shard index)
+// is returned wrapped in a ShardError; a failure stops idle workers from
 // claiming further tasks but never interrupts a running one, so every
 // goroutine joins before return.
-func (e *Engine) runTasks(n int, fn func(task int) error) error {
+func (e *Engine) runTasks(sh []*shardState, fn func(st *shardState) error) error {
+	n := len(sh)
 	workers := min(e.workers, n)
 	var (
 		next   atomic.Int64
@@ -705,7 +719,11 @@ func (e *Engine) runTasks(n int, fn func(task int) error) error {
 				if t >= n || failed.Load() {
 					return
 				}
-				if err := fn(t); err != nil {
+				err := fn(sh[t])
+				if serr := sh[t].disk.Settle(); err == nil {
+					err = serr
+				}
+				if err != nil {
 					errs[t] = err
 					failed.Store(true)
 					return

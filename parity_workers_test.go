@@ -78,6 +78,23 @@ func TestWorkersParitySuite(t *testing.T) {
 			return sys
 		}},
 	}
+	if emio.DirectIOSupported(t.TempDir()) {
+		// The closest-to-device backend: shard transfers are coalesced into
+		// padded O_DIRECT runs submitted through the ring (which degrades to
+		// pread/pwrite where io_uring is missing).
+		backends = append(backends, struct {
+			name string
+			mk   func(t *testing.T, cfg Config) *System
+		}{"file-direct-uring", func(t *testing.T, cfg Config) *System {
+			cfg.Pipeline = Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4, Direct: true, Uring: true}
+			sys, err := NewFileBacked(cfg, filepath.Join(t.TempDir(), "wd.dat"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sys.Close() })
+			return sys
+		}})
+	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
 			for _, d := range parDrivers(n) {
