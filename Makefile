@@ -2,12 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet lint test test-short race parity check fault crash bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr10 microbench table1 examples clean
+.PHONY: all build crossbuild vet fmt lint test test-short race parity check fault crash bench-smoke bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr10 microbench table1 examples clean
 
 all: build lint test
 
-# The default verification path: compile (native and cross), lint, full tests.
-check: build crossbuild lint test
+# The default verification path: compile (native and cross), lint, full
+# tests, and the benchmark's smoke test.
+check: build crossbuild lint test bench-smoke
 
 build:
 	$(GO) build ./...
@@ -23,9 +24,17 @@ crossbuild:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet always; staticcheck when installed (the repo takes
-# no module dependencies, so the binary is opportunistic, not vendored).
-lint: vet
+# Formatting gate: fails, listing the files, when gofmt would change any.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+
+# Static analysis: gofmt and go vet always; staticcheck when installed (the
+# repo takes no module dependencies, so the binary is opportunistic, not
+# vendored).
+lint: fmt vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -65,6 +74,11 @@ fault:
 crash:
 	$(GO) test -count=1 -run 'CrashRecovery|SortCheckpointed|SortJob' . ./internal/extsort
 	$(GO) test -race -count=1 -run 'Cancellation|BindContext|ENOSPC' .
+
+# The benchmark's smoke test: every workload at -quick sizes. bench/ is a Go
+# module of its own, so the root's `go test ./...` does not reach it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Regenerate the checked-in wall-clock A/B document for the async I/O
 # pipeline (sort/partition/splitters, pipeline off vs on, buffered and

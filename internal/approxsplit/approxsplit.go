@@ -26,7 +26,6 @@ package approxsplit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/emio"
 	"repro/internal/extsort"
@@ -360,12 +359,16 @@ func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, error) 
 		return nil, err
 	}
 	defer r.Close()
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
+	var idx [emio.Lanes]int
+	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
+		for len(c) > 0 {
+			batch := c[:min(len(c), emio.Lanes)]
+			c = c[len(batch):]
+			emio.Classify(sp, batch, idx[:])
+			for _, j := range idx[:len(batch)] {
+				sizes[j]++
+			}
 		}
-		sizes[BucketOf(sp, e)]++
 	}
 	if err := r.Err(); err != nil {
 		ctx.FreeInts(sizes)
@@ -376,10 +379,8 @@ func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, error) 
 
 // BucketOf returns the index in [0, len(sp)] of the bucket that e falls in:
 // bucket i is the interval (sp[i-1], sp[i]] in the total order. Binary
-// search; CPU only.
-func BucketOf(sp []emio.Elem, e emio.Elem) int {
-	return sort.Search(len(sp), func(i int) bool { return !emio.Less(sp[i], e) })
-}
+// search by the classification kernel; CPU only.
+func BucketOf(sp []emio.Elem, e emio.Elem) int { return emio.Bucket(sp, e) }
 
 // FromSorted returns a file holding the K-1 exact equi-depth splitters of an
 // already-sorted file: the elements of rank i*n/K for i = 1..K-1 (n must be a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/emio"
 	"repro/internal/emsel"
@@ -124,17 +123,27 @@ func padDistinct(ctx *emio.Ctx, f *emio.File, base *emio.File, need int64) (*emi
 		out.Release()
 		return nil, err
 	}
+	var idx [emio.Lanes]int
 	for need > 0 {
-		e, ok := r.Next()
-		if !ok {
+		c := r.Chunk()
+		if len(c) == 0 {
 			break
 		}
-		i := sort.Search(len(have), func(j int) bool { return !emio.Less(have[j], e) })
-		if i < len(have) && have[i] == e {
-			continue // already a splitter
+		for len(c) > 0 && need > 0 {
+			// At most need elements per batch: each appends at most one
+			// splitter, so the scan examines exactly the elements a
+			// one-at-a-time loop would.
+			batch := c[:min(int64(len(c)), emio.Lanes, need)]
+			c = c[len(batch):]
+			emio.Classify(have, batch, idx[:])
+			for i, e := range batch {
+				if j := idx[i]; j < len(have) && have[j] == e {
+					continue // already a splitter
+				}
+				w.Append(e)
+				need--
+			}
 		}
-		w.Append(e)
-		need--
 	}
 	rerr := r.Err()
 	r.Close()

@@ -158,12 +158,16 @@ func scatter(ctx *emio.Ctx, chunk *emio.File, sp []emio.Elem) ([]*emio.File, err
 		cleanup()
 		return nil, err
 	}
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
+	var idx [emio.Lanes]int
+	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
+		for len(c) > 0 {
+			batch := c[:min(len(c), emio.Lanes)]
+			c = c[len(batch):]
+			emio.Classify(sp, batch, idx[:])
+			for i, e := range batch {
+				writers[idx[i]].Append(e)
+			}
 		}
-		writers[approxsplit.BucketOf(sp, e)].Append(e)
 	}
 	rerr := r.Err()
 	r.Close()

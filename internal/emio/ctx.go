@@ -16,6 +16,7 @@ type Ctx struct {
 	tracer *Tracer // nil when tracing is disabled (the fast path)
 
 	scratchSeq int64
+	blockBufs  [][]Elem // closed Readers' and Writers' block buffers, for reuse
 }
 
 // NewCtx creates a context with a fresh disk and an armed memory accountant.
@@ -170,3 +171,33 @@ func (c *Ctx) FreeInts(s []int64) {
 }
 
 func intCharge(n int) int64 { return int64((n + 1) / 2) }
+
+// takeBlockBuf charges one block buffer to the memory budget, exactly as
+// AllocElems(B) does, and hands out a buffer a closed Reader or Writer
+// returned, allocating only when there is none. A distribution pass opens
+// and closes Θ(M/B) streams per level, and a fresh zeroed B-element buffer
+// for each was most of the allocation of a partitioning call. Stream buffers
+// need no zeroing: a Reader only exposes elements a block read filled in,
+// and a Writer only writes elements it appended. A Ctx serves one goroutine
+// at a time (the parallel engine gives each shard its own), so the free list
+// takes no lock; it never holds more buffers than were open at once.
+func (c *Ctx) takeBlockBuf() ([]Elem, error) {
+	if err := c.mem.Charge(int64(c.cfg.B)); err != nil {
+		return nil, err
+	}
+	k := len(c.blockBufs)
+	if k == 0 {
+		return make([]Elem, c.cfg.B), nil
+	}
+	buf := c.blockBufs[k-1]
+	c.blockBufs[k-1] = nil
+	c.blockBufs = c.blockBufs[:k-1]
+	return buf, nil
+}
+
+// putBlockBuf credits a buffer from takeBlockBuf back to the budget and keeps
+// it for the next stream.
+func (c *Ctx) putBlockBuf(buf []Elem) {
+	c.mem.Credit(int64(len(buf)))
+	c.blockBufs = append(c.blockBufs, buf)
+}

@@ -28,9 +28,11 @@ func SetCompareHook(h func(lo, hi Elem)) { cmpHook = h }
 
 // Less reports whether a precedes b in the total order (Key, Aux).
 //
-// All algorithms in this repository compare elements with Less (or Compare),
-// so as long as every element carries a distinct Aux the order is total and
-// ranks are unambiguous even under duplicate keys.
+// All algorithms in this repository compare elements with Less, Compare or
+// the classification kernel (Bucket, Classify), which runs on Less whenever
+// a compare hook is installed. So as long as every element carries a
+// distinct Aux the order is total and ranks are unambiguous even under
+// duplicate keys.
 func Less(a, b Elem) bool {
 	less := a.Key < b.Key || (a.Key == b.Key && a.Aux < b.Aux)
 	if cmpHook != nil {

@@ -2,6 +2,7 @@ package emio
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -775,5 +776,82 @@ func TestWriterOnSealedFileFailsOnFlush(t *testing.T) {
 	}
 	if ctx.Mem().Used() != 0 {
 		t.Errorf("leaked %d", ctx.Mem().Used())
+	}
+}
+
+// TestStreamBuffersRecycled checks that a closed stream's block buffer is
+// reused by the next one on the same Ctx, under the same memory charge:
+// opening and closing a Reader and a Writer on a warm Ctx allocates nothing.
+func TestStreamBuffersRecycled(t *testing.T) {
+	ctx := mustCtx(t, 64, 8)
+	src := BuildFile(ctx.Disk(), "src", seqElems(20))
+	dst := ctx.Disk().NewFile("dst")
+	cycle := func() {
+		r, err := NewReader(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWriter(ctx, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ctx.Mem().Used(); got != 16 {
+			t.Fatalf("two open streams charge %d, want 2B = 16", got)
+		}
+		if e, ok := r.Next(); !ok || e != (Elem{0, 0}) {
+			t.Fatalf("Next = %v, %v", e, ok)
+		}
+		r.Close()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm the free list
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("open/read/close of a Reader and a Writer allocates %v times, want 0", allocs)
+	}
+	if got := ctx.Mem().Used(); got != 0 {
+		t.Errorf("closed streams leave %d elements charged", got)
+	}
+	if peak := ctx.Mem().Peak(); peak != 16 {
+		t.Errorf("peak charge %d, want 16", peak)
+	}
+}
+
+// TestReaderChunk checks that Chunk hands out the unread rest of each block
+// in order, after a partial Next, and reports exhaustion with an empty chunk.
+func TestReaderChunk(t *testing.T) {
+	ctx := mustCtx(t, 64, 8)
+	f := BuildFile(ctx.Disk(), "f", seqElems(20))
+	r, err := NewReader(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if e, _ := r.Next(); e.Key != 0 {
+		t.Fatalf("first element %v", e)
+	}
+	var lens []int
+	next := int64(1)
+	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
+		lens = append(lens, len(c))
+		for _, e := range c {
+			if e.Key != next {
+				t.Fatalf("element %v, want key %d", e, next)
+			}
+			next++
+		}
+	}
+	if r.Err() != nil || next != 20 {
+		t.Fatalf("read through key %d, err %v", next, r.Err())
+	}
+	if want := []int{7, 8, 4}; !slices.Equal(lens, want) {
+		t.Errorf("chunk lengths %v, want %v", lens, want)
+	}
+	if got := ctx.Disk().Stats().Reads; got != 3 {
+		t.Errorf("reads = %d, want 3", got)
+	}
+	if r.Remaining() != 0 {
+		t.Errorf("Remaining = %d after exhaustion", r.Remaining())
 	}
 }

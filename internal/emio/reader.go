@@ -21,13 +21,17 @@ type Reader struct {
 	lag     int  // blocks kept behind the cursor before reclamation
 }
 
-// NewReader opens a sequential reader over f, allocating one block buffer.
-func NewReader(ctx *Ctx, f *File) (*Reader, error) {
-	buf, err := ctx.AllocElems(ctx.B())
-	if err != nil {
-		return nil, err
+// NewReader opens a sequential reader over f with one block buffer, charged
+// to the memory budget and taken from the context's free list.
+//
+// The body stays within the inliner's budget, so a Reader that does not escape
+// its caller lives on the caller's stack and opening one allocates nothing.
+func NewReader(ctx *Ctx, f *File) (r *Reader, err error) {
+	buf, err := ctx.takeBlockBuf()
+	if err == nil {
+		r = &Reader{ctx: ctx, f: f, buf: buf}
 	}
-	return &Reader{ctx: ctx, f: f, buf: buf}, nil
+	return
 }
 
 // Next returns the next element. The second result is false when the stream
@@ -42,6 +46,20 @@ func (r *Reader) Next() (Elem, bool) {
 	e := r.buf[r.off]
 	r.off++
 	return e, true
+}
+
+// Chunk returns the unread rest of the current block, fetching the next
+// block first when the current one is used up, and marks it read. An empty
+// result means the stream is exhausted; consult Err. The chunk aliases the
+// Reader's buffer: it stays valid only until the next call on the Reader
+// (Next, Chunk or Close).
+func (r *Reader) Chunk() []Elem {
+	if r.off >= r.fill && !r.fetch() {
+		return nil
+	}
+	c := r.buf[r.off:r.fill]
+	r.off = r.fill
+	return c
 }
 
 func (r *Reader) fetch() bool {
@@ -96,10 +114,11 @@ func (r *Reader) Remaining() int64 {
 	return r.f.Len() - r.fetched + int64(r.fill-r.off)
 }
 
-// Close releases the Reader's block buffer. It is safe to call twice.
+// Close releases the Reader's block buffer to the context's free list. It is
+// safe to call twice.
 func (r *Reader) Close() {
 	if r.buf != nil {
-		r.ctx.FreeElems(r.buf)
+		r.ctx.putBlockBuf(r.buf)
 		r.buf = nil
 	}
 }

@@ -15,14 +15,18 @@ type Writer struct {
 	err error
 }
 
-// NewWriter opens a sequential writer appending to f, allocating one block
-// buffer. The file must be empty or end on a full block.
-func NewWriter(ctx *Ctx, f *File) (*Writer, error) {
-	buf, err := ctx.AllocElems(ctx.B())
-	if err != nil {
-		return nil, err
+// NewWriter opens a sequential writer appending to f with one block buffer,
+// charged to the memory budget and taken from the context's free list. The
+// file must be empty or end on a full block.
+//
+// The body stays within the inliner's budget, so a Writer that does not escape
+// its caller lives on the caller's stack and opening one allocates nothing.
+func NewWriter(ctx *Ctx, f *File) (w *Writer, err error) {
+	buf, err := ctx.takeBlockBuf()
+	if err == nil {
+		w = &Writer{ctx: ctx, f: f, buf: buf}
 	}
-	return &Writer{ctx: ctx, f: f, buf: buf}, nil
+	return
 }
 
 // Append adds one element to the stream, writing a block when the buffer
@@ -68,7 +72,7 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	flushErr := w.Flush()
-	w.ctx.FreeElems(w.buf)
+	w.ctx.putBlockBuf(w.buf)
 	w.buf = nil
 	err := joinErr(flushErr, w.f.Sync())
 	w.err = err

@@ -144,10 +144,10 @@ type shardState struct {
 	runs []*emio.File // phase 2: sorted runs over the window
 	cuts [][]int64    // per run: count of elements <= splitter[t], len S-1
 
-	inters []*emio.File // phase 3: live intermediate merge files (error cleanup)
-	body   *emio.File   // phase 3: block-aligned middle of the shard's range
-	headBuf, tailBuf []emio.Elem // phase 3: B-element boundary buffers (charged)
-	head, tail       []emio.Elem // filled prefixes of the above
+	inters           []*emio.File // phase 3: live intermediate merge files (error cleanup)
+	body             *emio.File   // phase 3: block-aligned middle of the shard's range
+	headBuf, tailBuf []emio.Elem  // phase 3: B-element boundary buffers (charged)
+	head, tail       []emio.Elem  // filled prefixes of the above
 }
 
 // srcSpec describes one sorted source of a range merge: either a bounded

@@ -16,20 +16,26 @@ import (
 )
 
 func TestEngineMatchesSequential(t *testing.T) {
-	for _, tc := range []struct{ m, b int; n int64; w int }{
+	for _, tc := range []struct {
+		m, b int
+		n    int64
+		w    int
+	}{
 		{1024, 32, 10000, 1},
 		{1024, 32, 10000, 2},
 		{1024, 32, 10000, 4},
-		{1024, 32, 63, 3},    // tiny: sequential fallback
-		{1024, 32, 0, 2},     // empty
-		{192, 32, 5000, 2},   // S=1 (M < 6*2*B=384? 192<384 yes) fallback
-		{64, 1, 3000, 8},     // tiny B
-		{4096, 8, 20000, 8},  // S=8
+		{1024, 32, 63, 3},   // tiny: sequential fallback
+		{1024, 32, 0, 2},    // empty
+		{192, 32, 5000, 2},  // S=1 (M < 6*2*B=384? 192<384 yes) fallback
+		{64, 1, 3000, 8},    // tiny B
+		{4096, 8, 20000, 8}, // S=8
 	} {
 		t.Run(fmt.Sprintf("M%d_B%d_N%d_w%d", tc.m, tc.b, tc.n, tc.w), func(t *testing.T) {
 			mk := func() (*emio.Ctx, *emio.File) {
 				ctx, err := emio.NewCtx(emio.Config{M: tc.m, B: tc.b})
-				if err != nil { t.Fatal(err) }
+				if err != nil {
+					t.Fatal(err)
+				}
 				elems := make([]emio.Elem, tc.n)
 				rng := uint64(12345)
 				for i := range elems {
@@ -40,18 +46,28 @@ func TestEngineMatchesSequential(t *testing.T) {
 			}
 			sctx, sin := mk()
 			want, err := extsort.Sort(sctx, sin)
-			if err != nil { t.Fatal(err) }
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantSnap := want.Snapshot()
 
 			pctx, pin := mk()
 			eng, err := New(pctx, tc.w)
-			if err != nil { t.Fatal(err) }
+			if err != nil {
+				t.Fatal(err)
+			}
 			got, err := eng.Sort(pin)
-			if err != nil { t.Fatal(err) }
+			if err != nil {
+				t.Fatal(err)
+			}
 			gotSnap := got.Snapshot()
-			if len(gotSnap) != len(wantSnap) { t.Fatalf("len %d want %d", len(gotSnap), len(wantSnap)) }
+			if len(gotSnap) != len(wantSnap) {
+				t.Fatalf("len %d want %d", len(gotSnap), len(wantSnap))
+			}
 			for i := range gotSnap {
-				if gotSnap[i] != wantSnap[i] { t.Fatalf("elem %d: %v want %v", i, gotSnap[i], wantSnap[i]) }
+				if gotSnap[i] != wantSnap[i] {
+					t.Fatalf("elem %d: %v want %v", i, gotSnap[i], wantSnap[i])
+				}
 			}
 			// hygiene: shard work fully folded, parent accounting balanced
 			got.Release()

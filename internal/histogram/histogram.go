@@ -136,7 +136,7 @@ func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, emio.El
 			maxE = e
 			first = false
 		}
-		counts[bucketOf(sp, e)]++
+		counts[emio.Bucket(sp, e)]++
 	}
 	if err := r.Err(); err != nil {
 		return nil, emio.Elem{}, err
@@ -144,19 +144,6 @@ func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, emio.El
 	out := make([]int64, len(counts))
 	copy(out, counts)
 	return out, maxE, nil
-}
-
-func bucketOf(sp []emio.Elem, e emio.Elem) int {
-	lo, hi := 0, len(sp)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if emio.Less(sp[mid], e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Depths extracts just the counts, for assertions and reporting.

@@ -28,8 +28,9 @@
 package intermix
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/emio"
 	"repro/internal/inmem"
@@ -202,12 +203,11 @@ func solveInMemory(ctx *emio.Ctx, cur *emio.File, L int, t []int64) ([]emio.Elem
 		return nil, err
 	}
 	defer ctx.FreeElems(buf)
-	sort.Slice(buf, func(i, j int) bool {
-		gi, gj := emio.UnpackGroup(buf[i].Aux), emio.UnpackGroup(buf[j].Aux)
-		if gi != gj {
-			return gi < gj
+	slices.SortFunc(buf, func(a, b emio.Elem) int {
+		if c := cmp.Compare(emio.UnpackGroup(a.Aux), emio.UnpackGroup(b.Aux)); c != 0 {
+			return c
 		}
-		return emio.Less(buf[i], buf[j])
+		return emio.Compare(a, b)
 	})
 	out, err := ctx.AllocElems(L)
 	if err != nil {

@@ -22,7 +22,6 @@ package mpart
 import (
 	"fmt"
 
-	"repro/internal/approxsplit"
 	"repro/internal/emio"
 	"repro/internal/inmem"
 )
@@ -341,14 +340,17 @@ func scatter(ctx *emio.Ctx, chunk *emio.File, pivots []emio.Elem) ([]*emio.File,
 		cleanup()
 		return nil, nil, err
 	}
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
+	var idx [emio.Lanes]int
+	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
+		for len(c) > 0 {
+			batch := c[:min(len(c), emio.Lanes)]
+			c = c[len(batch):]
+			emio.Classify(pivots, batch, idx[:])
+			for i, e := range batch {
+				writers[idx[i]].Append(e)
+				counts[idx[i]]++
+			}
 		}
-		j := approxsplit.BucketOf(pivots, e)
-		writers[j].Append(e)
-		counts[j]++
 	}
 	rerr := r.Err()
 	r.Close()

@@ -24,12 +24,14 @@
 package msel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/approxsplit"
 	"repro/internal/emio"
 	"repro/internal/emsel"
+	"repro/internal/inmem"
 	"repro/internal/intermix"
 	"repro/internal/mpart"
 )
@@ -277,19 +279,23 @@ func baseCase(ctx *emio.Ctx, chunk *emio.File, ranks []int64) ([]emio.Elem, erro
 		return nil, err
 	}
 	seq := int64(0)
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
+	var idx [emio.Lanes]int
+	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
+		for len(c) > 0 {
+			batch := c[:min(len(c), emio.Lanes)]
+			c = c[len(batch):]
+			emio.Classify(res.Splitters, batch, idx[:])
+			for li, e := range batch {
+				b := int64(idx[li])
+				// Queries are sorted by rank, hence by bucket: binary
+				// search the contiguous run of queries targeting bucket b.
+				lo, _ := slices.BinarySearch(qBucket, b)
+				for i := lo; i < k && qBucket[i] == b; i++ {
+					dw.Append(emio.Elem{Key: e.Key, Aux: emio.PackAux(int64(i), seq)})
+				}
+				seq++
+			}
 		}
-		b := int64(approxsplit.BucketOf(res.Splitters, e))
-		// Queries are sorted by rank, hence by bucket: binary search the
-		// contiguous run of queries targeting bucket b.
-		lo := sort.Search(k, func(i int) bool { return qBucket[i] >= b })
-		for i := lo; i < k && qBucket[i] == b; i++ {
-			dw.Append(emio.Elem{Key: e.Key, Aux: emio.PackAux(int64(i), seq)})
-		}
-		seq++
 	}
 	rerr := r.Err()
 	r.Close()
@@ -321,8 +327,8 @@ func baseCase(ctx *emio.Ctx, chunk *emio.File, ranks []int64) ([]emio.Elem, erro
 	for i := range bySeq {
 		bySeq[i] = i
 	}
-	sort.Slice(bySeq, func(a, b int) bool {
-		return emio.UnpackSeq(picked[bySeq[a]].Aux) < emio.UnpackSeq(picked[bySeq[b]].Aux)
+	slices.SortFunc(bySeq, func(a, b int) int {
+		return cmp.Or(cmp.Compare(emio.UnpackSeq(picked[a].Aux), emio.UnpackSeq(picked[b].Aux)), cmp.Compare(a, b))
 	})
 	answers, err := ctx.AllocElems(k)
 	if err != nil {
@@ -369,7 +375,7 @@ func baseCaseInMemory(ctx *emio.Ctx, chunk *emio.File, ranks []int64) ([]emio.El
 		return nil, err
 	}
 	defer ctx.FreeElems(buf)
-	sort.Slice(buf, func(i, j int) bool { return emio.Less(buf[i], buf[j]) })
+	inmem.Sort(buf)
 	answers, err := ctx.AllocElems(len(ranks))
 	if err != nil {
 		return nil, err
