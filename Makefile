@@ -62,9 +62,11 @@ parity:
 
 # The fault matrix under the race detector: injected transient/permanent
 # faults and bit-flip corruption across {mem, file, file+pipeline}, retry
-# on/off, plus the per-algorithm fault sweep and its goroutine-leak checks.
+# on/off, plus the per-algorithm fault sweep and its goroutine-leak checks,
+# and the I/O engine's deferred-error and one-transfer-per-block injector
+# tests.
 fault:
-	$(GO) test -race -count=1 -run 'Fault|Resilien|Corrupt|Retry|Checksum|Backoff|Sticky' . ./internal ./internal/emio
+	$(GO) test -race -count=1 -run 'Fault|Resilien|Corrupt|Retry|Checksum|Backoff|Sticky|Injector|StagedWrite|AsyncWriteError' . ./internal ./internal/emio
 
 # The crash-recovery harness and the robustness layer around it: the real
 # SIGKILL crash/resume matrix over the emsort binary, the checkpoint layer's

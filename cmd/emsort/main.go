@@ -62,7 +62,7 @@ var (
 	flagIn       = flag.String("in", "", "input file of integers (default stdin)")
 	flagOut      = flag.String("out", "", "output file (default stdout)")
 	flagBacking  = flag.String("backing", "", "path for a real backing file for the simulated disk (default: in-memory)")
-	flagUring    = flag.Bool("uring", false, "submit physical I/O through a batched io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
+	flagUring    = flag.Bool("uring", false, "submit physical I/O through an io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
 	flagTrace    = flag.Bool("trace", false, "print a phase trace (span tree with I/O attribution) to the report stream")
 	flagMetrics  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this host:port while the job runs")
 	flagProg     = flag.Duration("progress", 0, "print a progress/ETA line to the report stream at this interval (0 = off)")

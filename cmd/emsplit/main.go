@@ -45,7 +45,7 @@ var (
 	flagA       = flag.Int64("a", 0, "lower size bound a")
 	flagBMax    = flag.Int64("bmax", 0, "upper size bound b (0 means N)")
 	flagBacking = flag.String("backing", "", "path for a real backing file for the simulated disk (default: in-memory)")
-	flagUring   = flag.Bool("uring", false, "submit physical I/O through a batched io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
+	flagUring   = flag.Bool("uring", false, "submit physical I/O through an io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
 	flagDist    = flag.String("dist", "uniform", "input distribution")
 	flagSeed    = flag.Uint64("seed", 1, "workload seed")
 	flagLo      = flag.Float64("lo", 0, "histogram: relative slack below N/K")

@@ -10,7 +10,7 @@ package emio
 // reaches an algorithm.
 //
 // Verification happens on the algorithm goroutine rather than inside the
-// prefetch goroutines: the sidecar grows on the algorithm goroutine with each
+// transfer goroutines: the sidecar grows on the algorithm goroutine with each
 // append, and the determinism contract wants corruption to surface at the
 // logical read that consumes the block, identically under pipeline on/off.
 

@@ -49,14 +49,14 @@ type Config struct {
 	Log LogConfig // structured event log (ring + JSON-lines + extra handler)
 }
 
-// Pipeline configures the asynchronous prefetch/write-behind pipeline of a
-// file-backed disk. When Enabled, block appends are encoded into pooled
-// buffers and written by a background worker (bounded by QueueDepth), and
-// sequential readers trigger coalesced read-ahead of up to PrefetchDepth
-// contiguous blocks in one positioned read. The pipeline moves only physical
-// transfers off the algorithm goroutine: logical I/O accounting, fault-hook
-// firing and trace spans happen at enqueue time, so Stats and outputs are
-// bit-identical with the pipeline on or off.
+// Pipeline configures the asynchronous I/O engine of a file-backed disk.
+// When Enabled, block appends are staged into batches of up to QueueDepth
+// blocks, each written with one positioned write while the next batch
+// stages, and sequential readers trigger coalesced read-ahead of up to
+// PrefetchDepth contiguous blocks in one positioned read. The engine moves
+// only physical transfers: logical I/O accounting, fault-hook firing and
+// trace spans happen when the algorithm issues the block, so Stats and
+// outputs are bit-identical with the pipeline on or off.
 // Direct is independent of Enabled: it opens the backing file with O_DIRECT
 // (on platforms that support it), bypassing the OS page cache so every
 // physical transfer pays real device latency — the cost regime the EM model
@@ -67,29 +67,26 @@ type Config struct {
 // grow the backing file's byte footprint (never the logical I/O counts).
 // Use DirectIOSupported to probe the filesystem first.
 //
-// Uring routes physical transfers through a Linux io_uring: SQEs are batched
-// and submitted with one io_uring_enter per batch instead of one blocking
-// pread/pwrite syscall per transfer, with the store's pooled buffers
-// registered as fixed buffers and completions drained by whichever goroutine
-// is waiting on one. Like Direct it is independent of Enabled and composes
-// with it (an O_DIRECT backing driven through the ring is the
-// closest-to-device configuration), and like Direct it degrades silently —
-// to the syscall paths — where UringSupported reports false. UringDepth is
-// the submission-queue depth (the kernel rounds it up to a power of two) and
-// bounds in-flight transfers; SQPoll additionally asks for kernel
-// submission-queue polling, falling back to a plain ring where unavailable.
-// The ring changes only how raw transfers reach the device: logical I/O
-// accounting, checksums, retry, fault injection and tracing wrap its
-// completions exactly as they wrap syscall returns, so outputs, Stats and
-// trace JSON are bit-identical across {buffered, direct, uring}.
+// Uring routes physical transfers through a Linux io_uring: each transfer is
+// submitted as an SQE instead of a blocking pread/pwrite syscall, with the
+// store's long-lived buffers registered as fixed buffers and completions
+// drained by whichever goroutine is waiting on one. Like Direct it is
+// independent of Enabled and composes with it (an O_DIRECT backing driven
+// through the ring is the closest-to-device configuration), and like Direct
+// it degrades silently — to the syscall paths — where UringSupported reports
+// false. UringDepth is the submission-queue depth (the kernel rounds it up to
+// a power of two) and bounds in-flight transfers. The ring changes only how
+// raw transfers reach the device: logical I/O accounting, checksums, retry,
+// fault injection and tracing wrap its completions exactly as they wrap
+// syscall returns, so outputs, Stats and trace JSON are bit-identical across
+// {buffered, direct, uring}.
 type Pipeline struct {
 	Enabled       bool
 	PrefetchDepth int  // blocks of sequential read-ahead; 0 means DefaultPrefetchDepth
-	QueueDepth    int  // write-behind queue depth in blocks; 0 means DefaultQueueDepth
+	QueueDepth    int  // staged-write batch size in blocks; 0 means DefaultQueueDepth
 	Direct        bool // open the backing file with O_DIRECT (see above)
 	Uring         bool // submit physical transfers through an io_uring (see above)
 	UringDepth    int  // io_uring submission-queue depth; 0 means DefaultUringDepth
-	SQPoll        bool // io_uring kernel submission-queue polling (implies Uring)
 }
 
 // Default pipeline depths, used when a depth knob is left at zero.
@@ -109,9 +106,6 @@ func (p Pipeline) withDefaults() Pipeline {
 	}
 	if p.UringDepth == 0 {
 		p.UringDepth = DefaultUringDepth
-	}
-	if p.SQPoll {
-		p.Uring = true
 	}
 	return p
 }

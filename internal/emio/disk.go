@@ -21,7 +21,7 @@ type Disk struct {
 	blockSize int
 	store     blockStore
 	stats     Stats
-	prefetch  int // sequential read-ahead depth hint passed by Readers (0 = off)
+	prefetch  int // read-ahead window depth of a pipelined file disk (0 = none)
 
 	// Fault hooks. When non-nil they are consulted on every transfer; a
 	// non-nil return aborts the transfer with that error. The transfer is
@@ -58,7 +58,7 @@ type Disk struct {
 	// disabled (one nil check per emission site). id names the disk in log
 	// records; elog is an owned EventLog closed with the disk. logStack and
 	// curSpan carry the live span context into records: the stack is mutated
-	// only on the algorithm goroutine, the pointer is read by pipeline and
+	// only on the algorithm goroutine, the pointer is read by transfer and
 	// retry goroutines. spanSeq numbers spans when no tracer supplies one.
 	id       string
 	logger   *slog.Logger
@@ -71,10 +71,10 @@ type Disk struct {
 	// SetInjector). checksum arms per-block CRC32C verification; retry is
 	// the bounded-retry policy applied to physical transfers; inj is the
 	// physical fault injector consulted below the retry layer. retry is
-	// read by pipeline goroutines — configure it before I/O starts, so the
-	// store's channel handoffs order the write. inj is atomic because fault
+	// read by transfer goroutines — configure it before I/O starts, so the
+	// goroutine starts order the write. inj is atomic because fault
 	// harnesses legitimately attach and detach it mid-run, concurrently
-	// with in-flight pipeline transfers.
+	// with in-flight transfers.
 	checksum bool
 	retry    *retrier
 	inj      atomic.Pointer[Injector]
@@ -135,19 +135,15 @@ func newFileBackedDisk(path string, blockSize int, p Pipeline, keep bool) (*Disk
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	st, err := newFileStore(path, blockSize, p, keep)
+	d := &Disk{blockSize: blockSize, cancel: &cancelCell{}, budget: &diskBudget{}}
+	st, err := newFileStore(d, path, p, keep)
 	if err != nil {
 		return nil, err
 	}
-	d := &Disk{blockSize: blockSize, store: st,
-		id:     fmt.Sprintf("file-%d", diskSeq.Add(1)),
-		cancel: &cancelCell{}, budget: &diskBudget{}}
-	// Back-pointer for the resilience layer (retry + fault injection around
-	// physical transfers). Set before any I/O, so the store's channel
-	// handoffs order it ahead of every pipeline goroutine that reads it.
-	st.disk = d
+	d.store = st
+	d.id = fmt.Sprintf("file-%d", diskSeq.Add(1))
 	if p.Enabled {
-		d.prefetch = p.withDefaults().PrefetchDepth
+		d.prefetch = st.pipe.PrefetchDepth
 	}
 	return d, nil
 }
@@ -156,7 +152,7 @@ func newFileBackedDisk(path string, blockSize int, p Pipeline, keep bool) (*Disk
 // (the append cursor, which free-extent reuse keeps close to the peak live
 // footprint); 0 for memory-backed disks.
 func (d *Disk) BackingBytes() int64 {
-	if s, ok := d.store.(backingSizer); ok {
+	if s, ok := d.store.(*fileStore); ok {
 		return s.backingBytes()
 	}
 	return 0
@@ -165,7 +161,7 @@ func (d *Disk) BackingBytes() int64 {
 // FreeExtents returns the number of released block extents currently
 // available for reuse in the backing file; 0 for memory-backed disks.
 func (d *Disk) FreeExtents() int64 {
-	if s, ok := d.store.(backingSizer); ok {
+	if s, ok := d.store.(*fileStore); ok {
 		return s.freeExtents()
 	}
 	return 0
@@ -187,24 +183,19 @@ func (d *Disk) OrderFreeExtents() {
 // disks. Logical Stats never change with the pipeline, but PhysStats drops by
 // the coalescing factor when it is on.
 func (d *Disk) PhysStats() Stats {
-	if s, ok := d.store.(physCounter); ok {
-		return s.physStats()
+	if s, ok := d.store.(*fileStore); ok {
+		return Stats{Reads: s.physR.Load(), Writes: s.physW.Load()}
 	}
 	return Stats{}
 }
-
-// uringStore is the optional store capability behind Disk.UringActive.
-type uringStore interface{ uringActive() bool }
 
 // UringActive reports whether the disk's physical transfers are going through
 // an io_uring: Pipeline.Uring was requested, the kernel passed the
 // UringSupported probe, and ring setup succeeded. False for memory-backed
 // disks and wherever the knob silently degraded to the syscall paths.
 func (d *Disk) UringActive() bool {
-	if s, ok := d.store.(uringStore); ok {
-		return s.uringActive()
-	}
-	return false
+	s, ok := d.store.(*fileStore)
+	return ok && s.ring != nil
 }
 
 // EnableMetrics attaches live telemetry instruments registered on reg to
@@ -215,10 +206,11 @@ func (d *Disk) UringActive() bool {
 // Stats, trace JSON, fault-hook order and all outputs are bit-identical with
 // metrics on or off. Enable before the hot loops start; nil detaches.
 func (d *Disk) EnableMetrics(reg *metrics.Registry) *IOMetrics {
+	fs, _ := d.store.(*fileStore)
 	if reg == nil {
 		d.iom = nil
-		if ms, ok := d.store.(metricsSink); ok {
-			ms.setMetrics(nil)
+		if fs != nil {
+			fs.setMetrics(nil)
 		}
 		if d.retry != nil {
 			d.retry.m.Store(nil)
@@ -227,8 +219,8 @@ func (d *Disk) EnableMetrics(reg *metrics.Registry) *IOMetrics {
 	}
 	m := newIOMetrics(reg)
 	d.iom = m
-	if ms, ok := d.store.(metricsSink); ok {
-		ms.setMetrics(m)
+	if fs != nil {
+		fs.setMetrics(m)
 	}
 	if d.retry != nil {
 		d.retry.m.Store(newRetryMetrics(reg))
@@ -260,23 +252,15 @@ func (d *Disk) Close() error {
 	return err
 }
 
-// backingSyncer is the optional store capability behind Disk.SyncBacking.
-type backingSyncer interface{ syncBacking() error }
-
-// SyncBacking drains every pending write-behind block and fsyncs the backing
-// file: the durability barrier the checkpoint layer places before journaling
-// a phase record. A no-op (nil) for memory-backed disks.
+// SyncBacking writes out every staged block and fsyncs the backing file:
+// the durability barrier the checkpoint layer places before journaling a
+// phase record. A no-op (nil) for memory-backed disks.
 func (d *Disk) SyncBacking() error {
-	if s, ok := d.store.(backingSyncer); ok {
+	if s, ok := d.store.(*fileStore); ok {
 		return s.syncBacking()
 	}
 	return nil
 }
-
-// backingWritebackKicker is the store capability behind
-// StartBackingFlusher: initiate (not await) writeback of the backing fd's
-// dirty pages, safe to call from a goroutine other than the algorithm's.
-type backingWritebackKicker interface{ kickBackingWriteback() }
 
 // StartBackingFlusher launches a goroutine that nudges the kernel every
 // interval to start writing the backing file's dirty pages to the device
@@ -291,7 +275,7 @@ type backingWritebackKicker interface{ kickBackingWriteback() }
 // flusher (the barrier fsync is the guarantee). The returned stop function
 // halts the flusher; for memory-backed disks it is a no-op.
 func (d *Disk) StartBackingFlusher(interval time.Duration) (stop func()) {
-	s, ok := d.store.(backingWritebackKicker)
+	s, ok := d.store.(*fileStore)
 	if !ok {
 		return func() {}
 	}

@@ -11,8 +11,9 @@ package emio
 //
 // The injector plugs into both backends through Disk.SetInjector: the
 // memory store consults it as a model of a physical transfer, the file store
-// consults it in front of every ReadAt/WriteAt — on the algorithm goroutine
-// synchronously and on the worker/prefetch goroutines under the pipeline.
+// consults it in front of every ReadAt/WriteAt. While it is armed the I/O
+// engine issues one transfer per block, in order, on the goroutine driving
+// the disk.
 // Scripted schedules are keyed per kind (read ops and write ops count
 // independently), so a schedule is deterministic for a given backend
 // configuration; the physical op sequence itself differs across backends

@@ -151,25 +151,25 @@ func (f *File) blockOff(i int) int64 {
 // partial last block or when a fault hook aborts the transfer.
 // buf must have capacity for a full block.
 func (f *File) ReadBlock(i int, buf []Elem) (int, error) {
-	return f.readBlockAhead(i, buf, 0)
+	return f.readBlockAhead(i, buf, false)
 }
 
 // ReadBlockSequential is ReadBlock for callers scanning the file in block
-// order: it carries the disk's configured read-ahead depth, so a pipelined
-// file-backed store may prefetch the following contiguous blocks with one
-// coalesced physical read. Logical cost is identical to ReadBlock (exactly
-// one read I/O for block i); on non-pipelined disks the two are the same
-// operation. The streaming Reader uses this path internally.
+// order: a pipelined file-backed store may read the following contiguous
+// blocks ahead, up to the disk's configured depth, with one coalesced
+// physical read. Logical cost is identical to ReadBlock (exactly one read
+// I/O for block i); on non-pipelined disks the two are the same operation.
+// The streaming Reader uses this path internally.
 func (f *File) ReadBlockSequential(i int, buf []Elem) (int, error) {
-	return f.readBlockAhead(i, buf, f.disk.prefetch)
+	return f.readBlockAhead(i, buf, true)
 }
 
-// readBlockAhead is ReadBlock plus a sequential-intent hint: a store running
-// the async pipeline may prefetch up to ahead further contiguous blocks with
-// one coalesced physical read. The hint never changes logical accounting —
+// readBlockAhead is ReadBlock plus a sequential-intent hint (seq): a
+// pipelined store may read ahead the following contiguous blocks with one
+// coalesced physical read. The hint never changes logical accounting —
 // exactly one read I/O is charged for block i, here, on the caller's
 // goroutine, before any physical transfer.
-func (f *File) readBlockAhead(i int, buf []Elem, ahead int) (int, error) {
+func (f *File) readBlockAhead(i int, buf []Elem, seq bool) (int, error) {
 	if f.released {
 		return 0, fmt.Errorf("%w (%s)", ErrReleased, f.name)
 	}
@@ -200,15 +200,7 @@ func (f *File) readBlockAhead(i int, buf []Elem, ahead int) (int, error) {
 		m.logReads.Inc()
 		t0 = time.Now()
 	}
-	var (
-		n   int
-		err error
-	)
-	if ar, ok := f.disk.store.(aheadReader); ok && ahead > 0 {
-		n, err = ar.readAhead(f, i, buf, ahead)
-	} else {
-		n, err = f.disk.store.read(f, i, buf)
-	}
+	n, err := f.disk.store.read(f, i, buf, seq)
 	if m != nil {
 		m.logReadNS.ObserveEx(int64(time.Since(t0)), m.curSeq.Load())
 	}
@@ -281,9 +273,9 @@ func (f *File) AppendBlock(payload []Elem) error {
 			return &FaultError{Op: "write", File: f.name, Block: f.nblocks, Off: -1, Err: err}
 		}
 	}
-	// Checksum at enqueue, before the store may hand the payload to the
-	// write-behind worker: the sum captures what the algorithm wrote, on the
-	// algorithm goroutine, identically under pipeline on/off.
+	// Checksum before the store may stage the payload for a later batch
+	// write: the sum captures what the algorithm wrote, on the algorithm
+	// goroutine, identically under pipeline on/off.
 	var sum uint32
 	if f.disk.checksum {
 		sum = checksumElems(payload)

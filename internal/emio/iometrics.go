@@ -13,9 +13,9 @@ package emio
 // parity suite proves it). With metrics disabled every hot-path site is one
 // nil check.
 //
-// Handles are bound per recording role (algorithm goroutine, write-behind
-// worker, prefetch goroutines), so concurrent recording never contends on a
-// cache line; see package metrics.
+// Handles are bound per recording role (logical transfers on the algorithm
+// goroutine, physical transfers on whichever goroutine completes them), so
+// concurrent recording rarely contends on a cache line; see package metrics.
 
 import (
 	"sync/atomic"
@@ -90,7 +90,7 @@ func newIOMetrics(reg *metrics.Registry) *IOMetrics {
 	m.liveScratch = reg.Gauge("empart_live_scratch_files",
 		"algorithm scratch files currently live")
 	m.queueDepth = reg.Gauge("empart_write_queue_depth",
-		"blocks staged or queued behind the write-behind worker")
+		"blocks staged or in flight in staged batch writes")
 	m.backingBytes = reg.Gauge("empart_backing_bytes",
 		"high-water byte size of the backing file (0 for memory disks)")
 	m.phaseInfo = reg.Info("empart_phase",
@@ -135,15 +135,12 @@ func (m *IOMetrics) popPhaseTo(depth int) {
 	m.curSeq.Store(seq)
 }
 
-// storeMetrics binds the physical-layer handles of one fileStore, one handle
-// per recording role so the algorithm goroutine, the write-behind worker and
-// the prefetch goroutines each own their shard.
+// storeMetrics binds the physical-layer handles of one fileStore, shared by
+// every disk over the store and by the goroutines completing its transfers.
 type storeMetrics struct {
-	physReads   *metrics.CounterHandle // synchronous reads (algorithm goroutine)
-	prefReads   *metrics.CounterHandle // prefetch goroutines
-	physWrites  *metrics.CounterHandle // sync appends or the write worker
+	physReads   *metrics.CounterHandle
+	physWrites  *metrics.CounterHandle
 	physReadNS  *metrics.HistogramHandle
-	prefReadNS  *metrics.HistogramHandle
 	physWriteNS *metrics.HistogramHandle
 
 	writeRunBlocks *metrics.HistogramHandle // blocks per coalesced positioned write
@@ -162,30 +159,24 @@ type storeMetrics struct {
 	queueDepth   *metrics.Gauge
 	backingBytes *metrics.Gauge
 
-	// seq points at the owning IOMetrics' curSeq so pipeline goroutines can
-	// stamp exemplars with the span that enqueued the work.
+	// seq points at the owning IOMetrics' curSeq so transfer goroutines can
+	// stamp exemplars with the span that issued the work.
 	seq *atomic.Int64
 }
 
-// newStoreMetrics registers the physical-layer instruments and binds the
-// per-role handles.
+// newStoreMetrics registers the physical-layer instruments and binds their
+// handles.
 func newStoreMetrics(m *IOMetrics) *storeMetrics {
 	reg := m.reg
-	physR := reg.Counter("empart_phys_reads_total",
-		"positioned read syscalls issued to the backing file")
-	physW := reg.Counter("empart_phys_writes_total",
-		"positioned write syscalls issued to the backing file")
-	physRNS := reg.Histogram("empart_phys_read_ns",
-		"latency of one positioned backing-file read", "ns")
-	physWNS := reg.Histogram("empart_phys_write_ns",
-		"latency of one positioned backing-file write", "ns")
 	return &storeMetrics{
-		physReads:   physR.Handle(),
-		prefReads:   physR.Handle(),
-		physWrites:  physW.Handle(),
-		physReadNS:  physRNS.Handle(),
-		prefReadNS:  physRNS.Handle(),
-		physWriteNS: physWNS.Handle(),
+		physReads: reg.Counter("empart_phys_reads_total",
+			"positioned read syscalls issued to the backing file").Handle(),
+		physWrites: reg.Counter("empart_phys_writes_total",
+			"positioned write syscalls issued to the backing file").Handle(),
+		physReadNS: reg.Histogram("empart_phys_read_ns",
+			"latency of one positioned backing-file read", "ns").Handle(),
+		physWriteNS: reg.Histogram("empart_phys_write_ns",
+			"latency of one positioned backing-file write", "ns").Handle(),
 		writeRunBlocks: reg.Histogram("empart_phys_write_run_blocks",
 			"logical blocks retired per coalesced positioned write", "blocks").Handle(),
 		readRunBlocks: reg.Histogram("empart_phys_read_run_blocks",

@@ -97,6 +97,24 @@ func TestMetricsPhysicalLayerFileBacked(t *testing.T) {
 				if wr := snap.Histograms["empart_phys_write_run_blocks"]; wr.Max < 2 {
 					t.Errorf("pipelined write-run max = %d, want coalescing >= 2", wr.Max)
 				}
+				// The queue-depth gauge counts blocks staged or in flight:
+				// unsynced appends raise it, and Sync drains it to zero.
+				g := ctx.Scratch("gauge")
+				for i := 0; i < 3; i++ {
+					if err := g.AppendBlock(seqElems(8)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if q := reg.Snapshot().Gauge("empart_write_queue_depth"); q <= 0 {
+					t.Errorf("write-queue depth after unsynced appends = %d, want > 0", q)
+				}
+				if err := g.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if q := reg.Snapshot().Gauge("empart_write_queue_depth"); q != 0 {
+					t.Errorf("write-queue depth after Sync = %d, want 0", q)
+				}
+				g.Release()
 			}
 			if got := snap.Counter("empart_extent_frees_total"); got == 0 {
 				t.Error("release recorded no extent frees")

@@ -39,8 +39,8 @@ func RequireNoLeaks(t TestingT, c *Ctx) {
 func NumGoroutines() int { return runtime.NumGoroutine() }
 
 // RequireNoGoroutineLeaks fails the test when the goroutine count has not
-// returned to the baseline captured with NumGoroutines. The write-behind
-// worker and prefetch goroutines must all have exited once their Disk is
+// returned to the baseline captured with NumGoroutines. The I/O engine's
+// transfer goroutines must all have exited once their Disk is
 // closed — including after injected failures mid-run, the case this check
 // guards. Freshly exited goroutines may need a moment to be reaped, so the
 // check polls briefly before failing; on failure it dumps all stacks.

@@ -15,10 +15,10 @@
 //     RMW on a cache line the handle owns — no map lookups, no interface
 //     calls, no allocations.
 //  3. Shard-per-goroutine. A Counter or Histogram is a small fixed array of
-//     cache-line-padded shards; each recording goroutine (the algorithm
-//     goroutine, the write-behind worker, prefetch goroutines) holds a
-//     handle bound to its own shard, so concurrent recording never contends
-//     on a line. Reading sums the shards.
+//     cache-line-padded shards; each recording site (the algorithm
+//     goroutine's logical transfers, the file store's physical transfers)
+//     holds a handle bound to its own shard, so concurrent recording seldom
+//     contends on a line. Reading sums the shards.
 //
 // Scrape-side operations (Snapshot, WritePrometheus) take locks and
 // allocate freely — they run on the observer's goroutine, never the
@@ -33,8 +33,8 @@ import (
 
 // numShards is the shard count of counters and histograms. Recording sites
 // are assigned shards round-robin; the EM machine has a handful of recording
-// goroutines (algorithm, write worker, prefetch), so a small power of two
-// keeps reads cheap while eliminating cross-goroutine contention.
+// roles (logical and physical transfers, retries), so a small power of two
+// keeps reads cheap while spreading cross-goroutine contention.
 const numShards = 8
 
 // pad fills a counter shard out to a 64-byte cache line so neighbouring

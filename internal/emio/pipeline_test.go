@@ -296,7 +296,7 @@ func TestAsyncWriteErrorSurfacesAtNextOpAndClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := d.store.(*fileStore)
-		st.async.testWriteErr = func(off int64) error {
+		st.testWriteErr = func(off int64) error {
 			if off >= failFrom {
 				return errDevice
 			}
@@ -376,12 +376,17 @@ func TestAsyncWriteErrorNamesFileAndOffset(t *testing.T) {
 	}
 	const failAt = int64(2 * 8 * elemBytes) // third block's extent
 	st := d.store.(*fileStore)
-	st.async.testWriteErr = func(off int64) error {
+	st.testWriteErr = func(off int64) error {
 		if off == failAt {
 			return errDevice
 		}
 		return nil
 	}
+	el, err := NewEventLog(LogConfig{Enabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.AttachEventLog(el)
 	ctx, err := NewCtxWithDisk(Config{M: 64, B: 8}, d)
 	if err != nil {
 		t.Fatal(err)
@@ -402,6 +407,23 @@ func TestAsyncWriteErrorNamesFileAndOffset(t *testing.T) {
 	}
 	if !strings.Contains(msg, fmt.Sprintf("offset %d", failAt)) {
 		t.Errorf("Close error %q does not name the failing offset %d", msg, failAt)
+	}
+	// The event log records the failure when it happens, with the same
+	// attribution, and again when Close surfaces it.
+	var recorded, surfaced bool
+	for _, ev := range el.Events() {
+		switch ev.Msg {
+		case "write-behind failure recorded":
+			recorded = ev.Attrs["file"] == f.Name() && ev.Attrs["off"] == failAt
+		case "unreported write-behind failure surfaced at close":
+			surfaced = true
+		}
+	}
+	if !recorded {
+		t.Errorf("event log lacks the failure record for %s at offset %d: %+v", f.Name(), failAt, el.Events())
+	}
+	if !surfaced {
+		t.Errorf("event log lacks the close-time surfacing record: %+v", el.Events())
 	}
 }
 

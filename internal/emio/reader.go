@@ -69,7 +69,7 @@ func (r *Reader) fetch() bool {
 	if r.blk >= r.f.NumBlocks() {
 		return false
 	}
-	n, err := r.f.readBlockAhead(r.blk, r.buf, r.f.disk.prefetch)
+	n, err := r.f.readBlockAhead(r.blk, r.buf, true)
 	if err != nil {
 		r.err = err
 		return false

@@ -2,8 +2,8 @@ package emio
 
 // Bounded retry of transient physical-I/O failures. The policy lives in
 // Config.Retry and applies to every positioned ReadAt/WriteAt — on the
-// algorithm goroutine for the synchronous store, on the write-behind worker
-// and prefetch goroutines under the pipeline. Retry never changes logical
+// goroutine driving the disk for one-block transfers, on transfer goroutines
+// for the I/O engine's batch writes and read-ahead. Retry never changes logical
 // accounting: a retried transfer is still one logical I/O, one physical op in
 // PhysStats, and the extra attempts are visible only in RetryStats, the
 // metrics registry and trace spans.
@@ -87,7 +87,7 @@ type retrier struct {
 	backoffNS atomic.Int64
 
 	// m holds the registry instruments, nil until metrics are enabled. An
-	// atomic pointer because pipeline goroutines record through it while
+	// atomic pointer because transfer goroutines record through it while
 	// EnableMetrics stores it from the algorithm goroutine.
 	m atomic.Pointer[retryMetrics]
 }
@@ -188,7 +188,7 @@ func (d *Disk) runPhys(op ioOp, fname string, off int64, fn func() error) error 
 	for attempt := 1; ; attempt++ {
 		// Cancellation bounds the retry loop: a cancel flag flipped during a
 		// backoff storm aborts before the next attempt, on whichever
-		// goroutine (algorithm, write worker, prefetch) runs the transfer.
+		// goroutine runs the transfer.
 		if d != nil {
 			if cerr := d.checkCancel(); cerr != nil {
 				return cerr

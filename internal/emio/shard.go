@@ -1,9 +1,6 @@
 package emio
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Shard sub-disks.
 //
@@ -34,8 +31,8 @@ import (
 // with the acting disk made explicit (so fault injection and retry resolve
 // per shard) and a caller-supplied scratch buffer (so concurrent shards do
 // not race on the store's synchronous codec scratch). Implemented by both
-// memStore and fileStore; the pipelined fileStore serves these calls
-// synchronously, bypassing the write-behind queue.
+// memStore and fileStore; on a file store these are the per-block transfers
+// of disks without a pipeline.
 type sharedStore interface {
 	blockStore
 	readShared(d *Disk, src *File, blk int, buf []Elem, scratch []byte) (int, error)
@@ -72,34 +69,26 @@ func (s *memStore) appendShared(d *Disk, f *File, payload []Elem, _ []byte) erro
 
 func (s *memStore) releaseShared(f *File) { s.release(f) }
 
+// readShared reads block blk of src with one positioned transfer on the
+// calling goroutine. The extents are settled bytes: a disk's staged writes
+// are written out before it reads the file, the parallel engine syncs parent
+// input files before handing views to workers, and shards settle before
+// another disk reads what they wrote.
 func (s *fileStore) readShared(d *Disk, src *File, blk int, buf []Elem, scratch []byte) (int, error) {
 	n := src.blockLen(blk)
 	if cap(buf) < n {
 		return 0, fmt.Errorf("%w: buffer cap %d < block len %d", ErrBlockSize, cap(buf), n)
 	}
-	// Shard reads bypass the parent's async pipeline: the engine syncs parent
-	// input files before handing views to workers, and a shard's staged
-	// writes are drained before the file is read here or settled before
-	// another shard reads it, so the extents below are settled bytes.
 	raw := scratch[:s.pad(n*elemBytes)]
-	s.physR.Add(1)
-	sm := s.sm.Load()
-	var t0 time.Time
-	if sm != nil {
-		t0 = time.Now()
-	}
-	err := s.readAtPhysOn(d, src.name, raw, src.extents[blk])
-	if sm != nil {
-		sm.physReads.Inc()
-		sm.physReadNS.ObserveEx(int64(time.Since(t0)), sm.seq.Load())
-	}
-	if err != nil {
+	if err := s.transfer(d, opRead, src.name, raw, src.extents[blk], 1); err != nil {
 		return 0, storeReadError(src.name, src.extents[blk], err)
 	}
 	decodeElems(buf[:n], raw[:n*elemBytes], true)
 	return n, nil
 }
 
+// appendShared writes payload as the next block of f with one positioned
+// transfer on the calling goroutine.
 func (s *fileStore) appendShared(d *Disk, f *File, payload []Elem, scratch []byte) error {
 	nbytes := len(payload) * elemBytes
 	pn := s.pad(nbytes)
@@ -107,20 +96,17 @@ func (s *fileStore) appendShared(d *Disk, f *File, payload []Elem, scratch []byt
 	raw := scratch[:pn]
 	encodeElems(raw[:nbytes], payload, true)
 	clear(raw[nbytes:])
-	if err := s.physWriteOn(d, f.name, raw, off); err != nil {
+	if err := s.transfer(d, opWrite, f.name, raw, off, 1); err != nil {
 		s.freeRun(off, pn, 1)
 		return storeWriteError(d, f.name, off, err)
-	}
-	if sm := s.sm.Load(); sm != nil {
-		sm.writeRunBlocks.Observe(1)
 	}
 	f.extents = append(f.extents, off)
 	return nil
 }
 
+// releaseShared returns f's extents to the shared allocator. The caller has
+// written out f's staged blocks first.
 func (s *fileStore) releaseShared(f *File) {
-	// Shard files never enter the write-behind queue, so there is nothing to
-	// drain; just return the extents to the shared allocator.
 	s.freeBlocks(f, 0, len(f.extents))
 	f.extents = nil
 }
@@ -128,33 +114,29 @@ func (s *fileStore) releaseShared(f *File) {
 // shardStore is the blockStore of a shard sub-disk: a thin adapter that
 // routes every operation to the parent's shared store with the acting disk
 // and a per-shard scratch buffer, resolving views to their backing file.
-// Over a pipelined file store, io coalesces the shard's transfers (see
-// shard_io.go).
+// Over a pipelined file store, io is the shard's I/O engine (see
+// disk_io.go).
 type shardStore struct {
 	base    blockStore  // the parent's store, for same-backing identity checks
 	sh      sharedStore // the same store through its shared-access capability
 	scratch []byte      // per-shard codec scratch (aligned for O_DIRECT backings)
-	io      *shardIO    // staged writes and read-ahead; nil without a pipeline
+	io      *diskIO     // staged writes and read-ahead; nil without a pipeline
 }
 
-func (st *shardStore) read(f *File, i int, buf []Elem) (int, error) {
-	return st.readAhead(f, i, buf, 0)
-}
-
-func (st *shardStore) readAhead(f *File, i int, buf []Elem, ahead int) (int, error) {
+func (st *shardStore) read(f *File, i int, buf []Elem, seq bool) (int, error) {
 	src, blk := f, i
 	if f.viewSrc != nil {
 		src, blk = f.viewSrc, f.viewOff+i
 	}
 	if st.io != nil {
-		return st.io.read(f.disk, f, src, i, blk, buf, ahead, st.scratch)
+		return st.io.read(f, src, i, blk, buf, seq, st.scratch)
 	}
 	return st.sh.readShared(f.disk, src, blk, buf, st.scratch)
 }
 
 func (st *shardStore) append(f *File, payload []Elem) error {
 	if st.io != nil {
-		return st.io.append(f.disk, f, payload, st.scratch)
+		return st.io.append(f, payload)
 	}
 	return st.sh.appendShared(f.disk, f, payload, st.scratch)
 }
@@ -164,13 +146,12 @@ func (st *shardStore) syncFile(f *File) error {
 	if st.io == nil {
 		return nil
 	}
-	st.io.drain(f.disk, f)
-	return st.io.fileErr(f)
+	return st.io.sync(f)
 }
 
 func (st *shardStore) release(f *File) {
 	if st.io != nil {
-		st.io.forget(f.disk, f)
+		st.io.forget(f)
 	}
 	if f.viewSrc != nil {
 		return // views own no storage
@@ -183,10 +164,10 @@ func (st *shardStore) release(f *File) {
 // allocator and reports the first staged-write failure that no operation
 // has reported yet. The parallel engine settles every shard at the end of
 // each of its tasks, so a phase barrier hands only settled files to the
-// next phase. A no-op (nil) on disks that are not coalescing shards.
+// next phase. A no-op (nil) on disks that are not pipelined shards.
 func (d *Disk) Settle() error {
 	if st, ok := d.store.(*shardStore); ok && st.io != nil {
-		return st.io.settle(d)
+		return st.io.settle()
 	}
 	return nil
 }
@@ -209,9 +190,9 @@ func storeBase(d *Disk) blockStore {
 // parent's block size, checksum arming and retry policy (the retrier's
 // counters are shared and atomic); it inherits neither metrics, logging nor
 // fault injectors — those stay per-disk so schedules armed on one shard
-// fire only there. On a pipelined file store the shard coalesces its
-// transfers (see shard_io.go) and must be settled (Settle) before another
-// disk reads the files it wrote.
+// fire only there. On a pipelined file store the shard runs its own I/O
+// engine (see disk_io.go) and must be settled (Settle) before another disk
+// reads the files it wrote.
 //
 // Concurrent use: different shard disks may be driven from different
 // goroutines at the same time; one shard disk is still single-goroutine,
@@ -229,18 +210,9 @@ func (d *Disk) NewShard(k int) (*Disk, error) {
 		return nil, fmt.Errorf("emio: disk %s: store %T does not support sharding", d.id, d.store)
 	}
 	st := &shardStore{base: base, sh: sh}
-	prefetch := 0
-	if fs, ok := base.(*fileStore); ok {
-		st.scratch = alignedBytes(fs.pad(d.blockSize*elemBytes), fs.direct)
-		if fs.async != nil {
-			st.io = newShardIO(fs)
-			prefetch = fs.pipe.PrefetchDepth
-		}
-	}
-	return &Disk{
+	sd := &Disk{
 		blockSize: d.blockSize,
 		store:     st,
-		prefetch:  prefetch,
 		id:        fmt.Sprintf("%s/shard-%d", d.id, k),
 		checksum:  d.checksum,
 		retry:     d.retry,
@@ -248,7 +220,15 @@ func (d *Disk) NewShard(k int) (*Disk, error) {
 		// on any shard stops (or rejects on) all of them.
 		cancel: d.cancel,
 		budget: d.budget,
-	}, nil
+	}
+	if fs, ok := base.(*fileStore); ok {
+		st.scratch = alignedBytes(fs.pad(d.blockSize*elemBytes), fs.direct)
+		if fs.io != nil {
+			st.io = newDiskIO(fs, sd, true)
+			sd.prefetch = fs.pipe.PrefetchDepth
+		}
+	}
+	return sd, nil
 }
 
 // NewView creates a read-only window onto nblk contiguous blocks of src

@@ -3,12 +3,12 @@ package emio
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 )
 
 // blockStore is the storage backend of a Disk. The default store keeps
@@ -18,8 +18,10 @@ import (
 // payloads; all model bookkeeping (I/O counting, fault injection, sealing)
 // stays in Disk/File.
 type blockStore interface {
-	// read copies block i of f into buf, returning the element count.
-	read(f *File, i int, buf []Elem) (int, error)
+	// read copies block i of f into buf, returning the element count. seq
+	// marks a sequential scan, which a pipelined store may serve from a
+	// read-ahead window.
+	read(f *File, i int, buf []Elem, seq bool) (int, error)
 	// append stores a new block holding payload at index f.numBlocks.
 	append(f *File, payload []Elem) error
 	// release drops f's storage.
@@ -31,33 +33,11 @@ type blockStore interface {
 // Optional store capabilities, discovered by interface assertion so that the
 // core blockStore contract stays minimal.
 type (
-	// aheadReader is implemented by stores that can serve a block read with
-	// a sequential read-ahead hint: the store may prefetch up to ahead
-	// further contiguous blocks with one coalesced physical read.
-	aheadReader interface {
-		readAhead(f *File, i int, buf []Elem, ahead int) (int, error)
-	}
 	// fileSyncer is implemented by stores with deferred physical writes;
 	// syncFile blocks until every pending write of f has hit the backend and
 	// reports the first physical failure among them.
 	fileSyncer interface {
 		syncFile(f *File) error
-	}
-	// backingSizer exposes the physical footprint of a file-backed store.
-	backingSizer interface {
-		backingBytes() int64
-		freeExtents() int64
-	}
-	// physCounter exposes physical transfer counts (positioned read/write
-	// syscalls issued to the backing file). With the pipeline on these fall
-	// below the logical Stats by the coalescing factor.
-	physCounter interface {
-		physStats() Stats
-	}
-	// metricsSink is implemented by stores with physical-layer telemetry;
-	// setMetrics attaches (or, with nil, detaches) the live instruments.
-	metricsSink interface {
-		setMetrics(m *IOMetrics)
 	}
 	// prefixReleaser is implemented by stores with block-granular storage
 	// reclamation; releaseRange drops the storage of f's blocks [lo, hi)
@@ -85,7 +65,7 @@ const maxMemFreeBlocks = 1 << 14
 
 func newMemStore() *memStore { return &memStore{} }
 
-func (s *memStore) read(f *File, i int, buf []Elem) (int, error) {
+func (s *memStore) read(f *File, i int, buf []Elem, _ bool) (int, error) {
 	blk := f.mem[i]
 	if cap(buf) < len(blk) {
 		return 0, fmt.Errorf("%w: buffer cap %d < block len %d", ErrBlockSize, cap(buf), len(blk))
@@ -215,19 +195,20 @@ const elemBytes = 16
 // backing file at the peak live footprint rather than the cumulative write
 // volume.
 //
-// With pipe.Enabled the store runs the asynchronous prefetch/write-behind
-// pipeline (see pipeline.go): appends enqueue encoded blocks to a background
-// worker and sequential reads are served from coalesced read-ahead staging
-// buffers. All fields except the ones explicitly protected by mu are owned
-// by the algorithm goroutine.
+// With pipe.Enabled the store's disk runs the I/O engine (see disk_io.go):
+// appends stage encoded blocks into batch writes and sequential reads are
+// served from coalesced read-ahead windows. Without it every block is one
+// positioned transfer on the calling goroutine (readShared, appendShared).
+// All fields except the allocator's and the atomics are owned by the
+// goroutine driving the disk.
 type fileStore struct {
 	fd      *os.File
-	disk    *Disk  // back-pointer for the resilience layer (retry + injection)
-	end     int64  // append cursor: high-water byte offset of the backing file
-	scratch []byte // synchronous encode/decode scratch, one (padded) block
-	size    int    // block size in elements
-	bulk    bool   // zero-copy bulk marshalling enabled (pipeline on)
-	direct  bool   // O_DIRECT backing: transfers padded to directAlign
+	disk    *Disk   // back-pointer for the resilience layer (retry + injection)
+	io      *diskIO // the disk's I/O engine, nil when the pipeline is off
+	end     int64   // append cursor: high-water byte offset of the backing file
+	scratch []byte  // synchronous encode/decode scratch, one (padded) block
+	size    int     // block size in elements
+	direct  bool    // O_DIRECT backing: transfers padded to directAlign
 
 	// Extent allocator, guarded by amu: shard sub-disks (see shard.go)
 	// allocate and free extents from worker goroutines. Uncontended in
@@ -237,30 +218,32 @@ type fileStore struct {
 	nfree  int64                // number of extents on the free list
 	zeroed int64                // bytes of backing file physically zero-filled (direct mode)
 	zbuf   []byte               // aligned zero buffer for prewriting, amu-guarded
-	physR  atomic.Int64         // positioned reads issued (incl. prefetch goroutines)
-	physW  atomic.Int64         // positioned writes issued (incl. the write worker)
+	physR  atomic.Int64         // positioned reads issued (incl. transfer goroutines)
+	physW  atomic.Int64         // positioned writes issued (incl. transfer goroutines)
 	pipe   Pipeline             // normalized pipeline configuration
-	async  *asyncState          // write-behind + prefetch machinery, nil when disabled
 	// ring is the io_uring physical backend, nil when Pipeline.Uring is off or
 	// unsupported; raw transfers then fall back to pread/pwrite syscalls. The
 	// ring sits strictly below the resilience layer: runPhys wraps ring
 	// completions exactly as it wraps syscall returns.
-	ring    *uring
-	regBufs [][]byte // pooled buffers registered with the ring as fixed buffers
+	ring *uring
 	// sm holds the physical-layer telemetry handles, nil when metrics are
-	// disabled. An atomic pointer because the write worker and prefetch
-	// goroutines read it while EnableMetrics may store it from the algorithm
+	// disabled. An atomic pointer because transfer goroutines and ring
+	// callbacks read it while EnableMetrics may store it from the algorithm
 	// goroutine; recordings racing the attach itself may be missed, which is
 	// fine — metrics are strictly observational.
-	sm       atomic.Pointer[storeMetrics]
-	closed   bool
-	closeErr error
+	sm atomic.Pointer[storeMetrics]
+	// testWriteErr, when set (tests only, before any I/O), injects a failure
+	// into the physical write path below the staged writes.
+	testWriteErr func(off int64) error
+	closed       bool
+	closeErr     error
 }
 
-// newFileStore opens the backing file at path. keep opens an existing file
-// in place (crash-resume: journaled extents are re-adopted, so the bytes
-// must survive the reopen); otherwise the file is created or truncated.
-func newFileStore(path string, blockSize int, pipe Pipeline, keep bool) (*fileStore, error) {
+// newFileStore opens the backing file at path for disk d. keep opens an
+// existing file in place (crash-resume: journaled extents are re-adopted, so
+// the bytes must survive the reopen); otherwise the file is created or
+// truncated.
+func newFileStore(d *Disk, path string, pipe Pipeline, keep bool) (*fileStore, error) {
 	direct := pipe.Direct && oDirectFlag != 0
 	flags := os.O_RDWR | os.O_CREATE
 	if !keep {
@@ -275,36 +258,31 @@ func newFileStore(path string, blockSize int, pipe Pipeline, keep bool) (*fileSt
 	}
 	s := &fileStore{
 		fd:     fd,
-		size:   blockSize,
+		disk:   d,
+		size:   d.blockSize,
 		direct: direct,
 		free:   make(map[int]*extentQueue),
+		pipe:   pipe.withDefaults(),
 	}
-	if norm := pipe.withDefaults(); norm.Uring && UringSupported() {
+	s.scratch = alignedBytes(s.pad(s.size*elemBytes), direct)
+	if pipe.Enabled {
+		s.io = newDiskIO(s, d, false)
+	}
+	if s.pipe.Uring && UringSupported() {
 		// Ring creation failure degrades silently to the syscall paths,
 		// mirroring how Pipeline.Direct degrades without O_DIRECT support.
-		if r, err := newUring(fd, norm.UringDepth, norm.SQPoll); err == nil {
+		if r, err := newUring(fd, s.pipe.UringDepth); err == nil {
 			s.ring = r
 			r.sm = &s.sm
+			fixed := [][]byte{s.scratch}
+			if s.io != nil {
+				fixed = append(fixed, s.io.pinned()...)
+			}
+			r.registerBuffers(fixed)
 		}
-	}
-	s.scratch = alignedBytes(s.pad(blockSize*elemBytes), direct)
-	if s.ring != nil {
-		s.regBufs = append(s.regBufs, s.scratch)
-	}
-	if pipe.Enabled {
-		s.pipe = pipe.withDefaults()
-		s.bulk = true
-		s.startAsync()
-	}
-	if s.ring != nil {
-		s.ring.registerBuffers(s.regBufs)
 	}
 	return s, nil
 }
-
-// uringActive reports whether physical transfers go through an io_uring
-// (Disk.UringActive's store capability).
-func (s *fileStore) uringActive() bool { return s.ring != nil }
 
 // extentQueue is a FIFO of released extents of one byte length. Release
 // order matters: a released file frees an ascending contiguous run of
@@ -507,48 +485,18 @@ func (s *fileStore) setMetrics(m *IOMetrics) {
 	s.sm.Store(newStoreMetrics(m))
 }
 
-func (s *fileStore) physStats() Stats {
-	return Stats{Reads: s.physR.Load(), Writes: s.physW.Load()}
+func (s *fileStore) read(f *File, i int, buf []Elem, seq bool) (int, error) {
+	if s.io != nil {
+		return s.io.read(f, f, i, i, buf, seq, s.scratch)
+	}
+	return s.readShared(s.disk, f, i, buf, s.scratch)
 }
 
-func (s *fileStore) read(f *File, i int, buf []Elem) (int, error) {
-	return s.readAhead(f, i, buf, 0)
-}
-
-func (s *fileStore) readAhead(f *File, i int, buf []Elem, ahead int) (int, error) {
-	n := f.blockLen(i)
-	if cap(buf) < n {
-		return 0, fmt.Errorf("%w: buffer cap %d < block len %d", ErrBlockSize, cap(buf), n)
+func (s *fileStore) append(f *File, payload []Elem) error {
+	if s.io != nil {
+		return s.io.append(f, payload)
 	}
-	if s.async != nil {
-		if err := s.drainFile(f); err != nil {
-			return 0, err
-		}
-		return s.pipelineRead(f, i, buf[:n], ahead)
-	}
-	raw := s.scratch[:s.pad(n*elemBytes)]
-	s.physR.Add(1)
-	sm := s.sm.Load()
-	var t0 time.Time
-	if sm != nil {
-		t0 = time.Now()
-	}
-	err := s.readAtPhys(f.name, raw, f.extents[i])
-	if sm != nil {
-		sm.physReads.Inc()
-		sm.physReadNS.ObserveEx(int64(time.Since(t0)), sm.seq.Load())
-	}
-	if err != nil {
-		return 0, storeReadError(f.name, f.extents[i], err)
-	}
-	decodeElems(buf[:n], raw[:n*elemBytes], s.bulk)
-	return n, nil
-}
-
-// readAtPhys issues one positioned read under the disk's fault injector and
-// retry policy; with neither armed it is a bare ReadAt.
-func (s *fileStore) readAtPhys(fname string, raw []byte, off int64) error {
-	return s.readAtPhysOn(s.disk, fname, raw, off)
+	return s.appendShared(s.disk, f, payload, s.scratch)
 }
 
 // preadRaw issues one raw positioned read over the active physical backend:
@@ -571,105 +519,17 @@ func (s *fileStore) pwriteRaw(raw []byte, off int64) error {
 	return err
 }
 
-// readAtPhysOn is readAtPhys with fault injection and retry resolved through
-// an explicit acting disk: shard sub-disks share this store but carry their
-// own injectors, so a fault schedule armed on shard k fires only on shard
-// k's transfers.
-func (s *fileStore) readAtPhysOn(d *Disk, fname string, raw []byte, off int64) error {
-	if d == nil || (d.Injector() == nil && d.retry == nil) {
-		return s.preadRaw(raw, off)
-	}
-	return d.runPhys(opRead, fname, off, func() error {
-		return s.preadRaw(raw, off)
-	})
-}
-
-// writeAtPhys is readAtPhys for positioned writes.
-func (s *fileStore) writeAtPhys(fname string, raw []byte, off int64) error {
-	return s.writeAtPhysOn(s.disk, fname, raw, off)
-}
-
-// writeAtPhysOn is writeAtPhys on an explicit acting disk.
-func (s *fileStore) writeAtPhysOn(d *Disk, fname string, raw []byte, off int64) error {
-	if d == nil || (d.Injector() == nil && d.retry == nil) {
-		return s.pwriteRaw(raw, off)
-	}
-	return d.runPhys(opWrite, fname, off, func() error {
-		return s.pwriteRaw(raw, off)
-	})
-}
-
-func (s *fileStore) append(f *File, payload []Elem) error {
-	nbytes := len(payload) * elemBytes
-	pn := s.pad(nbytes)
-	if s.async != nil {
-		// Surface an earlier asynchronous write failure of this file before
-		// accepting more data, so errors land at the next operation on the
-		// file rather than disappearing.
-		if err := s.fileError(f); err != nil {
-			return err
-		}
-		off := s.allocExtent(pn)
-		s.stageWrite(f, payload, off)
-		f.extents = append(f.extents, off)
-		return nil
-	}
-	off := s.allocExtent(pn)
-	raw := s.scratch[:pn]
-	encodeElems(raw[:nbytes], payload, s.bulk)
-	clear(raw[nbytes:])
-	if err := s.physWrite(f.name, raw, off); err != nil {
-		s.freeRun(off, pn, 1)
-		return storeWriteError(s.disk, f.name, off, err)
-	}
-	if sm := s.sm.Load(); sm != nil {
-		sm.writeRunBlocks.Observe(1)
-	}
-	f.extents = append(f.extents, off)
-	return nil
-}
-
-// physWrite performs one positioned write on behalf of fname, consulting the
-// test-only physical fault hook first (the hook models a device error below
-// the write-behind queue, unreachable through Disk.SetWriteFault which fires
-// at enqueue time), then issuing the transfer under the disk's injector and
-// retry policy.
-func (s *fileStore) physWrite(fname string, raw []byte, off int64) error {
-	return s.physWriteOn(s.disk, fname, raw, off)
-}
-
-// physWriteOn is physWrite on an explicit acting disk (see readAtPhysOn).
-func (s *fileStore) physWriteOn(d *Disk, fname string, raw []byte, off int64) error {
-	if s.async != nil && s.async.testWriteErr != nil {
-		if err := s.async.testWriteErr(off); err != nil {
-			return err
-		}
-	}
-	s.physW.Add(1)
-	sm := s.sm.Load()
-	var t0 time.Time
-	if sm != nil {
-		t0 = time.Now()
-	}
-	err := s.writeAtPhysOn(d, fname, raw, off)
-	if sm != nil {
-		sm.physWrites.Inc()
-		sm.physWriteNS.ObserveEx(int64(time.Since(t0)), sm.seq.Load())
-	}
-	return err
-}
-
 // corruptBlock flips one bit of the stored image of block i of f by a raw
 // read-modify-write of its extent, bypassing counters, injection and retry
 // (harness-side at-rest corruption). Pending pipeline writes of f are
 // drained first and its read-ahead discarded, so the flip lands on settled
 // bytes and is not masked by a stale staging buffer.
 func (s *fileStore) corruptBlock(f *File, i, bit int) error {
-	if s.async != nil {
-		if err := s.drainFile(f); err != nil {
+	if s.io != nil {
+		if err := s.io.sync(f); err != nil {
 			return err
 		}
-		s.dropPrefetch(f)
+		s.io.dropWindows(f)
 	}
 	raw := s.scratch[:s.pad(f.blockLen(i)*elemBytes)]
 	if _, err := s.fd.ReadAt(raw, f.extents[i]); err != nil {
@@ -683,15 +543,10 @@ func (s *fileStore) corruptBlock(f *File, i, bit int) error {
 }
 
 func (s *fileStore) release(f *File) {
-	if s.async != nil {
-		// Pending writes target extents about to be freed; wait them out so a
-		// later reuse of the extents cannot race a stale queued write, then
-		// discard any in-flight read-ahead for the file.
-		s.drainFileQuiet(f)
-		s.dropPrefetch(f)
+	if s.io != nil {
+		s.io.forget(f)
 	}
-	s.freeBlocks(f, 0, len(f.extents))
-	f.extents = nil
+	s.releaseShared(f)
 }
 
 // releaseRange frees the extents of blocks [lo, hi) while the tail stays
@@ -716,24 +571,19 @@ func (s *fileStore) adoptFloor(end int64) {
 }
 
 func (s *fileStore) syncFile(f *File) error {
-	if s.async == nil {
+	if s.io == nil {
 		return nil
 	}
-	return s.drainFile(f)
+	return s.io.sync(f)
 }
 
-// syncBacking drains the whole write-behind queue and fsyncs the backing
-// file: the checkpoint layer's durability barrier (Disk.SyncBacking). Called
-// on the algorithm goroutine, like drainFile.
+// syncBacking writes out every staged block of the disk and fsyncs the
+// backing file: the checkpoint layer's durability barrier (Disk.SyncBacking).
+// Called on the algorithm goroutine.
 func (s *fileStore) syncBacking() error {
-	if s.async != nil {
-		a := s.async
-		s.flushCur()
-		a.mu.Lock()
-		for len(a.pending) > 0 {
-			a.cond.Wait()
-		}
-		a.mu.Unlock()
+	if s.io != nil {
+		s.io.flush()
+		s.io.waitAll()
 	}
 	if err := s.fd.Sync(); err != nil {
 		return fmt.Errorf("emio: fsync backing file: %w", err)
@@ -758,12 +608,12 @@ func (s *fileStore) close() error {
 	// write-behind error and a close failure of the ring or fd are distinct
 	// problems, and reporting the first must not swallow the others.
 	var err error
-	if s.async != nil {
-		err = s.stopAsync()
+	if s.io != nil {
+		if err = s.io.settle(); err != nil {
+			s.disk.log(slog.LevelError, "unreported write-behind failure surfaced at close")
+		}
 	}
 	if s.ring != nil {
-		// After stopAsync only dropped read-ahead may still be in flight;
-		// closing the ring drains it before the backing fd goes away.
 		err = joinErr(err, s.ring.close())
 	}
 	err = joinErr(err, s.fd.Close())

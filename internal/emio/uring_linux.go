@@ -8,35 +8,38 @@ package emio
 // build tag names exactly the Linux ports where syscall numbers 425–427 are
 // those of io_uring_setup/enter/register.
 //
-// Concurrency model: many goroutines submit (the algorithm goroutine, the
-// write-behind worker, shard workers), and whichever goroutine is blocked on
-// the ring drives the completion queue itself. Submitters take a slot from a
-// bounded free list — the slot index is the SQE's user_data — prep their
-// SQEs under a mutex and flush them with a single enter. A single drive
-// token (a one-slot channel) is the license to consume the CQ: a goroutine
-// that needs a completion, a free slot, or a prefetch window either parks on
-// its own wakeup channel or wins the token, drains every available CQE —
-// dispatching each to its slot's channel (synchronous waiters) or callback
-// (prefetch completions) — and blocks in enter(GETEVENTS) for the next one.
-// There is no standing reaper goroutine: the first design had one, and the
-// two thread wakeups it added per I/O cost ~100x the blocking syscall it
-// replaced on fast devices. With the waiter driving, a synchronous transfer
-// is two thin syscalls and zero scheduler round-trips, and batched
-// submissions amortize even the first. The free list doubles as
-// backpressure: in-flight submissions never exceed the SQ size, so the CQ
-// (twice the SQ by default) cannot overflow. The store closes the ring only
-// after the pipeline has drained; close still drives the CQ until every
-// slot has retired, so late prefetch completions land before the mappings
-// are released.
+// The ring swaps only how raw positioned transfers reach the device — SQE
+// submission and CQE completion instead of pread/pwrite syscalls — and sits
+// strictly below the EM model: logical I/O accounting, fault hooks,
+// checksums, retry and tracing run exactly as they do for the syscall paths,
+// so outputs, Stats and trace JSON are bit-identical across {buffered,
+// direct, uring}.
+//
+// Concurrency model: many goroutines submit (the goroutine driving each
+// disk, transfer goroutines), and whichever goroutine is blocked on the ring
+// drives the completion queue itself. Every submission is one SQE with a
+// completion callback (submitCallback): the submitter takes a slot from a
+// bounded free list — the slot index is the SQE's user_data — preps the SQE
+// under a mutex and flushes it with one enter. A single drive token (a
+// one-slot channel) is the license to consume the CQ: a goroutine that needs
+// a completion or a free slot either parks on its own channel or wins the
+// token, drains every available CQE — running each slot's callback — and
+// blocks in enter(GETEVENTS) for the next one. There is no standing reaper
+// goroutine: the first design had one, and the two thread wakeups it added
+// per I/O cost ~100x the blocking syscall it replaced on fast devices. With
+// the waiter driving, a synchronous transfer is two thin syscalls and zero
+// scheduler round-trips. The free list doubles as backpressure: in-flight
+// submissions never exceed the SQ size, so the CQ (twice the SQ by default)
+// cannot overflow. The store closes the ring only after its disks' transfers
+// have completed; close still drives the CQ until every slot has retired, so
+// late completions land before the mappings are released.
 //
 // Registered resources: the backing file is registered once (fixed-file index
-// 0) and the store's pooled transfer buffers — batch, staging and scratch —
-// are registered as fixed buffers, so the common case submits
-// READ_FIXED/WRITE_FIXED opcodes that skip per-I/O pinning. Registration
-// failures (e.g. RLIMIT_MEMLOCK) degrade to the plain READ/WRITE opcodes.
-// SQPOLL is optional: the kernel poller consumes SQEs without any enter
-// syscall, woken with IORING_ENTER_SQ_WAKEUP when it has gone idle; setups
-// where SQPOLL is unavailable fall back to a normal ring.
+// 0) and the store's long-lived transfer buffers — the parent disk's batch
+// and window buffers and the scratch block — are registered as fixed
+// buffers, so transfers through them submit READ_FIXED/WRITE_FIXED opcodes
+// that skip per-I/O pinning. Registration failures (e.g. RLIMIT_MEMLOCK)
+// degrade to the plain READ/WRITE opcodes.
 
 import (
 	"fmt"
@@ -61,9 +64,7 @@ const (
 	uringOffSQEs   = 0x10000000
 
 	uringEnterGetEvents = 1 << 0
-	uringEnterSQWakeup  = 1 << 1
 
-	uringSetupSQPoll    = 1 << 1
 	uringFeatSingleMmap = 1 << 0
 
 	uringOpNop        = 0
@@ -76,7 +77,6 @@ const (
 	uringRegisterFiles   = 2
 
 	uringSQEFixedFile = 1 << 0
-	uringSQNeedWakeup = 1 << 0
 )
 
 // uringParams is struct io_uring_params (120 bytes).
@@ -129,27 +129,17 @@ type uringCQE struct {
 	flags    uint32
 }
 
-// uringSlot tracks one in-flight submission. ch carries the raw CQE result
-// to a synchronous waiter; when cb is non-nil whoever drains the CQE calls it
-// instead and recycles the slot. cb is set and cleared under uring.mu.
-type uringSlot struct {
-	ch chan int32
-	cb func(res int32)
-}
-
 // uring is one io_uring instance bound to one backing file.
 type uring struct {
-	ringFD    int
-	sqEntries uint32
-	sqpoll    bool
+	ringFD int
 
 	sqMem, cqMem, sqeMem []byte
 	singleMmap           bool
 
-	sqHead, sqTail, sqFlags *uint32
-	sqMask                  uint32
-	sqArray                 []uint32
-	sqes                    []uringSQE
+	sqTail  *uint32
+	sqMask  uint32
+	sqArray []uint32
+	sqes    []uringSQE
 
 	cqHead, cqTail *uint32
 	cqMask         uint32
@@ -160,9 +150,11 @@ type uring struct {
 	fixedBufs [][]byte
 
 	mu          sync.Mutex // serializes SQE prep + flush
-	unsubmitted uint32     // prepped SQEs the kernel has not consumed (non-SQPOLL)
+	unsubmitted uint32     // prepped SQEs the kernel has not consumed
 
-	slots     []uringSlot
+	// cbs holds each in-flight slot's completion callback, set and cleared
+	// under mu; whoever drains the slot's CQE runs it and recycles the slot.
+	cbs       []func(res int32)
 	freeSlots chan uint32
 	// retired counts slots permanently withdrawn after submission errors (a
 	// late completion could race their reuse); close() accounts for them.
@@ -187,50 +179,31 @@ type uring struct {
 	sm *atomic.Pointer[storeMetrics]
 }
 
-// newUring builds a ring of the given depth over f. SQPOLL is attempted when
-// asked for and degrades — first to a non-SQPOLL ring when setup refuses it,
-// entirely to nil,err when even that fails (the store then falls back to the
-// syscall paths).
-func newUring(f *os.File, depth int, sqpoll bool) (*uring, error) {
+// newUring builds a ring of the given depth over f; on failure the store
+// falls back to the syscall paths.
+func newUring(f *os.File, depth int) (*uring, error) {
 	if depth < 1 {
 		depth = DefaultUringDepth
 	}
-	u, err := setupRing(uint32(depth), sqpoll)
-	if err != nil && sqpoll {
-		u, err = setupRing(uint32(depth), false)
-	}
+	u, err := setupRing(uint32(depth))
 	if err != nil {
 		return nil, err
 	}
 	u.fileFD = int32(f.Fd())
 	u.regFile = u.registerFileLocked(u.fileFD)
-	if u.sqpoll && !u.regFile {
-		// SQPOLL can only touch registered files; without the registration the
-		// poller would fail every SQE, so trade the poller away instead.
-		u.destroy()
-		if u, err = setupRing(uint32(depth), false); err != nil {
-			return nil, err
-		}
-		u.fileFD = int32(f.Fd())
-		u.regFile = u.registerFileLocked(u.fileFD)
-	}
 	return u, nil
 }
 
 // setupRing performs io_uring_setup, maps the three ring regions and builds
 // the slot table. The kernel rounds entries up to a power of two; all sizes
 // below use what it reports back.
-func setupRing(entries uint32, sqpoll bool) (*uring, error) {
+func setupRing(entries uint32) (*uring, error) {
 	var p uringParams
-	if sqpoll {
-		p.flags = uringSetupSQPoll
-		p.sqThreadIdle = 1000 // ms before the poller sleeps and asks for a wakeup
-	}
 	fd, _, errno := syscall.Syscall(sysIOUringSetup, uintptr(entries), uintptr(unsafe.Pointer(&p)), 0)
 	if errno != 0 {
 		return nil, fmt.Errorf("emio: io_uring_setup: %w", errno)
 	}
-	u := &uring{ringFD: int(fd), sqEntries: p.sqEntries, sqpoll: sqpoll}
+	u := &uring{ringFD: int(fd)}
 	if err := u.mmapRings(&p); err != nil {
 		syscall.Close(u.ringFD)
 		return nil, err
@@ -239,10 +212,9 @@ func setupRing(entries uint32, sqpoll bool) (*uring, error) {
 		// Identity map: SQE i lives at array slot i; only the tail moves.
 		u.sqArray[i] = uint32(i)
 	}
-	u.slots = make([]uringSlot, p.sqEntries)
+	u.cbs = make([]func(int32), p.sqEntries)
 	u.freeSlots = make(chan uint32, p.sqEntries)
 	for i := uint32(0); i < p.sqEntries; i++ {
-		u.slots[i].ch = make(chan int32, 1)
 		u.freeSlots <- i
 	}
 	u.drive = make(chan struct{}, 1)
@@ -284,10 +256,8 @@ func (u *uring) mmapRings(p *uringParams) error {
 	}
 	u.sqeMem = sqeMem
 	at := func(mem []byte, off uint32) *uint32 { return (*uint32)(unsafe.Pointer(&mem[off])) }
-	u.sqHead = at(sqMem, p.sqOff.head)
 	u.sqTail = at(sqMem, p.sqOff.tail)
 	u.sqMask = *at(sqMem, p.sqOff.ringMask)
-	u.sqFlags = at(sqMem, p.sqOff.flags)
 	u.sqArray = unsafe.Slice((*uint32)(unsafe.Pointer(&sqMem[p.sqOff.array])), p.sqEntries)
 	u.cqHead = at(u.cqMem, p.cqOff.head)
 	u.cqTail = at(u.cqMem, p.cqOff.tail)
@@ -312,7 +282,7 @@ func (u *uring) munmapAll() {
 	}
 }
 
-// destroy tears down a ring that never started its reaper (setup fallbacks).
+// destroy tears down a ring that never carried a transfer (the probe).
 func (u *uring) destroy() {
 	u.munmapAll()
 	syscall.Close(u.ringFD)
@@ -403,18 +373,6 @@ func (u *uring) acquire() (uint32, bool) {
 	return await(u, u.freeSlots, true)
 }
 
-// tryAcquire takes a free slot only when one is immediately available; it
-// never blocks and never drives the completion queue. Batched submitters use
-// it to widen a submission window without committing to a wait.
-func (u *uring) tryAcquire() (uint32, bool) {
-	select {
-	case slot := <-u.freeSlots:
-		return slot, true
-	default:
-		return 0, false
-	}
-}
-
 // release returns a slot to the free list. The release is channel-side — no
 // CQE announces it — so when a driver has committed to a blocking
 // enter(GETEVENTS) waiting for exactly this event, a NOP is submitted to
@@ -426,21 +384,12 @@ func (u *uring) release(slot uint32) {
 	}
 }
 
-// wait blocks for slot's completion and returns the raw CQE result. The
-// waiter drives the CQ itself when it wins the drive token.
-func (u *uring) wait(slot uint32) int32 {
-	res, ok := await(u, u.slots[slot].ch, false)
-	if !ok {
-		return -int32(syscall.EIO)
-	}
-	return res
-}
-
-// waitDone blocks until done is closed. Callers use it to wait on prefetch
-// windows whose callback only runs when somebody drains the CQE — with no
+// waitDone blocks until done is closed. Callers use it to wait on
+// transfers whose callback only runs when somebody drains the CQE — with no
 // standing reaper, that somebody must be the waiter itself. done MUST belong
 // to a ring-driven completion (or already be closed): the blocking
-// enter(GETEVENTS) inside relies on a CQE being in flight.
+// enter(GETEVENTS) inside relies on a CQE being in flight. It also returns
+// when the ring dies, after abort has run every pending callback.
 func (u *uring) waitDone(done <-chan struct{}) {
 	await(u, done, false)
 }
@@ -506,14 +455,11 @@ func await[T any](u *uring, ready <-chan T, slotWait bool) (T, bool) {
 	}
 }
 
-// prepLocked writes one SQE and advances the submission tail. Only under
-// SQPOLL can the queue be momentarily full (the poller drains it
-// asynchronously); the plain path bounds in-flight SQEs by the slot count.
+// prepLocked writes one SQE and advances the submission tail. The queue is
+// never full here: every flush hands the kernel all prepped SQEs before
+// releasing the mutex.
 func (u *uring) prepLocked(op ioOp, buf []byte, off int64, userData uint64) {
 	tail := atomic.LoadUint32(u.sqTail)
-	for tail-atomic.LoadUint32(u.sqHead) >= u.sqEntries {
-		runtime.Gosched()
-	}
 	sqe := &u.sqes[tail&u.sqMask]
 	*sqe = uringSQE{userData: userData}
 	if op == opRead {
@@ -546,20 +492,16 @@ func (u *uring) prepLocked(op ioOp, buf []byte, off int64, userData uint64) {
 // prepNopLocked queues a NOP (shutdown poison, probe round-trips).
 func (u *uring) prepNopLocked(userData uint64) {
 	tail := atomic.LoadUint32(u.sqTail)
-	for tail-atomic.LoadUint32(u.sqHead) >= u.sqEntries {
-		runtime.Gosched()
-	}
 	u.sqes[tail&u.sqMask] = uringSQE{opcode: uringOpNop, fd: -1, userData: userData}
 	atomic.StoreUint32(u.sqTail, tail+1)
 }
 
-// flushLocked hands n freshly prepped SQEs to the kernel: one io_uring_enter
-// for the whole batch — or none at all under SQPOLL, unless the poller went
-// idle and wants a wakeup.
+// flushLocked hands n freshly prepped SQEs to the kernel with one
+// io_uring_enter.
 func (u *uring) flushLocked(n uint32) error {
 	if sm := u.storeMetrics(); sm != nil {
 		sm.uringSQEBatch.Observe(int64(n))
-		sm.uringInflight.Observe(int64(len(u.slots) - len(u.freeSlots)))
+		sm.uringInflight.Observe(int64(len(u.cbs) - len(u.freeSlots)))
 	}
 	return u.flushRawLocked(n)
 }
@@ -567,13 +509,6 @@ func (u *uring) flushLocked(n uint32) error {
 // flushRawLocked is flushLocked without the telemetry: pokes go through here
 // so wakeup NOPs do not pollute the SQE-batch and queue-depth histograms.
 func (u *uring) flushRawLocked(n uint32) error {
-	if u.sqpoll {
-		if atomic.LoadUint32(u.sqFlags)&uringSQNeedWakeup != 0 {
-			_, err := u.enter(0, 0, uringEnterSQWakeup)
-			return err
-		}
-		return nil
-	}
 	u.unsubmitted += n
 	for u.unsubmitted > 0 {
 		done, err := u.enter(u.unsubmitted, 0, 0)
@@ -609,36 +544,13 @@ func (u *uring) poke() {
 	}
 }
 
-// submit preps every request and flushes them with a single enter. Callers
-// own the reqs' slots and collect results with wait; on error they must
-// retire those slots (the SQEs may sit unconsumed in the ring). A flush
-// failure is an io_uring_enter hard error, so it also kills the ring —
-// better every waiter fails fast than some hang on completions that will
-// never be produced.
-func (u *uring) submit(reqs []uringReq) error {
-	u.mu.Lock()
-	select {
-	case <-u.dead:
-		u.mu.Unlock()
-		return syscall.EIO
-	default:
-	}
-	for _, r := range reqs {
-		u.prepLocked(r.op, r.buf, r.off, uint64(r.slot))
-	}
-	err := u.flushLocked(uint32(len(reqs)))
-	u.mu.Unlock()
-	if err != nil {
-		u.abort()
-	}
-	return err
-}
-
 // submitCallback preps one transfer whose completion is dispatched to cb
 // with the raw CQE result by whichever goroutine drains it; the slot is
 // recycled after cb returns. cb runs on an arbitrary driving goroutine and
 // must not block on ring completions. On error cb is guaranteed not to run,
-// so the caller can fall back synchronously.
+// so the caller can fall back synchronously. A flush failure is an
+// io_uring_enter hard error, so it also kills the ring — better every waiter
+// fails fast than some hang on completions that will never be produced.
 func (u *uring) submitCallback(op ioOp, buf []byte, off int64, cb func(res int32)) error {
 	slot, ok := u.acquire()
 	if !ok {
@@ -652,11 +564,11 @@ func (u *uring) submitCallback(op ioOp, buf []byte, off int64, cb func(res int32
 		return syscall.EIO
 	default:
 	}
-	u.slots[slot].cb = cb
+	u.cbs[slot] = cb
 	u.prepLocked(op, buf, off, uint64(slot))
 	err := u.flushLocked(1)
 	if err != nil {
-		u.slots[slot].cb = nil
+		u.cbs[slot] = nil
 	}
 	u.mu.Unlock()
 	if err != nil {
@@ -667,20 +579,20 @@ func (u *uring) submitCallback(op ioOp, buf []byte, off int64, cb func(res int32
 }
 
 // rw runs one synchronous positioned transfer through the ring: submit one
-// SQE, wait for its CQE. Transient errnos and short transfers resubmit the
-// remainder, so callers see whole-buffer semantics like ReadAt/WriteAt.
+// SQE, wait for its completion. Transient errnos and short transfers
+// resubmit the remainder, so callers see whole-buffer semantics like
+// ReadAt/WriteAt.
 func (u *uring) rw(op ioOp, buf []byte, off int64) error {
 	for {
-		slot, ok := u.acquire()
-		if !ok {
-			return syscall.EIO
-		}
-		if err := u.submit([]uringReq{{op: op, buf: buf, off: off, slot: slot}}); err != nil {
-			u.retire()
+		done := make(chan struct{})
+		var res int32
+		if err := u.submitCallback(op, buf, off, func(r int32) {
+			res = r
+			close(done)
+		}); err != nil {
 			return err
 		}
-		res := u.wait(slot)
-		u.release(slot)
+		u.waitDone(done)
 		if res >= 0 {
 			if int(res) == len(buf) {
 				return nil
@@ -703,26 +615,6 @@ func (u *uring) rw(op ioOp, buf []byte, off int64) error {
 func (u *uring) pread(buf []byte, off int64) error  { return u.rw(opRead, buf, off) }
 func (u *uring) pwrite(buf []byte, off int64) error { return u.rw(opWrite, buf, off) }
 
-// finishRW resolves the raw CQE result of a batched submission, resubmitting
-// transient failures and short-transfer remainders synchronously.
-func (u *uring) finishRW(op ioOp, res int32, buf []byte, off int64) error {
-	if res >= 0 {
-		if int(res) == len(buf) {
-			return nil
-		}
-		if res == 0 {
-			if op == opRead {
-				return io.ErrUnexpectedEOF
-			}
-			return io.ErrShortWrite
-		}
-		buf, off = buf[res:], off+int64(res)
-	} else if e := syscall.Errno(-res); e != syscall.EINTR && e != syscall.EAGAIN {
-		return e
-	}
-	return u.rw(op, buf, off)
-}
-
 // --- completion -----------------------------------------------------------
 
 // drain consumes every available CQE and dispatches it. The caller holds the
@@ -739,31 +631,28 @@ func (u *uring) drain() {
 	}
 }
 
-// dispatch routes one CQE to its slot: callback completions run inline (on
-// whichever goroutine is driving) and recycle the slot; synchronous waiters
-// get the raw result on the slot's one-slot channel. Wakeup NOPs carry no
-// slot — their only job was returning the enter that drained them.
+// dispatch runs one CQE's callback inline, on whichever goroutine is
+// driving, and recycles its slot. Wakeup NOPs carry no slot — their only job
+// was returning the enter that drained them.
 func (u *uring) dispatch(cqe uringCQE) {
 	if cqe.userData == pokeData {
 		return
 	}
 	slot := uint32(cqe.userData)
 	u.mu.Lock()
-	cb := u.slots[slot].cb
-	u.slots[slot].cb = nil
+	cb := u.cbs[slot]
+	u.cbs[slot] = nil
 	u.mu.Unlock()
 	if cb != nil {
 		cb(cqe.res)
 		u.release(slot)
-	} else {
-		u.slots[slot].ch <- cqe.res
 	}
 }
 
-// abort marks the ring dead and fails every pending callback so waiters and
-// prefetch consumers unblock with EIO instead of hanging. Only reachable when
-// io_uring_enter itself fails hard, which a healthy ring never does.
-// Idempotent: concurrent aborters race benignly on the dead check.
+// abort marks the ring dead and fails every pending callback so waiters
+// unblock with EIO instead of hanging. Only reachable when io_uring_enter
+// itself fails hard, which a healthy ring never does. Idempotent: concurrent
+// aborters race benignly on the dead check.
 func (u *uring) abort() {
 	u.mu.Lock()
 	select {
@@ -772,9 +661,9 @@ func (u *uring) abort() {
 		return
 	default:
 	}
-	for i := range u.slots {
-		if cb := u.slots[i].cb; cb != nil {
-			u.slots[i].cb = nil
+	for i, cb := range u.cbs {
+		if cb != nil {
+			u.cbs[i] = nil
 			cb(-int32(syscall.EIO))
 		}
 	}
@@ -787,28 +676,28 @@ func (u *uring) abort() {
 // reuse. close() counts retired slots as settled.
 func (u *uring) retire() { u.retired.Add(1) }
 
-// close shuts the ring down. The store calls this only after the pipeline
-// has drained its own work, but dropped prefetch windows may still be in
-// flight, so close drives the CQ until every slot is back on the free list
-// (or permanently retired) before releasing the mappings and the ring fd.
+// close shuts the ring down. The store calls this only after its disks'
+// transfers have completed, but close still drives the CQ until every slot
+// is back on the free list (or permanently retired) before releasing the
+// mappings and the ring fd.
 func (u *uring) close() error {
 	if u.closed {
 		return u.closeErr
 	}
 	u.closed = true
-	for uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.slots)) {
+	for uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.cbs)) {
 		select {
 		case <-u.dead:
 			goto teardown
 		case <-u.drive:
 			u.drain()
 			var err error
-			if uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.slots)) {
+			if uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.cbs)) {
 				// Like acquire, this waits for a channel-side event (slots
 				// coming home), so register for release()'s poke before
 				// committing to the kernel.
 				u.slotWaiters.Add(1)
-				if uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.slots)) {
+				if uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.cbs)) {
 					if _, err = u.enter(0, 1, uringEnterGetEvents); err == nil {
 						u.drain()
 					}
@@ -844,7 +733,7 @@ func UringSupported() bool {
 }
 
 func probeUring() bool {
-	u, err := setupRing(2, false)
+	u, err := setupRing(2)
 	if err != nil {
 		return false
 	}

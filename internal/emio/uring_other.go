@@ -20,24 +20,17 @@ func UringSupported() bool { return false }
 var errNoUring = errors.New("emio: io_uring unavailable on this platform")
 
 // uring is never constructed on this platform (newFileStore consults
-// UringSupported first); the type and methods exist so the store and pipeline
-// compile unchanged.
+// UringSupported first); the type and methods exist so the store compiles
+// unchanged.
 type uring struct {
 	sm *atomic.Pointer[storeMetrics]
 }
 
-func newUring(*os.File, int, bool) (*uring, error) { return nil, errNoUring }
+func newUring(*os.File, int) (*uring, error) { return nil, errNoUring }
 
 func (*uring) pread([]byte, int64) error                             { return errNoUring }
 func (*uring) pwrite([]byte, int64) error                            { return errNoUring }
-func (*uring) acquire() (uint32, bool)                               { return 0, false }
-func (*uring) tryAcquire() (uint32, bool)                            { return 0, false }
-func (*uring) release(uint32)                                        {}
-func (*uring) retire()                                               {}
-func (*uring) wait(uint32) int32                                     { return 0 }
 func (*uring) waitDone(<-chan struct{})                              {}
-func (*uring) submit([]uringReq) error                               { return errNoUring }
 func (*uring) submitCallback(ioOp, []byte, int64, func(int32)) error { return errNoUring }
-func (*uring) finishRW(ioOp, int32, []byte, int64) error             { return errNoUring }
 func (*uring) registerBuffers([][]byte)                              {}
 func (*uring) close() error                                          { return nil }

@@ -16,7 +16,7 @@ import (
 // and Stats guarantees are proved by the top-level parity suite.
 
 // uringConfigs spans the ring's composition space: bare ring, ring under the
-// async pipeline, ring over O_DIRECT, and SQPOLL.
+// async pipeline, and ring over O_DIRECT.
 func uringConfigs(t *testing.T) []Pipeline {
 	t.Helper()
 	if !UringSupported() {
@@ -26,7 +26,6 @@ func uringConfigs(t *testing.T) []Pipeline {
 		{Uring: true},
 		{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 2},
 		{Enabled: true, Uring: true, UringDepth: 4},
-		{Enabled: true, Uring: true, SQPoll: true},
 	}
 	if DirectIOSupported(t.TempDir()) {
 		ps = append(ps, Pipeline{Enabled: true, Uring: true, Direct: true})
@@ -118,7 +117,7 @@ func TestUringSlotContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	u, err := newUring(f, 2, false)
+	u, err := newUring(f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,6 @@ func TestUringStatsMatchSynchronous(t *testing.T) {
 	for _, p := range []Pipeline{
 		{Uring: true},
 		{Enabled: true, Uring: true},
-		{Enabled: true, Uring: true, SQPoll: true},
 	} {
 		if got := run(p); got != sync {
 			t.Errorf("p=%+v: Stats %v != synchronous %v", p, got, sync)

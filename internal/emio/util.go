@@ -161,7 +161,7 @@ func (f *File) Snapshot() []Elem {
 	buf := make([]Elem, f.disk.blockSize)
 	pos := 0
 	for i := 0; i < f.nblocks; i++ {
-		n, err := f.disk.store.read(f, i, buf)
+		n, err := f.disk.store.read(f, i, buf, false)
 		if err != nil {
 			panic(fmt.Sprintf("emio: Snapshot of %s: %v", f.name, err))
 		}

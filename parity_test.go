@@ -226,9 +226,9 @@ func TestPipelineParitySuite(t *testing.T) {
 		)
 	}
 	if emio.UringSupported() {
-		// The io_uring backend swaps blocking pread/pwrite for batched ring
+		// The io_uring backend swaps blocking pread/pwrite for ring
 		// submissions; logical outputs, Stats and traces must not move,
-		// pipelined or not, SQPOLL or not.
+		// pipelined or not.
 		mkUring := func(p Pipeline) func(t *testing.T) *System {
 			return func(t *testing.T) *System {
 				c := cfg
@@ -250,10 +250,6 @@ func TestPipelineParitySuite(t *testing.T) {
 				name string
 				mk   func(t *testing.T) *System
 			}{"file-uring-pipeline", mkUring(Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4})},
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring-sqpoll", mkUring(Pipeline{Enabled: true, Uring: true, SQPoll: true, PrefetchDepth: 4, QueueDepth: 4})},
 		)
 		if emio.DirectIOSupported(t.TempDir()) {
 			backends = append(backends, struct {
