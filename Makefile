@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet fmt lint test test-short race parity check fault crash bench-smoke bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr10 microbench table1 examples clean
+.PHONY: all build crossbuild vet fmt lint test test-short race parity check fault crash bench-smoke microbench table1 examples clean
 
 all: build lint test
 
@@ -81,53 +81,6 @@ crash:
 # module of its own, so the root's `go test ./...` does not reach it.
 bench-smoke:
 	cd bench && $(GO) test ./...
-
-# Regenerate the checked-in wall-clock A/B document for the async I/O
-# pipeline (sort/partition/splitters, pipeline off vs on, buffered and
-# O_DIRECT backing). Progress goes to stderr, the JSON to BENCH_pr3.json.
-bench:
-	$(GO) run ./cmd/embench -suite pr3 > BENCH_pr3.json
-
-# Regression gate: rerun the pr3 suite and diff it against the checked-in
-# baseline. Fails on any logical-I/O increase or >20% wall-clock growth;
-# rows the current host cannot measure (e.g. no O_DIRECT) are skipped.
-bench-compare:
-	$(GO) run ./cmd/embench -compare BENCH_pr3.json
-
-# Regenerate the checksum-overhead A/B document (sort/partition/splitters,
-# CRC32C off vs on, pipeline off and on). JSON goes to BENCH_pr5.json.
-bench-pr5:
-	$(GO) run ./cmd/embench -suite pr5 > BENCH_pr5.json
-
-# Regenerate the telemetry-overhead A/B document (sort/partition/splitters,
-# tracer+metrics+event log off vs on, pipeline off and on). The contract:
-# logical I/O identical, wall-clock overhead within a few percent. JSON goes
-# to BENCH_pr6.json.
-bench-pr6:
-	$(GO) run ./cmd/embench -suite pr6 > BENCH_pr6.json
-
-# Regenerate the parallel-engine speedup document: extsort/distsort, buffered
-# and O_DIRECT, workers in {1, 2, 4, NumCPU}, with per-row output digests and
-# logical-I/O parity checks against the sequential engine. JSON goes to
-# BENCH_pr7.json.
-bench-pr7:
-	$(GO) run ./cmd/embench -suite pr7 > BENCH_pr7.json
-
-# Regenerate the io_uring backend A/B document: sort/partition/splitters over
-# the same deepened async pipeline, positioned syscalls vs batched io_uring
-# submission, with logical-I/O parity and output digests per row plus SQE
-# batch-size and queue-depth histograms. On hosts without io_uring the suite
-# emits the host record and no rows. JSON goes to BENCH_pr8.json.
-bench-pr8:
-	$(GO) run ./cmd/embench -suite pr8 > BENCH_pr8.json
-
-# Regenerate the checkpoint-journal overhead A/B document: file-backed sorts
-# with the journal off, on (default process-crash grade, no fsyncs), and on
-# with -full-sync (power-loss grade, fsync per phase barrier). The contract:
-# logical I/O identical everywhere, default-grade wall overhead within a few
-# percent. JSON goes to BENCH_pr10.json.
-bench-pr10:
-	$(GO) run ./cmd/embench -suite pr10 > BENCH_pr10.json
 
 microbench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...

@@ -35,46 +35,47 @@ func cancelMatrixModes() []struct {
 	}{
 		{"mem", false, Pipeline{}},
 		{"file", true, Pipeline{}},
-		{"file-pipeline", true, Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}},
+		{"file-pipeline", true, Pipeline{Enabled: true}},
 	}
 	if emio.UringSupported() {
 		modes = append(modes, struct {
 			name   string
 			backed bool
 			pipe   Pipeline
-		}{"uring", true, Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4}})
+		}{"uring", true, Pipeline{Enabled: true, Uring: true}})
 	}
 	return modes
 }
 
 type cancelAlgo struct {
-	name string
-	run  func(ctx context.Context, sys *System, f *File, n int64) error
+	name    string
+	sharded bool // with Workers > 0 the call runs on the engine's shards
+	run     func(ctx context.Context, sys *System, f *File, n int64) error
 }
 
 func cancelAlgos() []cancelAlgo {
 	return []cancelAlgo{
-		{"extsort", func(ctx context.Context, sys *System, f *File, n int64) error {
+		{"extsort", true, func(ctx context.Context, sys *System, f *File, n int64) error {
 			_, err := sys.SortContext(ctx, f)
 			return err
 		}},
-		{"distsort", func(ctx context.Context, sys *System, f *File, n int64) error {
+		{"distsort", true, func(ctx context.Context, sys *System, f *File, n int64) error {
 			_, err := sys.DistributionSortContext(ctx, f)
 			return err
 		}},
-		{"msel", func(ctx context.Context, sys *System, f *File, n int64) error {
+		{"msel", false, func(ctx context.Context, sys *System, f *File, n int64) error {
 			_, err := sys.MultiSelectContext(ctx, f, []int64{1, n / 2, n})
 			return err
 		}},
-		{"mpart", func(ctx context.Context, sys *System, f *File, n int64) error {
+		{"mpart", false, func(ctx context.Context, sys *System, f *File, n int64) error {
 			_, err := sys.MultiPartitionContext(ctx, f, []int64{n / 4, n / 4, n - 2*(n/4)})
 			return err
 		}},
-		{"approxsplit", func(ctx context.Context, sys *System, f *File, n int64) error {
+		{"approxsplit", false, func(ctx context.Context, sys *System, f *File, n int64) error {
 			_, err := sys.SplittersContext(ctx, f, Params{K: 16, A: 16, B: n})
 			return err
 		}},
-		{"histogram", func(ctx context.Context, sys *System, f *File, n int64) error {
+		{"histogram", false, func(ctx context.Context, sys *System, f *File, n int64) error {
 			_, err := sys.EquiDepthHistogramContext(ctx, f, 8, 0.5, 0.5)
 			return err
 		}},
@@ -83,8 +84,9 @@ func cancelAlgos() []cancelAlgo {
 
 // runCancelCase drives one (algorithm, backend, workers) cell: park the job
 // in a scripted retry storm, cancel its context, and require a prompt typed
-// failure with full teardown. With workers the storm hits shard 1 only, so
-// the cancel must also stop the workers running the other shards.
+// failure with full teardown. When the call runs on shards the storm hits
+// shard 1 only, so the cancel must also stop the workers running the other
+// shards; every other call runs on the parent disk, where the storm goes.
 func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline, workers int) {
 	t.Helper()
 	const n = 1 << 14
@@ -109,7 +111,7 @@ func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline, worke
 
 	inj := NewInjector(0xca9ce1)
 	inj.FailRead(10, 1<<30) // storm at the 11th physical read, post-staging
-	if workers > 0 {
+	if workers > 0 && a.sharded {
 		// Shards carry their own injector slots (the retry policy is shared).
 		sys.SetShardHook(func(k int, d *Disk) {
 			if k == 1 {
@@ -185,16 +187,17 @@ func TestCancellationMatrix(t *testing.T) {
 	}
 }
 
-// TestCancellationWorkers runs the engine-routed cells on two workers: one
-// shard's worker is parked in the storm while the other shards stage and
+// TestCancellationWorkers runs four cells on two workers. In the two sorts
+// one shard's worker is parked in the storm while the other shards stage and
 // read ahead through the coalescing shard I/O, and the cancel must unwind
-// them all, release every shard file and leave no transfer in flight.
+// them all, release every shard file and leave no transfer in flight. mpart
+// and approxsplit ignore Workers and are parked on the parent disk.
 func TestCancellationWorkers(t *testing.T) {
-	routed := map[string]bool{"extsort": true, "distsort": true, "mpart": true, "approxsplit": true}
+	cells := map[string]bool{"extsort": true, "distsort": true, "mpart": true, "approxsplit": true}
 	for _, mode := range cancelMatrixModes() {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, a := range cancelAlgos() {
-				if !routed[a.name] {
+				if !cells[a.name] {
 					continue
 				}
 				t.Run(a.name, func(t *testing.T) {
@@ -212,7 +215,7 @@ func TestCancellationSingleProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	runCancelCase(t, cancelAlgos()[0], true,
-		Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}, 0)
+		Pipeline{Enabled: true}, 0)
 }
 
 // TestBindContextRaceFree exercises the context watcher's lifecycle: binding

@@ -7,39 +7,24 @@
 //
 // Usage:
 //
-//	embench [-n 262144] [-m 4096] [-b 32] [-quick] [-json] [-trace]
-//	        [-backing DIR] [-prefetch K] [-writebehind Q] [-direct] [-uring]
-//	        [-suite pr3|pr5|pr6|pr7|pr8|pr10]
+//	embench [-n 262144] [-m 4096] [-b 32] [-dist uniform] [-quick] [-json] [-trace]
+//	        [-metrics-addr HOST:PORT] [-progress D] [-top] [-cpuprofile FILE]
 //
-// With -backing the simulated disk lives in a real file under DIR and every
-// row gains wall-clock columns (ns/elem, MB/s). -prefetch and -writebehind
-// enable the asynchronous I/O pipeline for A/B runs; they change physical
-// scheduling only, never the logical I/O counts. -direct bypasses the page
-// cache and -uring submits physical transfers through a batched io_uring
-// (Linux; silently degrades where unsupported). -suite pr3 runs the
-// checked-in wall-clock A/B suite (sort/partition/splitters at three scales,
-// pipeline on vs off) and emits the BENCH_pr3.json document; -suite pr8 is
-// the io_uring A/B counterpart emitting BENCH_pr8.json; -suite pr10 prices
-// the crash-safe checkpoint journal (plain vs journaled sort) and emits
-// BENCH_pr10.json. SIGINT/SIGTERM cancels the measurement in flight and
-// exits nonzero; a second signal exits immediately.
+// Every row runs on the in-memory disk. Its columns are logical I/O, which is
+// the same on every backend; wall-clock measurement is the benchmark's job
+// (bench/, run with `bash bench/run.sh`). SIGINT/SIGTERM cancels the
+// measurement in flight and exits nonzero; a second signal exits immediately.
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log"
-	"log/slog"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -60,15 +45,6 @@ var (
 	flagDist    = flag.String("dist", "uniform", "input distribution (see internal/workload)")
 	flagJSON    = flag.Bool("json", false, "emit one JSON array of measurement rows instead of markdown")
 	flagTrace   = flag.Bool("trace", false, "print a per-run phase trace (span tree) to stderr")
-	flagBacking = flag.String("backing", "", "directory for file-backed disks (empty = in-memory simulation)")
-	flagPre     = flag.Int("prefetch", 0, "read-ahead depth in blocks; >0 enables the async pipeline (file-backed only)")
-	flagWB      = flag.Int("writebehind", 0, "write-behind queue depth in blocks; >0 enables the async pipeline (file-backed only)")
-	flagDirect  = flag.Bool("direct", false, "open backing files with O_DIRECT, bypassing the page cache (file-backed only)")
-	flagUring   = flag.Bool("uring", false, "submit physical I/O through a batched io_uring instead of positioned syscalls (file-backed Linux only; silently degrades where unsupported)")
-	flagSuite   = flag.String("suite", "", "named suite: 'pr3' (pipeline A/B), 'pr5' (checksum A/B), 'pr6' (telemetry A/B), 'pr7' (parallel-engine speedup curve), 'pr8' (io_uring backend A/B) or 'pr10' (checkpoint-journal overhead A/B); emits the suite JSON and exits")
-	flagSum     = flag.Bool("checksum", false, "CRC32C-checksum every stored block and fail on corruption at read time")
-	flagRetry   = flag.Int("retry", 0, "retry transient backing-I/O faults up to this many attempts (0 or 1 = off)")
-	flagCompare = flag.String("compare", "", "baseline BENCH_pr3.json or BENCH_pr7.json: rerun that suite, diff against it, and exit nonzero on any logical-I/O or >20% wall-clock regression")
 	flagProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flagMetrics = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this host:port while the benchmarks run")
 	flagProg    = flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
@@ -83,10 +59,6 @@ var telReg *metrics.Registry
 // liveSys publishes the System currently being measured to the signal trap:
 // one choke point, updated as the sweep moves from system to system.
 var liveSys atomic.Pointer[empart.System]
-
-// registerLive points the signal trap at sys for the duration of a
-// measurement.
-func registerLive(sys *empart.System) { liveSys.Store(sys) }
 
 // trapSignals cancels the live System on SIGINT/SIGTERM so a long sweep
 // stops within about one block transfer and exits nonzero; a second signal
@@ -154,74 +126,6 @@ func startTelemetry() (func(), error) {
 	}, nil
 }
 
-type row struct {
-	Section   string  `json:"section,omitempty"`
-	Label     string  `json:"label"`
-	IOs       int64   `json:"ios"`
-	Scans     float64 `json:"scans"`
-	UB        float64 `json:"ub,omitempty"`
-	LB        float64 `json:"lb,omitempty"`
-	RatioUB   float64 `json:"ratioUB,omitempty"`
-	RatioLB   float64 `json:"ratioLB,omitempty"`
-	WallNS    int64   `json:"wallNs,omitempty"`
-	NsPerElem float64 `json:"nsPerElem,omitempty"`
-	MBps      float64 `json:"mbps,omitempty"`
-}
-
-// pipelineFromFlags assembles the Pipeline knobs for A/B runs: any positive
-// depth enables the pipeline.
-func pipelineFromFlags() empart.Pipeline {
-	p := empart.Pipeline{PrefetchDepth: *flagPre, QueueDepth: *flagWB, Direct: *flagDirect, Uring: *flagUring}
-	p.Enabled = *flagPre > 0 || *flagWB > 0
-	return p
-}
-
-// diskSeq names the backing files when -backing is set.
-var diskSeq int
-
-// newSystem builds the System each measurement runs on: in-memory by
-// default, file-backed (optionally pipelined) under -backing. The returned
-// cleanup closes the system and removes its backing file.
-func newSystem(cfg empart.Config) (*empart.System, func(), error) {
-	if *flagBacking == "" {
-		sys, err := empart.New(cfg)
-		if err == nil {
-			if telReg != nil {
-				sys.SetMetrics(telReg)
-			}
-			registerLive(sys)
-		}
-		return sys, func() {}, err
-	}
-	diskSeq++
-	cfg.Pipeline = pipelineFromFlags()
-	path := filepath.Join(*flagBacking, fmt.Sprintf("embench-%d.dat", diskSeq))
-	sys, err := empart.NewFileBacked(cfg, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if telReg != nil {
-		sys.SetMetrics(telReg)
-	}
-	registerLive(sys)
-	return sys, func() {
-		sys.Close()
-		os.Remove(path)
-	}, nil
-}
-
-// wallCols fills the wall-clock columns of a row: nanoseconds per input
-// element and physical payload throughput (ios * B * 16 bytes over the wall
-// time).
-func wallCols(r *row, n int64, b int, wall time.Duration) {
-	if wall <= 0 {
-		return
-	}
-	r.WallNS = wall.Nanoseconds()
-	r.NsPerElem = float64(wall.Nanoseconds()) / float64(n)
-	r.MBps = float64(r.IOs*int64(b)*16) / wall.Seconds() / 1e6
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("embench: ")
@@ -242,1896 +146,444 @@ func main() {
 		log.Fatal(err)
 	}
 	defer stopTelemetry()
-	if *flagCompare != "" {
-		n, err := runCompare(*flagCompare, os.Stderr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if n > 0 {
-			stopTelemetry()
-			os.Exit(1)
-		}
-		return
-	}
-	switch *flagSuite {
-	case "":
-	case "pr3":
-		if err := runPR3(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "pr5":
-		if err := runPR5(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "pr6":
-		if err := runPR6(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "pr7":
-		if err := runPR7(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "pr8":
-		if err := runPR8(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "pr10":
-		if err := runPR10(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	default:
-		log.Fatalf("unknown suite %q (supported: pr3, pr5, pr6, pr7, pr8, pr10)", *flagSuite)
-	}
-	if *flagQuick {
-		*flagN = 1 << 15
-	}
-	n := int64(*flagN)
-	cfg := empart.Config{
-		M: *flagM, B: *flagB,
-		Checksum: *flagSum,
-		Retry:    empart.Retry{MaxAttempts: *flagRetry},
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := table1(os.Stdout, flagOptions()); err != nil {
 		log.Fatal(err)
-	}
-	kind, err := workload.KindByName(*flagDist)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mc := empart.Machine{M: int64(*flagM), B: int64(*flagB)}
-	scan := float64(n) / float64(*flagB)
-
-	if !*flagJSON {
-		fmt.Printf("# Table 1 reproduction — N=%d, M=%d, B=%d, dist=%s\n\n", n, *flagM, *flagB, kind)
-		fmt.Printf("One scan = %.0f I/Os. `ratioUB` is measured/upper-bound-formula (the fitted\n", scan)
-		fmt.Printf("constant; flat across a sweep = the formula captures the shape). `ratioLB` is\n")
-		fmt.Printf("measured/lower-bound-floor (must stay >= 1; O(1) = the algorithm is optimal).\n\n")
-	}
-
-	var jsonRows []row
-
-	measure := func(label string, ub, lb float64, run func(sys *empart.System, f *empart.File) error) row {
-		sys, cleanup, err := newSystem(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cleanup()
-		f := sys.Stage(workload.Elems(kind, int(n), *flagB, 0xeb1e55))
-		sys.ResetStats()
-		if *flagTrace {
-			sys.EnableTracing()
-		}
-		start := time.Now()
-		if err := run(sys, f); err != nil {
-			log.Fatalf("%s: %v", label, err)
-		}
-		wall := time.Since(start)
-		if *flagTrace {
-			fmt.Fprintf(os.Stderr, "--- trace %s ---\n%s", label, sys.TraceReport())
-		}
-		io := sys.Stats().Total()
-		r := row{Label: label, IOs: io, Scans: float64(io) / scan, UB: ub, LB: lb}
-		if ub > 0 {
-			r.RatioUB = float64(io) / ub
-		}
-		if lb > 0 {
-			r.RatioLB = float64(io) / lb
-		}
-		if *flagBacking != "" {
-			wallCols(&r, n, *flagB, wall)
-		}
-		return r
-	}
-	printTable := func(title, paramCol string, rows []row) {
-		for _, r := range rows {
-			r.Section = title
-			jsonRows = append(jsonRows, r)
-		}
-		if *flagJSON {
-			return
-		}
-		wallHdr, wallSep := "", ""
-		if *flagBacking != "" {
-			wallHdr, wallSep = " ns/elem | MB/s |", "---|---|"
-		}
-		fmt.Printf("## %s\n\n", title)
-		fmt.Printf("| %s | I/Os | scans | UB formula | ratioUB | LB floor | ratioLB |%s\n", paramCol, wallHdr)
-		fmt.Printf("|---|---|---|---|---|---|---|%s\n", wallSep)
-		for _, r := range rows {
-			wallCell := ""
-			if *flagBacking != "" {
-				wallCell = fmt.Sprintf(" %.1f | %.1f |", r.NsPerElem, r.MBps)
-			}
-			fmt.Printf("| %s | %d | %.3f | %.0f | %.2f | %.0f | %.2f |%s\n",
-				r.Label, r.IOs, r.Scans, r.UB, r.RatioUB, r.LB, r.RatioLB, wallCell)
-		}
-		fmt.Println()
-	}
-
-	// --- T1-R-SPL ---------------------------------------------------------
-	{
-		k := int64(64)
-		var rows []row
-		seen := map[int64]bool{}
-		for _, a := range []int64{2, 8, 32, 128, 512, 2048, n / k} {
-			if a > n/k || seen[a] {
-				continue
-			}
-			seen[a] = true
-			p := empart.Params{K: k, A: a, B: n}
-			rows = append(rows, measure(fmt.Sprintf("a=%d", a),
-				mc.SplittersRight(a, k), mc.RightSplittersFloor(a, k),
-				func(sys *empart.System, f *empart.File) error {
-					out, err := sys.Splitters(f, p)
-					if err != nil {
-						return err
-					}
-					out.Release()
-					return nil
-				}))
-		}
-		printTable(fmt.Sprintf("T1-R-SPL: right-grounded K-splitters (K=%d, b=N) — sublinear for small a", k), "a", rows)
-	}
-
-	// --- T1-L-SPL ---------------------------------------------------------
-	{
-		k := int64(64)
-		var rows []row
-		for _, bb := range []int64{n / 64, n / 16, n / 4, n / 2} {
-			p := empart.Params{K: k, A: 0, B: bb}
-			rows = append(rows, measure(fmt.Sprintf("b=N/%d", n/bb),
-				mc.SplittersLeft(n, bb), mc.LeftSplittersFloor(n, bb),
-				func(sys *empart.System, f *empart.File) error {
-					out, err := sys.Splitters(f, p)
-					if err != nil {
-						return err
-					}
-					out.Release()
-					return nil
-				}))
-		}
-		printTable(fmt.Sprintf("T1-L-SPL: left-grounded K-splitters (K=%d, a=0)", k), "b", rows)
-	}
-
-	// --- T1-2-SPL ---------------------------------------------------------
-	{
-		k := int64(64)
-		nk := n / k
-		var rows []row
-		for _, tc := range []struct{ a, b int64 }{
-			{nk, nk}, {nk / 8, nk * 4}, {4, n / 4}, {nk / 2, n / 2},
-		} {
-			p := empart.Params{K: k, A: tc.a, B: tc.b}
-			rows = append(rows, measure(fmt.Sprintf("a=%d b=%d", tc.a, tc.b),
-				mc.SplittersTwoSidedUB(n, k, tc.a, tc.b), mc.SplittersTwoSidedLB(n, k, tc.a, tc.b),
-				func(sys *empart.System, f *empart.File) error {
-					out, err := sys.Splitters(f, p)
-					if err != nil {
-						return err
-					}
-					out.Release()
-					return nil
-				}))
-		}
-		printTable(fmt.Sprintf("T1-2-SPL: two-sided K-splitters (K=%d)", k), "a, b", rows)
-	}
-
-	// --- T1-R-PAR ---------------------------------------------------------
-	{
-		k := int64(64)
-		var rows []row
-		seen := map[int64]bool{}
-		for _, a := range []int64{0, 16, 256, 2048, n / k} {
-			if a > n/k || seen[a] {
-				continue
-			}
-			seen[a] = true
-			p := empart.Params{K: k, A: a, B: n}
-			rows = append(rows, measure(fmt.Sprintf("a=%d", a),
-				mc.PartitionRightUB(n, k, a), mc.PartitionRightLB(n),
-				func(sys *empart.System, f *empart.File) error {
-					res, err := sys.Partition(f, p)
-					if err != nil {
-						return err
-					}
-					res.Release()
-					return nil
-				}))
-		}
-		printTable(fmt.Sprintf("T1-R-PAR: right-grounded K-partitioning (K=%d, b=N)", k), "a", rows)
-	}
-
-	// --- T1-L-PAR ---------------------------------------------------------
-	{
-		var rows []row
-		for _, bb := range []int64{n / 256, n / 64, n / 16, n / 4, n / 2} {
-			p := empart.Params{K: 256, A: 0, B: bb}
-			rows = append(rows, measure(fmt.Sprintf("b=N/%d", n/bb),
-				mc.PartitionLeft(n, bb), mc.PartitionLeft(n, bb),
-				func(sys *empart.System, f *empart.File) error {
-					res, err := sys.Partition(f, p)
-					if err != nil {
-						return err
-					}
-					res.Release()
-					return nil
-				}))
-		}
-		printTable("T1-L-PAR: left-grounded K-partitioning (K=256, a=0) — Θ matches, so LB floor = UB formula", "b", rows)
-
-		// K-independence sweep: K must satisfy K >= N/b = 8 and divide N.
-		var flat []row
-		for _, k := range []int64{8, 64, 256, 4096} {
-			p := empart.Params{K: k, A: 0, B: n / 8}
-			flat = append(flat, measure(fmt.Sprintf("K=%d", k),
-				mc.PartitionLeft(n, n/8), 0,
-				func(sys *empart.System, f *empart.File) error {
-					res, err := sys.Partition(f, p)
-					if err != nil {
-						return err
-					}
-					res.Release()
-					return nil
-				}))
-		}
-		printTable("T1-L-PAR flatness: cost is independent of K at fixed b=N/8 (Theorem 3)", "K", flat)
-	}
-
-	// --- T1-2-PAR ---------------------------------------------------------
-	{
-		k := int64(64)
-		nk := n / k
-		var rows []row
-		for _, tc := range []struct{ a, b int64 }{
-			{nk, nk}, {nk / 8, nk * 4}, {4, n / 4},
-		} {
-			p := empart.Params{K: k, A: tc.a, B: tc.b}
-			rows = append(rows, measure(fmt.Sprintf("a=%d b=%d", tc.a, tc.b),
-				mc.PartitionTwoSidedUB(n, k, tc.a, tc.b), mc.PartitionTwoSidedLB(n, tc.b),
-				func(sys *empart.System, f *empart.File) error {
-					res, err := sys.Partition(f, p)
-					if err != nil {
-						return err
-					}
-					res.Release()
-					return nil
-				}))
-		}
-		printTable(fmt.Sprintf("T1-2-PAR: two-sided K-partitioning (K=%d)", k), "a, b", rows)
-	}
-
-	// --- THM4-SEP ----------------------------------------------------------
-	{
-		if !*flagJSON {
-			fmt.Printf("## THM4-SEP: multi-selection vs multi-partition (equi-spaced, Theorem 4)\n\n")
-			fmt.Printf("| K | msel I/Os | msel formula | mpart I/Os | mpart formula | mpart/msel measured | predicted |\n")
-			fmt.Printf("|---|---|---|---|---|---|---|\n")
-		}
-		for _, k := range []int64{4, 32, 256, 2048, n / int64(*flagB)} {
-			ranks := make([]int64, k-1)
-			sizes := make([]int64, k)
-			prev := int64(0)
-			for i := int64(0); i < k; i++ {
-				cum := (i + 1) * n / k
-				if i < k-1 {
-					ranks[i] = cum
-				}
-				sizes[i] = cum - prev
-				prev = cum
-			}
-			ms := measure(fmt.Sprintf("msel K=%d", k), mc.MultiSelect(n, k), 0, func(sys *empart.System, f *empart.File) error {
-				out, err := sys.MultiSelect(f, ranks)
-				if err != nil {
-					return err
-				}
-				out.Release()
-				return nil
-			})
-			mp := measure(fmt.Sprintf("mpart K=%d", k), mc.MultiPartition(n, k), 0, func(sys *empart.System, f *empart.File) error {
-				out, err := sys.MultiPartition(f, sizes)
-				if err != nil {
-					return err
-				}
-				out.Release()
-				return nil
-			})
-			ms.Section, mp.Section = "THM4-SEP", "THM4-SEP"
-			jsonRows = append(jsonRows, ms, mp)
-			if !*flagJSON {
-				fmt.Printf("| %d | %d | %.0f | %d | %.0f | %.2f | %.2f |\n",
-					k, ms.IOs, ms.UB, mp.IOs, mp.UB,
-					float64(mp.IOs)/float64(ms.IOs), mp.UB/ms.UB)
-			}
-		}
-		if !*flagJSON {
-			fmt.Println()
-		}
-	}
-
-	// --- SORT-BASE ----------------------------------------------------------
-	{
-		var rows []row
-		for _, nn := range []int64{n / 4, n, n * 2} {
-			rows = append(rows, func() row {
-				sys, cleanup, err := newSystem(cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer cleanup()
-				f := sys.Stage(workload.Elems(kind, int(nn), *flagB, 0xeb1e55))
-				sys.ResetStats()
-				if *flagTrace {
-					sys.EnableTracing()
-				}
-				start := time.Now()
-				out, err := sys.Sort(f)
-				if err != nil {
-					log.Fatal(err)
-				}
-				out.Release()
-				wall := time.Since(start)
-				if *flagTrace {
-					fmt.Fprintf(os.Stderr, "--- trace sort N=%d ---\n%s", nn, sys.TraceReport())
-				}
-				io := sys.Stats().Total()
-				r := row{
-					Label: fmt.Sprintf("N=%d", nn), IOs: io,
-					Scans: float64(io) / (float64(nn) / float64(*flagB)),
-					UB:    mc.Sort(nn), LB: mc.SortFloor(nn),
-					RatioUB: float64(io) / mc.Sort(nn),
-					RatioLB: float64(io) / mc.SortFloor(nn),
-				}
-				if *flagBacking != "" {
-					wallCols(&r, nn, *flagB, wall)
-				}
-				return r
-			}())
-		}
-		printTable("SORT-BASE: external merge sort (the trivial solution to every row)", "N", rows)
-	}
-
-	// --- INTERMIX -----------------------------------------------------------
-	{
-		if !*flagJSON {
-			fmt.Printf("## INTERMIX: L-intermixed selection is linear (Lemma 6)\n\n")
-			fmt.Printf("| L | I/Os | scans |\n|---|---|---|\n")
-		}
-		maxL := intermix.MaxGroups(emio.Config{M: *flagM, B: *flagB})
-		for _, l := range []int{1, 2, 4, maxL} {
-			if l < 1 {
-				continue
-			}
-			ctx, err := emio.NewCtx(emio.Config{M: *flagM, B: *flagB})
-			if err != nil {
-				log.Fatal(err)
-			}
-			elems := workload.Elems(kind, int(n), *flagB, 0x1e7)
-			for i := range elems {
-				elems[i].Aux = emio.PackAux(int64(i%l), int64(i))
-			}
-			d := emio.BuildFile(ctx.Disk(), "D", elems)
-			targets := make([]int64, l)
-			for i := range targets {
-				targets[i] = n / int64(l) / 2
-			}
-			ctx.Disk().ResetStats()
-			if *flagTrace {
-				ctx.SetTracer(emio.NewTracer())
-			}
-			res, err := intermix.Select(ctx, d, l, targets)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ctx.FreeElems(res)
-			if *flagTrace {
-				fmt.Fprintf(os.Stderr, "--- trace intermix L=%d ---\n%s", l, ctx.Tracer().Render())
-			}
-			io := ctx.Disk().Stats().Total()
-			jsonRows = append(jsonRows, row{Section: "INTERMIX", Label: fmt.Sprintf("L=%d", l),
-				IOs: io, Scans: float64(io) / scan})
-			if !*flagJSON {
-				fmt.Printf("| %d | %d | %.2f |\n", l, io, float64(io)/scan)
-			}
-		}
-		if !*flagJSON {
-			fmt.Println()
-		}
-	}
-
-	// --- RED-3 ---------------------------------------------------------------
-	{
-		var rows []row
-		for _, bb := range []int64{n / 256, n / 16, n / 4} {
-			rows = append(rows, measure(fmt.Sprintf("b=N/%d", n/bb),
-				mc.PartitionLeft(n, bb), mc.PrecisePartitionFloor(n, n/bb),
-				func(sys *empart.System, f *empart.File) error {
-					out, err := sys.PrecisePartition(f, bb)
-					if err != nil {
-						return err
-					}
-					out.Release()
-					return nil
-				}))
-		}
-		printTable("RED-3: precise partitioning via the §3 reduction (approx + O(N/B) re-chunk)", "b", rows)
-	}
-
-	// --- MACHINE-SWEEP --------------------------------------------------------
-	{
-		if !*flagJSON {
-			fmt.Printf("## MACHINE-SWEEP: the lg_{M/B} base across machine shapes\n\n")
-			fmt.Printf("Fixed N and problem; varying M/B changes the base of every lg in\n")
-			fmt.Printf("Table 1. Sorting passes and left-grounded partitioning costs move\n")
-			fmt.Printf("together, as the shared lg_{M/B} factor predicts.\n\n")
-			fmt.Printf("| machine | M/B | sort I/Os | sort scans | L-PAR(b=N/64) I/Os | L-PAR scans |\n")
-			fmt.Printf("|---|---|---|---|---|---|\n")
-		}
-		for _, shape := range []empart.Config{
-			{M: 1 << 10, B: 1 << 7}, // M/B = 8
-			{M: 1 << 12, B: 1 << 7}, // M/B = 32
-			{M: 1 << 12, B: 1 << 5}, // M/B = 128
-			{M: 1 << 14, B: 1 << 5}, // M/B = 512
-		} {
-			runOn := func(fn func(sys *empart.System, f *empart.File) error) int64 {
-				sys, cleanup, err := newSystem(shape)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer cleanup()
-				f := sys.Stage(workload.Elems(kind, int(n), shape.B, 0x5eeb))
-				sys.ResetStats()
-				if err := fn(sys, f); err != nil {
-					log.Fatal(err)
-				}
-				return sys.Stats().Total()
-			}
-			sortIO := runOn(func(sys *empart.System, f *empart.File) error {
-				out, err := sys.Sort(f)
-				if err != nil {
-					return err
-				}
-				out.Release()
-				return nil
-			})
-			parIO := runOn(func(sys *empart.System, f *empart.File) error {
-				res, err := sys.Partition(f, empart.Params{K: 256, A: 0, B: n / 64})
-				if err != nil {
-					return err
-				}
-				res.Release()
-				return nil
-			})
-			shapeScan := float64(n) / float64(shape.B)
-			jsonRows = append(jsonRows,
-				row{Section: "MACHINE-SWEEP", Label: fmt.Sprintf("sort %v", shape),
-					IOs: sortIO, Scans: float64(sortIO) / shapeScan},
-				row{Section: "MACHINE-SWEEP", Label: fmt.Sprintf("L-PAR %v", shape),
-					IOs: parIO, Scans: float64(parIO) / shapeScan})
-			if !*flagJSON {
-				fmt.Printf("| %v | %d | %d | %.2f | %d | %.2f |\n",
-					shape, shape.M/shape.B, sortIO, float64(sortIO)/shapeScan, parIO, float64(parIO)/shapeScan)
-			}
-		}
-		if !*flagJSON {
-			fmt.Println()
-		}
-	}
-
-	// --- IM-PARITY (markdown only: comparison counts, not block I/Os) --------
-	if !*flagJSON {
-		fmt.Printf("## IM-PARITY: internal-memory comparison counts (the §1.3 remark)\n\n")
-		fmt.Printf("In internal memory, multi-selection and multi-partition both take\n")
-		fmt.Printf("Θ(N lg K) comparisons — the separation exists only in the EM model.\n\n")
-		fmt.Printf("| K | msel comparisons | mpart comparisons | ratio |\n|---|---|---|---|\n")
-		base := workload.Elems(kind, int(n), *flagB, 0x1337)
-		for _, k := range []int64{4, 64, 1024} {
-			ranks := make([]int64, 0, k-1)
-			for i := int64(1); i < k; i++ {
-				r := i * n / k
-				if len(ranks) == 0 || r > ranks[len(ranks)-1] {
-					ranks = append(ranks, r)
-				}
-			}
-			sizes := make([]int64, k)
-			prev := int64(0)
-			for i := int64(0); i < k; i++ {
-				cum := (i + 1) * n / k
-				sizes[i] = cum - prev
-				prev = cum
-			}
-			sel := append([]emio.Elem(nil), base...)
-			_, cSel, err := imcomp.MultiSelect(sel, ranks)
-			if err != nil {
-				log.Fatal(err)
-			}
-			par := append([]emio.Elem(nil), base...)
-			cPar, err := imcomp.MultiPartition(par, sizes)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("| %d | %d | %d | %.2f |\n", k, cSel, cPar, float64(cSel)/float64(cPar))
-		}
-		fmt.Println()
-	}
-
-	if *flagJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonRows); err != nil {
-			log.Fatal(err)
-		}
 	}
 	fmt.Fprintln(os.Stderr, "embench: done")
 }
 
-// --- suite pr3: wall-clock A/B of the async I/O pipeline ------------------
-//
-// The Table-1 harness above validates logical I/O counts against the paper's
-// formulas; this suite validates the physical layer. It runs sort, partition
-// and splitters on file-backed disks at three scales with N >> M, pipeline
-// off vs on, and reports wall-clock next to the logical counters. The
-// invariant checked on every row pair: the pipeline may only move wall-clock,
-// never reads/writes.
-
-type pr3Row struct {
-	Bench      string  `json:"bench"`
-	N          int64   `json:"n"`
-	Pipeline   bool    `json:"pipeline"`
-	Direct     bool    `json:"direct"`
-	Reads      int64   `json:"reads"`
-	Writes     int64   `json:"writes"`
-	IOs        int64   `json:"ios"`
-	PhysReads  int64   `json:"physReads"`
-	PhysWrites int64   `json:"physWrites"`
-	WallNS     int64   `json:"wallNs"`
-	NsPerElem  float64 `json:"nsPerElem"`
-	MBps       float64 `json:"mbps"`
-	// Pipelined rows only: wall(off)/wall(on), and whether the logical I/O
-	// counters matched the pipeline-off run exactly.
-	Speedup float64 `json:"speedup,omitempty"`
-	IOMatch bool    `json:"ioMatch,omitempty"`
+// options are one sweep's machine (M, B), input size and distribution, and
+// output form.
+type options struct {
+	n, m, b     int
+	dist        string
+	json, trace bool
 }
 
-type pr3Doc struct {
-	Suite  string `json:"suite"`
-	Config struct {
-		M             int `json:"m"`
-		B             int `json:"b"`
-		PrefetchDepth int `json:"prefetchDepth"`
-		QueueDepth    int `json:"queueDepth"`
-		Reps          int `json:"reps"`
-	} `json:"config"`
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-		DirectIO   bool   `json:"directIO"`
-		Uring      bool   `json:"uring"`
-	} `json:"host"`
-	Rows []pr3Row `json:"rows"`
+// quickN is the input size of a -quick run.
+const quickN = 1 << 15
+
+// flagOptions reads a sweep's options from the command line.
+func flagOptions() options {
+	o := options{n: *flagN, m: *flagM, b: *flagB, dist: *flagDist, json: *flagJSON, trace: *flagTrace}
+	if *flagQuick {
+		o.n = quickN
+	}
+	return o
 }
 
-// runPR3 runs the suite and encodes the document to w.
-func runPR3(w io.Writer) error {
-	doc, err := runPR3Doc()
+// row is one measurement: the logical I/Os of one call, in scans of its
+// input, and their ratios to the upper-bound formula and the lower-bound
+// floor (omitted where a section has none).
+type row struct {
+	Section string  `json:"section,omitempty"`
+	Label   string  `json:"label"`
+	IOs     int64   `json:"ios"`
+	Scans   float64 `json:"scans"`
+	UB      float64 `json:"ub,omitempty"`
+	LB      float64 `json:"lb,omitempty"`
+	RatioUB float64 `json:"ratioUB,omitempty"`
+	RatioLB float64 `json:"ratioLB,omitempty"`
+}
+
+// table1 runs the sweep and writes it to w: markdown tables, or with o.json
+// one JSON array of every row. The markdown-only IM-PARITY section counts
+// comparisons, not I/Os, and has no rows.
+func table1(w io.Writer, o options) error {
+	cfg := empart.Config{M: o.m, B: o.b}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	kind, err := workload.KindByName(o.dist)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// runPR3Doc measures the full pr3 suite and returns the document, so the
-// -compare regression gate can diff it against a checked-in baseline without
-// round-tripping through JSON.
-func runPR3Doc() (pr3Doc, error) {
-	var doc pr3Doc
-	dir, err := os.MkdirTemp("", "embench-pr3-")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(dir)
-
-	cfg := empart.Config{M: 1 << 12, B: 1 << 5}
-	pipe := empart.Pipeline{Enabled: true}
-	if *flagPre > 0 || *flagWB > 0 {
-		pipe = pipelineFromFlags()
-	}
-	sizes := []int64{1 << 17, 1 << 19, 1 << 21}
-	// O_DIRECT rows pay real device latency per positioned I/O, so the direct
-	// sub-suite uses smaller N to keep the pipeline-off baseline tractable.
-	directSizes := []int64{1 << 16, 1 << 17, 1 << 18}
-	const reps = 3
-	if *flagQuick {
-		sizes = []int64{1 << 14, 1 << 15, 1 << 16}
-		directSizes = []int64{1 << 14, 1 << 15, 1 << 16}
-	}
-
-	type bench struct {
-		name string
-		run  func(sys *empart.System, f *empart.File, n int64) error
-	}
-	benches := []bench{
-		{"sort", func(sys *empart.System, f *empart.File, n int64) error {
-			out, err := sys.Sort(f)
-			if err != nil {
-				return err
-			}
-			out.Release()
-			return nil
-		}},
-		{"partition", func(sys *empart.System, f *empart.File, n int64) error {
-			res, err := sys.Partition(f, empart.Params{K: 64, A: 0, B: n / 16})
-			if err != nil {
-				return err
-			}
-			res.Release()
-			return nil
-		}},
-		{"splitters", func(sys *empart.System, f *empart.File, n int64) error {
-			out, err := sys.Splitters(f, empart.Params{K: 64, A: 64, B: n})
-			if err != nil {
-				return err
-			}
-			out.Release()
-			return nil
-		}},
-	}
-
-	seq := 0
-	observe := func(b bench, n int64, pipelined, direct bool) (pr3Row, error) {
-		var best time.Duration
-		var stats, phys empart.Stats
-		for rep := 0; rep < reps; rep++ {
-			c := cfg
-			if pipelined {
-				c.Pipeline = pipe
-			}
-			c.Pipeline.Direct = direct
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("run-%d.dat", seq))
-			sys, err := empart.NewFileBacked(c, path)
-			if err != nil {
-				return pr3Row{}, err
-			}
-			if telReg != nil {
-				sys.SetMetrics(telReg)
-			}
-			f := sys.Stage(workload.Elems(workload.Uniform, int(n), cfg.B, 0x9423))
-			sys.ResetStats()
-			pre := sys.PhysStats()
-			start := time.Now()
-			runErr := b.run(sys, f, n)
-			wall := time.Since(start)
-			st := sys.Stats()
-			ph := sys.PhysStats().Sub(pre)
-			sys.Close()
-			os.Remove(path)
-			if runErr != nil {
-				return pr3Row{}, fmt.Errorf("%s n=%d pipeline=%v: %w", b.name, n, pipelined, runErr)
-			}
-			if rep == 0 {
-				stats, phys, best = st, ph, wall
-			} else {
-				if st != stats {
-					return pr3Row{}, fmt.Errorf("%s n=%d pipeline=%v: I/O counts differ across reps: %v vs %v",
-						b.name, n, pipelined, st, stats)
-				}
-				if wall < best {
-					best = wall
-				}
-			}
+	s := &sweep{o: o, w: w, kind: kind, cfg: cfg, n: int64(o.n), mc: empart.Machine{M: int64(o.m), B: int64(o.b)}}
+	s.md("# Table 1 reproduction — N=%d, M=%d, B=%d, dist=%s\n\n", s.n, o.m, o.b, kind)
+	s.md("One scan = %.0f I/Os. `ratioUB` is measured/upper-bound-formula (the fitted\n", float64(s.n)/float64(o.b))
+	s.md("constant; flat across a sweep = the formula captures the shape). `ratioLB` is\n")
+	s.md("measured/lower-bound-floor (must stay >= 1; O(1) = the algorithm is optimal).\n\n")
+	for _, section := range []func(){
+		s.splittersRight, s.splittersLeft, s.splittersTwoSided,
+		s.partitionRight, s.partitionLeft, s.partitionTwoSided,
+		s.thm4Sep, s.sortBase, s.intermix, s.red3, s.machineSweep, s.imParity,
+	} {
+		section()
+		if s.err != nil {
+			return s.err
 		}
-		r := pr3Row{
-			Bench: b.name, N: n, Pipeline: pipelined, Direct: direct,
-			Reads: stats.Reads, Writes: stats.Writes, IOs: stats.Total(),
-			PhysReads: phys.Reads, PhysWrites: phys.Writes,
-		}
-		wallCols2(&r, n, cfg.B, best)
-		return r, nil
 	}
-
-	doc.Suite = "pr3"
-	norm := pipe
-	if norm.PrefetchDepth == 0 {
-		norm.PrefetchDepth = emio.DefaultPrefetchDepth
-	}
-	if norm.QueueDepth == 0 {
-		norm.QueueDepth = emio.DefaultQueueDepth
-	}
-	doc.Config.M, doc.Config.B = cfg.M, cfg.B
-	doc.Config.PrefetchDepth, doc.Config.QueueDepth = norm.PrefetchDepth, norm.QueueDepth
-	doc.Config.Reps = reps
-	doc.Host.GOOS, doc.Host.GOARCH, doc.Host.GOMAXPROCS = runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)
-	doc.Host.DirectIO = emio.DirectIOSupported(dir)
-	doc.Host.Uring = emio.UringSupported()
-
-	abPair := func(b bench, n int64, direct bool) error {
-		off, err := observe(b, n, false, direct)
-		if err != nil {
-			return err
-		}
-		on, err := observe(b, n, true, direct)
-		if err != nil {
-			return err
-		}
-		on.Speedup = float64(off.WallNS) / float64(on.WallNS)
-		on.IOMatch = off.Reads == on.Reads && off.Writes == on.Writes
-		doc.Rows = append(doc.Rows, off, on)
-		mode := "buffered"
-		if direct {
-			mode = "direct"
-		}
-		fmt.Fprintf(os.Stderr, "pr3: %-8s %-9s n=%-8d off %8.2fms  on %8.2fms  speedup %.2fx  ioMatch=%v  phys %d+%d -> %d+%d\n",
-			mode, b.name, n, float64(off.WallNS)/1e6, float64(on.WallNS)/1e6, on.Speedup, on.IOMatch,
-			off.PhysReads, off.PhysWrites, on.PhysReads, on.PhysWrites)
+	if !o.json {
 		return nil
 	}
-
-	for _, b := range benches {
-		for _, n := range sizes {
-			if err := abPair(b, n, false); err != nil {
-				return doc, err
-			}
-		}
-	}
-	// The direct sub-suite is the EM-model cost regime: every positioned I/O
-	// pays real device latency instead of a page-cache memcpy, so coalescing
-	// and overlap show their full effect. Skipped (with a note) where the
-	// filesystem rejects O_DIRECT.
-	if doc.Host.DirectIO {
-		for _, b := range benches {
-			for _, n := range directSizes {
-				if err := abPair(b, n, true); err != nil {
-					return doc, err
-				}
-			}
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "pr3: O_DIRECT unsupported here; skipping the direct sub-suite")
-	}
-	return doc, nil
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s.rows)
 }
 
-// wallCols2 is wallCols for pr3 rows.
-func wallCols2(r *pr3Row, n int64, b int, wall time.Duration) {
-	if wall <= 0 {
+// sweep carries one run of table1: its parameters, the rows so far and the
+// first error, after which every measurement is skipped.
+type sweep struct {
+	o    options
+	w    io.Writer
+	kind workload.Kind
+	cfg  empart.Config
+	mc   empart.Machine
+	n    int64
+	rows []row
+	err  error
+}
+
+// call is one measured facade call on a staged input.
+type call func(sys *empart.System, f *empart.File) error
+
+// release drops an algorithm's output, passing its error through.
+func release[T interface{ Release() }](out T, err error) error {
+	if err != nil {
+		return err
+	}
+	out.Release()
+	return nil
+}
+
+func splitters(p empart.Params) call {
+	return func(sys *empart.System, f *empart.File) error { return release(sys.Splitters(f, p)) }
+}
+
+func partition(p empart.Params) call {
+	return func(sys *empart.System, f *empart.File) error { return release(sys.Partition(f, p)) }
+}
+
+func sortCall(sys *empart.System, f *empart.File) error { return release(sys.Sort(f)) }
+
+// md writes markdown; it is silent under -json.
+func (s *sweep) md(format string, args ...any) {
+	if !s.o.json {
+		fmt.Fprintf(s.w, format, args...)
+	}
+}
+
+// ios stages nn elements drawn with seed on a fresh in-memory System of
+// config cfg, runs c on them and returns the logical I/O it did.
+func (s *sweep) ios(label string, cfg empart.Config, nn int64, seed uint64, c call) int64 {
+	if s.err != nil {
+		return 0
+	}
+	sys, err := empart.New(cfg)
+	if err != nil {
+		s.err = fmt.Errorf("%s: %w", label, err)
+		return 0
+	}
+	if telReg != nil {
+		sys.SetMetrics(telReg)
+	}
+	liveSys.Store(sys)
+	f := sys.Stage(workload.Elems(s.kind, int(nn), cfg.B, seed))
+	sys.ResetStats()
+	if s.o.trace {
+		sys.EnableTracing()
+	}
+	if err := c(sys, f); err != nil {
+		s.err = fmt.Errorf("%s: %w", label, err)
+		return 0
+	}
+	if s.o.trace {
+		fmt.Fprintf(os.Stderr, "--- trace %s ---\n%s", label, sys.TraceReport())
+	}
+	return sys.Stats().Total()
+}
+
+// measure runs c on nn elements of the sweep's machine and returns its row
+// against the formula ub and the floor lb (0 = none).
+func (s *sweep) measure(label string, nn int64, ub, lb float64, c call) row {
+	io := s.ios(label, s.cfg, nn, 0xeb1e55, c)
+	r := row{Label: label, IOs: io, Scans: float64(io) / (float64(nn) / float64(s.o.b)), UB: ub, LB: lb}
+	if ub > 0 {
+		r.RatioUB = float64(io) / ub
+	}
+	if lb > 0 {
+		r.RatioLB = float64(io) / lb
+	}
+	return r
+}
+
+// table records rows under title and prints them as one markdown table.
+func (s *sweep) table(title, paramCol string, rows []row) {
+	for _, r := range rows {
+		r.Section = title
+		s.rows = append(s.rows, r)
+	}
+	s.md("## %s\n\n", title)
+	s.md("| %s | I/Os | scans | UB formula | ratioUB | LB floor | ratioLB |\n", paramCol)
+	s.md("|---|---|---|---|---|---|---|\n")
+	for _, r := range rows {
+		s.md("| %s | %d | %.3f | %.0f | %.2f | %.0f | %.2f |\n",
+			r.Label, r.IOs, r.Scans, r.UB, r.RatioUB, r.LB, r.RatioLB)
+	}
+	s.md("\n")
+}
+
+// splittersRight is T1-R-SPL.
+func (s *sweep) splittersRight() {
+	n, k := s.n, int64(64)
+	var rows []row
+	seen := map[int64]bool{}
+	for _, a := range []int64{2, 8, 32, 128, 512, 2048, n / k} {
+		if a > n/k || seen[a] {
+			continue
+		}
+		seen[a] = true
+		rows = append(rows, s.measure(fmt.Sprintf("a=%d", a), n,
+			s.mc.SplittersRight(a, k), s.mc.RightSplittersFloor(a, k),
+			splitters(empart.Params{K: k, A: a, B: n})))
+	}
+	s.table(fmt.Sprintf("T1-R-SPL: right-grounded K-splitters (K=%d, b=N) — sublinear for small a", k), "a", rows)
+}
+
+// splittersLeft is T1-L-SPL.
+func (s *sweep) splittersLeft() {
+	n, k := s.n, int64(64)
+	var rows []row
+	for _, bb := range []int64{n / 64, n / 16, n / 4, n / 2} {
+		rows = append(rows, s.measure(fmt.Sprintf("b=N/%d", n/bb), n,
+			s.mc.SplittersLeft(n, bb), s.mc.LeftSplittersFloor(n, bb),
+			splitters(empart.Params{K: k, A: 0, B: bb})))
+	}
+	s.table(fmt.Sprintf("T1-L-SPL: left-grounded K-splitters (K=%d, a=0)", k), "b", rows)
+}
+
+// splittersTwoSided is T1-2-SPL.
+func (s *sweep) splittersTwoSided() {
+	n, k := s.n, int64(64)
+	nk := n / k
+	var rows []row
+	for _, tc := range []struct{ a, b int64 }{
+		{nk, nk}, {nk / 8, nk * 4}, {4, n / 4}, {nk / 2, n / 2},
+	} {
+		rows = append(rows, s.measure(fmt.Sprintf("a=%d b=%d", tc.a, tc.b), n,
+			s.mc.SplittersTwoSidedUB(n, k, tc.a, tc.b), s.mc.SplittersTwoSidedLB(n, k, tc.a, tc.b),
+			splitters(empart.Params{K: k, A: tc.a, B: tc.b})))
+	}
+	s.table(fmt.Sprintf("T1-2-SPL: two-sided K-splitters (K=%d)", k), "a, b", rows)
+}
+
+// partitionRight is T1-R-PAR.
+func (s *sweep) partitionRight() {
+	n, k := s.n, int64(64)
+	var rows []row
+	seen := map[int64]bool{}
+	for _, a := range []int64{0, 16, 256, 2048, n / k} {
+		if a > n/k || seen[a] {
+			continue
+		}
+		seen[a] = true
+		rows = append(rows, s.measure(fmt.Sprintf("a=%d", a), n,
+			s.mc.PartitionRightUB(n, k, a), s.mc.PartitionRightLB(n),
+			partition(empart.Params{K: k, A: a, B: n})))
+	}
+	s.table(fmt.Sprintf("T1-R-PAR: right-grounded K-partitioning (K=%d, b=N)", k), "a", rows)
+}
+
+// partitionLeft is T1-L-PAR and its K-independence sweep.
+func (s *sweep) partitionLeft() {
+	n := s.n
+	var rows []row
+	for _, bb := range []int64{n / 256, n / 64, n / 16, n / 4, n / 2} {
+		rows = append(rows, s.measure(fmt.Sprintf("b=N/%d", n/bb), n,
+			s.mc.PartitionLeft(n, bb), s.mc.PartitionLeft(n, bb),
+			partition(empart.Params{K: 256, A: 0, B: bb})))
+	}
+	s.table("T1-L-PAR: left-grounded K-partitioning (K=256, a=0) — Θ matches, so LB floor = UB formula", "b", rows)
+
+	// K-independence sweep: K must satisfy K >= N/b = 8 and divide N.
+	var flat []row
+	for _, k := range []int64{8, 64, 256, 4096} {
+		flat = append(flat, s.measure(fmt.Sprintf("K=%d", k), n,
+			s.mc.PartitionLeft(n, n/8), 0,
+			partition(empart.Params{K: k, A: 0, B: n / 8})))
+	}
+	s.table("T1-L-PAR flatness: cost is independent of K at fixed b=N/8 (Theorem 3)", "K", flat)
+}
+
+// partitionTwoSided is T1-2-PAR.
+func (s *sweep) partitionTwoSided() {
+	n, k := s.n, int64(64)
+	nk := n / k
+	var rows []row
+	for _, tc := range []struct{ a, b int64 }{
+		{nk, nk}, {nk / 8, nk * 4}, {4, n / 4},
+	} {
+		rows = append(rows, s.measure(fmt.Sprintf("a=%d b=%d", tc.a, tc.b), n,
+			s.mc.PartitionTwoSidedUB(n, k, tc.a, tc.b), s.mc.PartitionTwoSidedLB(n, tc.b),
+			partition(empart.Params{K: k, A: tc.a, B: tc.b})))
+	}
+	s.table(fmt.Sprintf("T1-2-PAR: two-sided K-partitioning (K=%d)", k), "a, b", rows)
+}
+
+// thm4Sep is THM4-SEP: multi-selection against multi-partition at the same
+// equi-spaced K.
+func (s *sweep) thm4Sep() {
+	n := s.n
+	s.md("## THM4-SEP: multi-selection vs multi-partition (equi-spaced, Theorem 4)\n\n")
+	s.md("| K | msel I/Os | msel formula | mpart I/Os | mpart formula | mpart/msel measured | predicted |\n")
+	s.md("|---|---|---|---|---|---|---|\n")
+	for _, k := range []int64{4, 32, 256, 2048, n / int64(s.o.b)} {
+		ranks := make([]int64, k-1)
+		sizes := make([]int64, k)
+		prev := int64(0)
+		for i := int64(0); i < k; i++ {
+			cum := (i + 1) * n / k
+			if i < k-1 {
+				ranks[i] = cum
+			}
+			sizes[i] = cum - prev
+			prev = cum
+		}
+		ms := s.measure(fmt.Sprintf("msel K=%d", k), n, s.mc.MultiSelect(n, k), 0,
+			func(sys *empart.System, f *empart.File) error { return release(sys.MultiSelect(f, ranks)) })
+		mp := s.measure(fmt.Sprintf("mpart K=%d", k), n, s.mc.MultiPartition(n, k), 0,
+			func(sys *empart.System, f *empart.File) error { return release(sys.MultiPartition(f, sizes)) })
+		ms.Section, mp.Section = "THM4-SEP", "THM4-SEP"
+		s.rows = append(s.rows, ms, mp)
+		s.md("| %d | %d | %.0f | %d | %.0f | %.2f | %.2f |\n",
+			k, ms.IOs, ms.UB, mp.IOs, mp.UB, float64(mp.IOs)/float64(ms.IOs), mp.UB/ms.UB)
+	}
+	s.md("\n")
+}
+
+// sortBase is SORT-BASE: external merge sort at three input sizes.
+func (s *sweep) sortBase() {
+	var rows []row
+	for _, nn := range []int64{s.n / 4, s.n, s.n * 2} {
+		rows = append(rows, s.measure(fmt.Sprintf("N=%d", nn), nn, s.mc.Sort(nn), s.mc.SortFloor(nn), sortCall))
+	}
+	s.table("SORT-BASE: external merge sort (the trivial solution to every row)", "N", rows)
+}
+
+// intermix is INTERMIX: L-intermixed selection (Lemma 6), run on emio
+// directly since the facade does not export it.
+func (s *sweep) intermix() {
+	n := s.n
+	s.md("## INTERMIX: L-intermixed selection is linear (Lemma 6)\n\n")
+	s.md("| L | I/Os | scans |\n|---|---|---|\n")
+	cfg := emio.Config{M: s.o.m, B: s.o.b}
+	for _, l := range []int{1, 2, 4, intermix.MaxGroups(cfg)} {
+		if l < 1 {
+			continue
+		}
+		ctx, err := emio.NewCtx(cfg)
+		if err != nil {
+			s.err = fmt.Errorf("intermix L=%d: %w", l, err)
+			return
+		}
+		elems := workload.Elems(s.kind, int(n), s.o.b, 0x1e7)
+		for i := range elems {
+			elems[i].Aux = emio.PackAux(int64(i%l), int64(i))
+		}
+		d := emio.BuildFile(ctx.Disk(), "D", elems)
+		targets := make([]int64, l)
+		for i := range targets {
+			targets[i] = n / int64(l) / 2
+		}
+		ctx.Disk().ResetStats()
+		if s.o.trace {
+			ctx.SetTracer(emio.NewTracer())
+		}
+		res, err := intermix.Select(ctx, d, l, targets)
+		if err != nil {
+			s.err = fmt.Errorf("intermix L=%d: %w", l, err)
+			return
+		}
+		ctx.FreeElems(res)
+		if s.o.trace {
+			fmt.Fprintf(os.Stderr, "--- trace intermix L=%d ---\n%s", l, ctx.Tracer().Render())
+		}
+		io := ctx.Disk().Stats().Total()
+		scans := float64(io) / (float64(n) / float64(s.o.b))
+		s.rows = append(s.rows, row{Section: "INTERMIX", Label: fmt.Sprintf("L=%d", l), IOs: io, Scans: scans})
+		s.md("| %d | %d | %.2f |\n", l, io, scans)
+	}
+	s.md("\n")
+}
+
+// red3 is RED-3: precise partitioning through the §3 reduction.
+func (s *sweep) red3() {
+	n := s.n
+	var rows []row
+	for _, bb := range []int64{n / 256, n / 16, n / 4} {
+		rows = append(rows, s.measure(fmt.Sprintf("b=N/%d", n/bb), n,
+			s.mc.PartitionLeft(n, bb), s.mc.PrecisePartitionFloor(n, n/bb),
+			func(sys *empart.System, f *empart.File) error { return release(sys.PrecisePartition(f, bb)) }))
+	}
+	s.table("RED-3: precise partitioning via the §3 reduction (approx + O(N/B) re-chunk)", "b", rows)
+}
+
+// machineSweep is MACHINE-SWEEP: sort and left-grounded partitioning at
+// fixed N across machine shapes.
+func (s *sweep) machineSweep() {
+	n := s.n
+	s.md("## MACHINE-SWEEP: the lg_{M/B} base across machine shapes\n\n")
+	s.md("Fixed N and problem; varying M/B changes the base of every lg in\n")
+	s.md("Table 1. Sorting passes and left-grounded partitioning costs move\n")
+	s.md("together, as the shared lg_{M/B} factor predicts.\n\n")
+	s.md("| machine | M/B | sort I/Os | sort scans | L-PAR(b=N/64) I/Os | L-PAR scans |\n")
+	s.md("|---|---|---|---|---|---|\n")
+	for _, shape := range []empart.Config{
+		{M: 1 << 10, B: 1 << 7}, // M/B = 8
+		{M: 1 << 12, B: 1 << 7}, // M/B = 32
+		{M: 1 << 12, B: 1 << 5}, // M/B = 128
+		{M: 1 << 14, B: 1 << 5}, // M/B = 512
+	} {
+		sortLabel, parLabel := fmt.Sprintf("sort %v", shape), fmt.Sprintf("L-PAR %v", shape)
+		sortIO := s.ios(sortLabel, shape, n, 0x5eeb, sortCall)
+		parIO := s.ios(parLabel, shape, n, 0x5eeb, partition(empart.Params{K: 256, A: 0, B: n / 64}))
+		shapeScan := float64(n) / float64(shape.B)
+		s.rows = append(s.rows,
+			row{Section: "MACHINE-SWEEP", Label: sortLabel, IOs: sortIO, Scans: float64(sortIO) / shapeScan},
+			row{Section: "MACHINE-SWEEP", Label: parLabel, IOs: parIO, Scans: float64(parIO) / shapeScan})
+		s.md("| %v | %d | %d | %.2f | %d | %.2f |\n",
+			shape, shape.M/shape.B, sortIO, float64(sortIO)/shapeScan, parIO, float64(parIO)/shapeScan)
+	}
+	s.md("\n")
+}
+
+// imParity is IM-PARITY: internal-memory comparison counts, markdown only.
+func (s *sweep) imParity() {
+	if s.o.json {
 		return
 	}
-	r.WallNS = wall.Nanoseconds()
-	r.NsPerElem = float64(wall.Nanoseconds()) / float64(n)
-	r.MBps = float64(r.IOs*int64(b)*16) / wall.Seconds() / 1e6
-}
-
-// --- suite pr5: checksum overhead A/B --------------------------------------
-//
-// The resilience layer guarantees checksums change nothing on the logical
-// model; this suite prices what they cost on the physical one. It runs sort,
-// partition and splitters on file-backed disks, pipeline off and on, with
-// per-block CRC32C verification off vs on, and reports the wall-clock
-// overhead next to the (required-identical) logical counters.
-
-type pr5Row struct {
-	Bench     string  `json:"bench"`
-	N         int64   `json:"n"`
-	Pipeline  bool    `json:"pipeline"`
-	Checksum  bool    `json:"checksum"`
-	Reads     int64   `json:"reads"`
-	Writes    int64   `json:"writes"`
-	IOs       int64   `json:"ios"`
-	WallNS    int64   `json:"wallNs"`
-	NsPerElem float64 `json:"nsPerElem"`
-	MBps      float64 `json:"mbps"`
-	// Checksum-on rows only: wall(on)/wall(off) against the matching
-	// checksum-off row, and whether the logical I/O counters matched it.
-	Overhead float64 `json:"overhead,omitempty"`
-	IOMatch  bool    `json:"ioMatch,omitempty"`
-}
-
-type pr5Doc struct {
-	Suite  string `json:"suite"`
-	Config struct {
-		M    int `json:"m"`
-		B    int `json:"b"`
-		Reps int `json:"reps"`
-	} `json:"config"`
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-	} `json:"host"`
-	Rows []pr5Row `json:"rows"`
-}
-
-// runPR5 runs the checksum A/B suite and encodes the document to w.
-func runPR5(w io.Writer) error {
-	doc, err := runPR5Doc()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-func runPR5Doc() (pr5Doc, error) {
-	var doc pr5Doc
-	dir, err := os.MkdirTemp("", "embench-pr5-")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(dir)
-
-	cfg := empart.Config{M: 1 << 12, B: 1 << 5}
-	sizes := []int64{1 << 17, 1 << 19}
-	const reps = 3
-	if *flagQuick {
-		sizes = []int64{1 << 14, 1 << 16}
-	}
-
-	type bench struct {
-		name string
-		run  func(sys *empart.System, f *empart.File, n int64) error
-	}
-	benches := []bench{
-		{"sort", func(sys *empart.System, f *empart.File, n int64) error {
-			out, err := sys.Sort(f)
-			if err != nil {
-				return err
-			}
-			out.Release()
-			return nil
-		}},
-		{"partition", func(sys *empart.System, f *empart.File, n int64) error {
-			res, err := sys.Partition(f, empart.Params{K: 64, A: 0, B: n / 16})
-			if err != nil {
-				return err
-			}
-			res.Release()
-			return nil
-		}},
-		{"splitters", func(sys *empart.System, f *empart.File, n int64) error {
-			out, err := sys.Splitters(f, empart.Params{K: 64, A: 64, B: n})
-			if err != nil {
-				return err
-			}
-			out.Release()
-			return nil
-		}},
-	}
-
-	seq := 0
-	observe := func(b bench, n int64, pipelined, checksum bool) (pr5Row, error) {
-		var best time.Duration
-		var stats empart.Stats
-		for rep := 0; rep < reps; rep++ {
-			c := cfg
-			c.Checksum = checksum
-			if pipelined {
-				c.Pipeline = empart.Pipeline{Enabled: true}
-			}
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("run-%d.dat", seq))
-			sys, err := empart.NewFileBacked(c, path)
-			if err != nil {
-				return pr5Row{}, err
-			}
-			if telReg != nil {
-				sys.SetMetrics(telReg)
-			}
-			f := sys.Stage(workload.Elems(workload.Uniform, int(n), cfg.B, 0x9425))
-			sys.ResetStats()
-			start := time.Now()
-			runErr := b.run(sys, f, n)
-			wall := time.Since(start)
-			st := sys.Stats()
-			sys.Close()
-			os.Remove(path)
-			if runErr != nil {
-				return pr5Row{}, fmt.Errorf("%s n=%d checksum=%v: %w", b.name, n, checksum, runErr)
-			}
-			if rep == 0 {
-				stats, best = st, wall
-			} else {
-				if st != stats {
-					return pr5Row{}, fmt.Errorf("%s n=%d checksum=%v: I/O counts differ across reps: %v vs %v",
-						b.name, n, checksum, st, stats)
-				}
-				if wall < best {
-					best = wall
-				}
+	n := s.n
+	s.md("## IM-PARITY: internal-memory comparison counts (the §1.3 remark)\n\n")
+	s.md("In internal memory, multi-selection and multi-partition both take\n")
+	s.md("Θ(N lg K) comparisons — the separation exists only in the EM model.\n\n")
+	s.md("| K | msel comparisons | mpart comparisons | ratio |\n|---|---|---|---|\n")
+	base := workload.Elems(s.kind, int(n), s.o.b, 0x1337)
+	for _, k := range []int64{4, 64, 1024} {
+		ranks := make([]int64, 0, k-1)
+		for i := int64(1); i < k; i++ {
+			r := i * n / k
+			if len(ranks) == 0 || r > ranks[len(ranks)-1] {
+				ranks = append(ranks, r)
 			}
 		}
-		r := pr5Row{
-			Bench: b.name, N: n, Pipeline: pipelined, Checksum: checksum,
-			Reads: stats.Reads, Writes: stats.Writes, IOs: stats.Total(),
+		sizes := make([]int64, k)
+		prev := int64(0)
+		for i := int64(0); i < k; i++ {
+			cum := (i + 1) * n / k
+			sizes[i] = cum - prev
+			prev = cum
 		}
-		if best > 0 {
-			r.WallNS = best.Nanoseconds()
-			r.NsPerElem = float64(best.Nanoseconds()) / float64(n)
-			r.MBps = float64(r.IOs*int64(cfg.B)*16) / best.Seconds() / 1e6
-		}
-		return r, nil
-	}
-
-	doc.Suite = "pr5"
-	doc.Config.M, doc.Config.B, doc.Config.Reps = cfg.M, cfg.B, reps
-	doc.Host.GOOS, doc.Host.GOARCH, doc.Host.GOMAXPROCS = runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)
-
-	for _, b := range benches {
-		for _, n := range sizes {
-			for _, pipelined := range []bool{false, true} {
-				off, err := observe(b, n, pipelined, false)
-				if err != nil {
-					return doc, err
-				}
-				on, err := observe(b, n, pipelined, true)
-				if err != nil {
-					return doc, err
-				}
-				on.Overhead = float64(on.WallNS) / float64(off.WallNS)
-				on.IOMatch = off.Reads == on.Reads && off.Writes == on.Writes
-				doc.Rows = append(doc.Rows, off, on)
-				mode := "sync"
-				if pipelined {
-					mode = "pipeline"
-				}
-				fmt.Fprintf(os.Stderr, "pr5: %-8s %-9s n=%-8d plain %8.2fms  checksum %8.2fms  overhead %.3fx  ioMatch=%v\n",
-					mode, b.name, n, float64(off.WallNS)/1e6, float64(on.WallNS)/1e6, on.Overhead, on.IOMatch)
-			}
-		}
-	}
-	return doc, nil
-}
-
-// --- suite pr6: telemetry overhead A/B --------------------------------------
-//
-// The telemetry bus is contractually observational: tracer, metrics registry
-// and structured event log may never change logical I/O. This suite prices
-// what the full stack costs on the wall clock. It runs sort, partition and
-// splitters on file-backed disks, pipeline off and on, in three telemetry
-// modes: off, the production config ("info" — tracer + metrics + event log
-// keeping faults/retries/warnings), and verbose narration ("debug" — the
-// same stack with every phase boundary becoming a JSON line). Overhead is
-// reported next to the (required-identical) logical counters.
-
-type pr6Row struct {
-	Bench     string  `json:"bench"`
-	N         int64   `json:"n"`
-	Pipeline  bool    `json:"pipeline"`
-	Telemetry string  `json:"telemetry"` // "off", "info", "debug"
-	Reads     int64   `json:"reads"`
-	Writes    int64   `json:"writes"`
-	IOs       int64   `json:"ios"`
-	WallNS    int64   `json:"wallNs"`
-	NsPerElem float64 `json:"nsPerElem"`
-	MBps      float64 `json:"mbps"`
-	// Telemetry-on rows only: how many events the run logged, wall(on)/wall(off)
-	// against the matching telemetry-off row, and whether the logical I/O
-	// counters matched it.
-	LogEvents int64   `json:"logEvents,omitempty"`
-	Overhead  float64 `json:"overhead,omitempty"`
-	IOMatch   bool    `json:"ioMatch,omitempty"`
-}
-
-type pr6Doc struct {
-	Suite  string `json:"suite"`
-	Config struct {
-		M    int `json:"m"`
-		B    int `json:"b"`
-		Reps int `json:"reps"`
-	} `json:"config"`
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-	} `json:"host"`
-	Rows []pr6Row `json:"rows"`
-}
-
-// runPR6 runs the telemetry A/B suite and encodes the document to w.
-func runPR6(w io.Writer) error {
-	doc, err := runPR6Doc()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-func runPR6Doc() (pr6Doc, error) {
-	var doc pr6Doc
-	dir, err := os.MkdirTemp("", "embench-pr6-")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(dir)
-
-	cfg := empart.Config{M: 1 << 12, B: 1 << 5}
-	sizes := []int64{1 << 17, 1 << 19}
-	const reps = 3
-	if *flagQuick {
-		sizes = []int64{1 << 14, 1 << 16}
-	}
-
-	type bench struct {
-		name string
-		run  func(sys *empart.System, f *empart.File, n int64) error
-	}
-	benches := []bench{
-		{"sort", func(sys *empart.System, f *empart.File, n int64) error {
-			out, err := sys.Sort(f)
-			if err != nil {
-				return err
-			}
-			out.Release()
-			return nil
-		}},
-		{"partition", func(sys *empart.System, f *empart.File, n int64) error {
-			res, err := sys.Partition(f, empart.Params{K: 64, A: 0, B: n / 16})
-			if err != nil {
-				return err
-			}
-			res.Release()
-			return nil
-		}},
-		{"splitters", func(sys *empart.System, f *empart.File, n int64) error {
-			out, err := sys.Splitters(f, empart.Params{K: 64, A: 64, B: n})
-			if err != nil {
-				return err
-			}
-			out.Release()
-			return nil
-		}},
-	}
-
-	seq := 0
-	observe := func(b bench, n int64, pipelined bool, telemetry string) (pr6Row, error) {
-		var best time.Duration
-		var stats empart.Stats
-		var events int64
-		for rep := 0; rep < reps; rep++ {
-			c := cfg
-			if pipelined {
-				c.Pipeline = empart.Pipeline{Enabled: true}
-			}
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("run-%d.dat", seq))
-			sys, err := empart.NewFileBacked(c, path)
-			if err != nil {
-				return pr6Row{}, err
-			}
-			if telemetry != "off" {
-				sys.EnableMetrics()
-				sys.EnableTracing()
-				level := slog.LevelInfo
-				if telemetry == "debug" {
-					// Verbose mode: every phase boundary becomes a JSON line.
-					level = slog.LevelDebug
-				}
-				logPath := filepath.Join(dir, fmt.Sprintf("run-%d.jsonl", seq))
-				_, err := sys.EnableLog(empart.LogConfig{Level: level, Path: logPath})
-				if err != nil {
-					return pr6Row{}, err
-				}
-				defer os.Remove(logPath)
-			}
-			f := sys.Stage(workload.Elems(workload.Uniform, int(n), cfg.B, 0x9426))
-			sys.ResetStats()
-			start := time.Now()
-			runErr := b.run(sys, f, n)
-			wall := time.Since(start)
-			st := sys.Stats()
-			var total int64
-			if el := sys.EventLog(); el != nil {
-				total = el.Total()
-			}
-			sys.Close()
-			os.Remove(path)
-			if runErr != nil {
-				return pr6Row{}, fmt.Errorf("%s n=%d telemetry=%s: %w", b.name, n, telemetry, runErr)
-			}
-			if rep == 0 {
-				stats, best, events = st, wall, total
-			} else {
-				if st != stats {
-					return pr6Row{}, fmt.Errorf("%s n=%d telemetry=%s: I/O counts differ across reps: %v vs %v",
-						b.name, n, telemetry, st, stats)
-				}
-				if wall < best {
-					best = wall
-				}
-			}
-		}
-		r := pr6Row{
-			Bench: b.name, N: n, Pipeline: pipelined, Telemetry: telemetry,
-			Reads: stats.Reads, Writes: stats.Writes, IOs: stats.Total(),
-			LogEvents: events,
-		}
-		if best > 0 {
-			r.WallNS = best.Nanoseconds()
-			r.NsPerElem = float64(best.Nanoseconds()) / float64(n)
-			r.MBps = float64(r.IOs*int64(cfg.B)*16) / best.Seconds() / 1e6
-		}
-		return r, nil
-	}
-
-	doc.Suite = "pr6"
-	doc.Config.M, doc.Config.B, doc.Config.Reps = cfg.M, cfg.B, reps
-	doc.Host.GOOS, doc.Host.GOARCH, doc.Host.GOMAXPROCS = runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)
-
-	for _, b := range benches {
-		for _, n := range sizes {
-			for _, pipelined := range []bool{false, true} {
-				off, err := observe(b, n, pipelined, "off")
-				if err != nil {
-					return doc, err
-				}
-				doc.Rows = append(doc.Rows, off)
-				mode := "sync"
-				if pipelined {
-					mode = "pipeline"
-				}
-				for _, level := range []string{"info", "debug"} {
-					on, err := observe(b, n, pipelined, level)
-					if err != nil {
-						return doc, err
-					}
-					on.Overhead = float64(on.WallNS) / float64(off.WallNS)
-					on.IOMatch = off.Reads == on.Reads && off.Writes == on.Writes
-					doc.Rows = append(doc.Rows, on)
-					fmt.Fprintf(os.Stderr, "pr6: %-8s %-9s n=%-8d off %8.2fms  %-5s %8.2fms  overhead %.3fx  events=%d  ioMatch=%v\n",
-						mode, b.name, n, float64(off.WallNS)/1e6, level, float64(on.WallNS)/1e6, on.Overhead, on.LogEvents, on.IOMatch)
-				}
-			}
-		}
-	}
-	return doc, nil
-}
-
-// --- suite pr7: parallel sharded engine speedup curve -----------------------
-//
-// The parallel engine's contract is that worker count is invisible to the
-// logical model: same outputs, same Stats, for every P. This suite prices what
-// the workers buy on the wall clock. It runs the two big sort-shaped rows
-// (extsort and distsort, both routed through the engine) on file-backed disks,
-// buffered and O_DIRECT, sweeping workers over {1, 2, 4, NumCPU}. Every row is
-// best-of-reps; the 1-worker row is the speedup baseline, and an untimed
-// sequential (Workers=0) run of each configuration supplies the output digest
-// all engine rows must reproduce. The direct sub-suite is where the speedup
-// lives on a small machine: every positioned I/O pays real device latency, so
-// P workers keep P transfers in flight where the sequential path blocks on one.
-
-type pr7Row struct {
-	Bench     string  `json:"bench"`
-	N         int64   `json:"n"`
-	Direct    bool    `json:"direct"`
-	Workers   int     `json:"workers"` // 0 = sequential engine-off baseline
-	Shards    int     `json:"shards,omitempty"`
-	Reads     int64   `json:"reads"`
-	Writes    int64   `json:"writes"`
-	IOs       int64   `json:"ios"`
-	WallNS    int64   `json:"wallNs"`
-	NsPerElem float64 `json:"nsPerElem"`
-	MBps      float64 `json:"mbps"`
-	// Balance is max/mean of per-shard output bytes (1.0 = the sampled
-	// splitters cut perfectly even ranges). Engine rows only.
-	Balance float64 `json:"balance,omitempty"`
-	// Workers>1 rows: wall(1 worker)/wall(this), and whether the logical I/O
-	// counters matched the 1-worker row exactly.
-	Speedup float64 `json:"speedup,omitempty"`
-	IOMatch bool    `json:"ioMatch,omitempty"`
-	// Every engine row: the output key sequence hashed identical to the
-	// sequential run of the same configuration.
-	OutputMatch bool `json:"outputMatch"`
-}
-
-type pr7Doc struct {
-	Suite  string `json:"suite"`
-	Config struct {
-		M       int   `json:"m"`
-		B       int   `json:"b"`
-		Reps    int   `json:"reps"`
-		Workers []int `json:"workers"`
-	} `json:"config"`
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-		NumCPU     int    `json:"numCPU"`
-		DirectIO   bool   `json:"directIO"`
-		Uring      bool   `json:"uring"`
-	} `json:"host"`
-	Rows []pr7Row `json:"rows"`
-}
-
-// runPR7 runs the parallel-engine suite and encodes the document to w.
-func runPR7(w io.Writer) error {
-	doc, err := runPR7Doc()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// pr7WorkerCounts is the suite's workers dimension: {1, 2, 4, NumCPU} with
-// duplicates removed, ascending.
-func pr7WorkerCounts() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// keyDigest hashes the key sequence of a file's contents (FNV-1a). Sorted
-// output is a unique sequence per input multiset, so digest equality is output
-// equality.
-func keyDigest(elems []empart.Elem) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, e := range elems {
-		binary.LittleEndian.PutUint64(buf[:], uint64(e.Key))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
-func runPR7Doc() (pr7Doc, error) {
-	var doc pr7Doc
-	dir, err := os.MkdirTemp("", "embench-pr7-")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(dir)
-
-	cfg := empart.Config{M: 1 << 18, B: 1 << 7}
-	workerCounts := pr7WorkerCounts()
-	reps := 3
-
-	// On hosts with fewer cores than workers (CI runners, small VMs) give the
-	// runtime a P per potentially-blocked syscall worker plus compute headroom,
-	// or workers convoy behind sysmon's syscall handoff instead of keeping the
-	// device queue full. 2x the deepest worker count measured slightly better
-	// than an exact match on the bench host; the raised value is recorded in
-	// doc.Host.GOMAXPROCS.
-	if want := 2 * workerCounts[len(workerCounts)-1]; runtime.GOMAXPROCS(0) < want {
-		runtime.GOMAXPROCS(want)
-	}
-
-	type bench struct {
-		name string
-		run  func(sys *empart.System, f *empart.File) (*empart.File, error)
-	}
-	benches := []bench{
-		{"extsort", func(sys *empart.System, f *empart.File) (*empart.File, error) {
-			return sys.Sort(f)
-		}},
-		{"distsort", func(sys *empart.System, f *empart.File) (*empart.File, error) {
-			return sys.DistributionSort(f)
-		}},
-	}
-	type spec struct {
-		bench  bench
-		n      int64
-		direct bool
-	}
-	var specs []spec
-	for _, b := range benches {
-		specs = append(specs, spec{b, 1 << 21, false})
-	}
-	// The direct rows are the headline: the extsort one is the big row the
-	// speedup acceptance is measured on.
-	specs = append(specs,
-		spec{benches[0], 1 << 22, true},
-		spec{benches[1], 1 << 21, true},
-	)
-	if *flagQuick {
-		reps = 2
-		specs = specs[:0]
-		for _, b := range benches {
-			specs = append(specs, spec{b, 1 << 16, false}, spec{b, 1 << 16, true})
-		}
-	}
-
-	doc.Suite = "pr7"
-	doc.Config.M, doc.Config.B, doc.Config.Reps = cfg.M, cfg.B, reps
-	doc.Config.Workers = workerCounts
-	doc.Host.GOOS, doc.Host.GOARCH = runtime.GOOS, runtime.GOARCH
-	doc.Host.GOMAXPROCS, doc.Host.NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
-	doc.Host.DirectIO = emio.DirectIOSupported(dir)
-	doc.Host.Uring = emio.UringSupported()
-
-	seq := 0
-	observe := func(b bench, n int64, direct bool, workers, nreps int) (pr7Row, uint64, error) {
-		var best time.Duration
-		var stats empart.Stats
-		var digest uint64
-		var rep7 empart.ShardReport
-		for rep := 0; rep < nreps; rep++ {
-			c := cfg
-			c.Workers = workers
-			c.Pipeline.Direct = direct
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("run-%d.dat", seq))
-			sys, err := empart.NewFileBacked(c, path)
-			if err != nil {
-				return pr7Row{}, 0, err
-			}
-			if telReg != nil {
-				sys.SetMetrics(telReg)
-			}
-			f := sys.Stage(workload.Elems(workload.Uniform, int(n), cfg.B, 0x9427))
-			sys.ResetStats()
-			start := time.Now()
-			out, runErr := b.run(sys, f)
-			wall := time.Since(start)
-			st := sys.Stats()
-			if runErr == nil && rep == 0 {
-				// Untimed: the digest proves output identity, it is not part
-				// of the measured work.
-				digest = keyDigest(sys.Read(out))
-				rep7 = sys.ShardReport()
-			}
-			if runErr == nil {
-				out.Release()
-			}
-			sys.Close()
-			os.Remove(path)
-			if runErr != nil {
-				return pr7Row{}, 0, fmt.Errorf("%s n=%d direct=%v workers=%d: %w", b.name, n, direct, workers, runErr)
-			}
-			if rep == 0 {
-				stats, best = st, wall
-			} else {
-				if st != stats {
-					return pr7Row{}, 0, fmt.Errorf("%s n=%d workers=%d: I/O counts differ across reps: %v vs %v",
-						b.name, n, workers, st, stats)
-				}
-				if wall < best {
-					best = wall
-				}
-			}
-		}
-		r := pr7Row{
-			Bench: b.name, N: n, Direct: direct, Workers: workers,
-			Shards: rep7.Shards,
-			Reads:  stats.Reads, Writes: stats.Writes, IOs: stats.Total(),
-		}
-		if best > 0 {
-			r.WallNS = best.Nanoseconds()
-			r.NsPerElem = float64(best.Nanoseconds()) / float64(n)
-			r.MBps = float64(r.IOs*int64(cfg.B)*16) / best.Seconds() / 1e6
-		}
-		if len(rep7.ShardBytes) > 0 {
-			var sum, max int64
-			for _, by := range rep7.ShardBytes {
-				sum += by
-				if by > max {
-					max = by
-				}
-			}
-			if sum > 0 {
-				r.Balance = float64(max) * float64(len(rep7.ShardBytes)) / float64(sum)
-			}
-		}
-		return r, digest, nil
-	}
-
-	for _, sp := range specs {
-		mode := "buffered"
-		if sp.direct {
-			mode = "direct"
-			if !doc.Host.DirectIO {
-				fmt.Fprintf(os.Stderr, "pr7: O_DIRECT unsupported here; skipping %s n=%d direct row\n", sp.bench.name, sp.n)
-				continue
-			}
-		}
-		// Sequential baseline: one untimed rep whose output digest every
-		// engine row must reproduce bit-for-bit.
-		seqRow, wantDigest, err := observe(sp.bench, sp.n, sp.direct, 0, 1)
+		_, cSel, err := imcomp.MultiSelect(append([]emio.Elem(nil), base...), ranks)
 		if err != nil {
-			return doc, err
+			s.err = fmt.Errorf("im-parity msel K=%d: %w", k, err)
+			return
 		}
-		seqRow.OutputMatch = true
-		doc.Rows = append(doc.Rows, seqRow)
-		var base pr7Row
-		for i, w := range workerCounts {
-			r, digest, err := observe(sp.bench, sp.n, sp.direct, w, reps)
-			if err != nil {
-				return doc, err
-			}
-			r.OutputMatch = digest == wantDigest
-			if i == 0 {
-				base = r
-			} else {
-				r.Speedup = float64(base.WallNS) / float64(r.WallNS)
-				r.IOMatch = base.Reads == r.Reads && base.Writes == r.Writes
-			}
-			doc.Rows = append(doc.Rows, r)
-			fmt.Fprintf(os.Stderr, "pr7: %-8s %-9s n=%-8d w=%-2d %8.2fms  speedup %.2fx  ioMatch=%v  outMatch=%v  shards=%d balance=%.2f\n",
-				mode, sp.bench.name, sp.n, w, float64(r.WallNS)/1e6, r.Speedup, r.IOMatch || i == 0, r.OutputMatch, r.Shards, r.Balance)
-		}
-	}
-	return doc, nil
-}
-
-// --- suite pr8: io_uring physical backend A/B -------------------------------
-//
-// PR 8's acceptance suite. Sort, partition and splitters run on pipelined
-// file-backed disks at the pr3 scales, positioned read/write syscalls vs
-// batched io_uring submission at queue depth 64, over O_DIRECT when the host
-// supports it (the EM cost regime the pr3 baseline rows were measured in;
-// buffered otherwise, with a visible note). Logical I/O counters and the
-// output key digest must match across the backend swap on every row; each
-// row also publishes physical IOPS and latency-histogram summaries, and the
-// uring rows the ring's SQE-batch and queue-depth telemetry, all from a
-// private per-run metrics registry.
-
-// pr8UringDepth is the ring size the suite measures at; the acceptance
-// criterion asks for queue depth >= 32.
-const pr8UringDepth = 64
-
-// pr8Hist is a latency/size histogram summary published in BENCH_pr8.json.
-// Quantiles are upper-bound-biased bucket ceilings (see metrics.Histogram).
-type pr8Hist struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   int64   `json:"p50"`
-	P95   int64   `json:"p95"`
-	P99   int64   `json:"p99"`
-	Max   int64   `json:"max"`
-}
-
-func pr8Summary(s metrics.HistogramSnapshot) pr8Hist {
-	return pr8Hist{Count: s.Count, Mean: s.Mean(), P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
-}
-
-type pr8Row struct {
-	Bench      string  `json:"bench"`
-	N          int64   `json:"n"`
-	Direct     bool    `json:"direct"`
-	Uring      bool    `json:"uring"`
-	Reads      int64   `json:"reads"`
-	Writes     int64   `json:"writes"`
-	IOs        int64   `json:"ios"`
-	PhysReads  int64   `json:"physReads"`
-	PhysWrites int64   `json:"physWrites"`
-	WallNS     int64   `json:"wallNs"`
-	NsPerElem  float64 `json:"nsPerElem"`
-	MBps       float64 `json:"mbps"`
-	IOPS       float64 `json:"iops"` // physical transfers per wall-clock second
-	ReadNS     pr8Hist `json:"readNs"`
-	WriteNS    pr8Hist `json:"writeNs"`
-	// Uring rows only: ring submission telemetry.
-	SQEBatch   *pr8Hist `json:"sqeBatch,omitempty"`
-	QueueDepth *pr8Hist `json:"queueDepth,omitempty"`
-	// Uring rows: wall(syscall)/wall(uring) against the matching baseline
-	// row. Every row must report ioMatch and outputMatch true (baseline rows
-	// match themselves by definition).
-	Speedup     float64 `json:"speedup,omitempty"`
-	IOMatch     bool    `json:"ioMatch"`
-	OutputMatch bool    `json:"outputMatch"`
-}
-
-type pr8Doc struct {
-	Suite  string `json:"suite"`
-	Config struct {
-		M             int `json:"m"`
-		B             int `json:"b"`
-		PrefetchDepth int `json:"prefetchDepth"`
-		QueueDepth    int `json:"queueDepth"`
-		UringDepth    int `json:"uringDepth"`
-		Reps          int `json:"reps"`
-	} `json:"config"`
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-		DirectIO   bool   `json:"directIO"`
-		Uring      bool   `json:"uring"`
-	} `json:"host"`
-	Rows []pr8Row `json:"rows"`
-}
-
-// runPR8 runs the io_uring suite and encodes the document to w.
-func runPR8(w io.Writer) error {
-	doc, err := runPR8Doc()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-func runPR8Doc() (pr8Doc, error) {
-	var doc pr8Doc
-	dir, err := os.MkdirTemp("", "embench-pr8-")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(dir)
-
-	cfg := empart.Config{M: 1 << 12, B: 1 << 5}
-	// The pr3 direct sub-suite scales, so the uring rows diff directly
-	// against the committed BENCH_pr3.json O_DIRECT rows.
-	sizes := []int64{1 << 16, 1 << 17, 1 << 18}
-	reps := 3
-	if *flagQuick {
-		sizes = []int64{1 << 14, 1 << 15, 1 << 16}
-		reps = 2
-	}
-
-	doc.Suite = "pr8"
-	doc.Config.M, doc.Config.B = cfg.M, cfg.B
-	doc.Config.PrefetchDepth, doc.Config.QueueDepth = 32, 32
-	doc.Config.UringDepth, doc.Config.Reps = pr8UringDepth, reps
-	doc.Host.GOOS, doc.Host.GOARCH, doc.Host.GOMAXPROCS = runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)
-	doc.Host.DirectIO = emio.DirectIOSupported(dir)
-	doc.Host.Uring = emio.UringSupported()
-	if !doc.Host.Uring {
-		// A visible skip, never a silent pass: the document records the host
-		// could not exercise the ring and carries no rows.
-		fmt.Fprintln(os.Stderr, "pr8: io_uring unsupported on this kernel/platform; emitting host record only")
-		return doc, nil
-	}
-	direct := doc.Host.DirectIO
-	if !direct {
-		fmt.Fprintln(os.Stderr, "pr8: O_DIRECT unsupported here; measuring the uring A/B on buffered I/O")
-	}
-
-	type bench struct {
-		name string
-		run  func(sys *empart.System, f *empart.File, n int64) (*empart.File, error)
-	}
-	benches := []bench{
-		{"sort", func(sys *empart.System, f *empart.File, n int64) (*empart.File, error) {
-			return sys.Sort(f)
-		}},
-		{"partition", func(sys *empart.System, f *empart.File, n int64) (*empart.File, error) {
-			res, err := sys.Partition(f, empart.Params{K: 64, A: 0, B: n / 16})
-			if err != nil {
-				return nil, err
-			}
-			return res.Data, nil
-		}},
-		{"splitters", func(sys *empart.System, f *empart.File, n int64) (*empart.File, error) {
-			out, err := sys.Splitters(f, empart.Params{K: 64, A: 64, B: n})
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}},
-	}
-
-	seq := 0
-	observe := func(b bench, n int64, uring bool) (pr8Row, uint64, error) {
-		var best time.Duration
-		var stats, phys empart.Stats
-		var digest uint64
-		var snap metrics.Snapshot
-		for rep := 0; rep < reps; rep++ {
-			c := cfg
-			// Both sides run the same deepened pipeline: 32 blocks of
-			// read-ahead and write-behind give the ring real batches to
-			// submit, and give the syscall side the same coalescing chances.
-			c.Pipeline = empart.Pipeline{Enabled: true, PrefetchDepth: 32, QueueDepth: 32,
-				Direct: direct, Uring: uring, UringDepth: pr8UringDepth}
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("run-%d.dat", seq))
-			sys, err := empart.NewFileBacked(c, path)
-			if err != nil {
-				return pr8Row{}, 0, err
-			}
-			if uring && !sys.UringActive() {
-				sys.Close()
-				return pr8Row{}, 0, fmt.Errorf("pr8: ring failed to arm despite UringSupported")
-			}
-			reg := metrics.New()
-			sys.SetMetrics(reg)
-			f := sys.Stage(workload.Elems(workload.Uniform, int(n), cfg.B, 0x9428))
-			sys.ResetStats()
-			pre := sys.PhysStats()
-			start := time.Now()
-			out, runErr := b.run(sys, f, n)
-			wall := time.Since(start)
-			st := sys.Stats()
-			ph := sys.PhysStats().Sub(pre)
-			if runErr == nil && rep == 0 {
-				// Untimed, and after the snapshot-relevant counters are read:
-				// the digest proves output identity across the backend swap,
-				// it is not part of the measured work.
-				sm := reg.Snapshot()
-				digest = keyDigest(sys.Read(out))
-				snap = sm
-			}
-			sys.Close()
-			os.Remove(path)
-			if runErr != nil {
-				return pr8Row{}, 0, fmt.Errorf("%s n=%d uring=%v: %w", b.name, n, uring, runErr)
-			}
-			if rep == 0 {
-				stats, phys, best = st, ph, wall
-			} else {
-				if st != stats {
-					return pr8Row{}, 0, fmt.Errorf("%s n=%d uring=%v: I/O counts differ across reps: %v vs %v",
-						b.name, n, uring, st, stats)
-				}
-				if wall < best {
-					best = wall
-				}
-			}
-		}
-		r := pr8Row{
-			Bench: b.name, N: n, Direct: direct, Uring: uring,
-			Reads: stats.Reads, Writes: stats.Writes, IOs: stats.Total(),
-			PhysReads: phys.Reads, PhysWrites: phys.Writes,
-			ReadNS:  pr8Summary(snap.Histograms["empart_phys_read_ns"]),
-			WriteNS: pr8Summary(snap.Histograms["empart_phys_write_ns"]),
-		}
-		if best > 0 {
-			r.WallNS = best.Nanoseconds()
-			r.NsPerElem = float64(best.Nanoseconds()) / float64(n)
-			r.MBps = float64(r.IOs*int64(cfg.B)*16) / best.Seconds() / 1e6
-			r.IOPS = float64(phys.Total()) / best.Seconds()
-		}
-		if uring {
-			sb := pr8Summary(snap.Histograms["empart_uring_sqe_batch"])
-			qd := pr8Summary(snap.Histograms["empart_uring_queue_depth"])
-			r.SQEBatch, r.QueueDepth = &sb, &qd
-		}
-		return r, digest, nil
-	}
-
-	for _, b := range benches {
-		for _, n := range sizes {
-			off, offDigest, err := observe(b, n, false)
-			if err != nil {
-				return doc, err
-			}
-			off.IOMatch, off.OutputMatch = true, true
-			on, onDigest, err := observe(b, n, true)
-			if err != nil {
-				return doc, err
-			}
-			on.Speedup = float64(off.WallNS) / float64(on.WallNS)
-			on.IOMatch = off.Reads == on.Reads && off.Writes == on.Writes
-			on.OutputMatch = onDigest == offDigest
-			doc.Rows = append(doc.Rows, off, on)
-			mode := "buffered"
-			if direct {
-				mode = "direct"
-			}
-			fmt.Fprintf(os.Stderr, "pr8: %-8s %-9s n=%-8d syscall %8.2fms  uring %8.2fms  speedup %.2fx  ioMatch=%v outMatch=%v  batch p50=%d qd p95=%d\n",
-				mode, b.name, n, float64(off.WallNS)/1e6, float64(on.WallNS)/1e6, on.Speedup, on.IOMatch, on.OutputMatch,
-				on.SQEBatch.P50, on.QueueDepth.P95)
-		}
-	}
-	return doc, nil
-}
-
-// --- suite pr10: checkpoint-journal overhead A/B -----------------------------
-//
-// The checkpoint journal is contractually cheap: journaling a sort must keep
-// the logical I/O counters bit-identical to a plain sort and, in the default
-// process-crash durability grade (no fsyncs anywhere — data and records
-// commit by reaching the page cache, which SIGKILL cannot revoke), may cost
-// at most a few percent of wall clock. This suite runs file-backed sorts
-// three ways — journal off (plain Sort), journal on (default grade), and
-// journal on with FullSync (power-loss grade: backing file and journal
-// fsync'd at every phase barrier, honestly pricing what waiting out the
-// device costs) — and reports each overhead next to the required-identical
-// logical counters.
-
-type pr10Row struct {
-	Bench     string  `json:"bench"`
-	N         int64   `json:"n"`
-	Journal   bool    `json:"journal"`
-	FullSync  bool    `json:"fullSync,omitempty"`
-	Reads     int64   `json:"reads"`
-	Writes    int64   `json:"writes"`
-	IOs       int64   `json:"ios"`
-	WallNS    int64   `json:"wallNs"`
-	NsPerElem float64 `json:"nsPerElem"`
-	MBps      float64 `json:"mbps"`
-	// Journal-on rows only: wall(on)/wall(off) against the matching
-	// journal-off row, and whether the logical I/O counters matched it.
-	Overhead float64 `json:"overhead,omitempty"`
-	IOMatch  bool    `json:"ioMatch,omitempty"`
-}
-
-type pr10Doc struct {
-	Suite  string `json:"suite"`
-	Config struct {
-		M    int `json:"m"`
-		B    int `json:"b"`
-		Reps int `json:"reps"`
-	} `json:"config"`
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-	} `json:"host"`
-	Rows []pr10Row `json:"rows"`
-}
-
-// runPR10 runs the checkpoint-journal A/B suite and encodes the document to w.
-func runPR10(w io.Writer) error {
-	doc, err := runPR10Doc()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-func runPR10Doc() (pr10Doc, error) {
-	var doc pr10Doc
-	dir, err := os.MkdirTemp("", "embench-pr10-")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(dir)
-
-	// Sizes are chosen so the journal's fixed bookkeeping cost (manifest
-	// capture and record marshalling per phase) amortizes below the ≤5%
-	// contract, and so the FullSync arm's barrier fsyncs measure sustained
-	// device bandwidth rather than bare fsync latency.
-	cfg := empart.Config{M: 1 << 12, B: 1 << 5}
-	sizes := []int64{1 << 21, 1 << 22}
-	const reps = 3
-	if *flagQuick {
-		sizes = []int64{1 << 17, 1 << 19}
-	}
-
-	seq := 0
-	observe := func(n int64, mode string) (pr10Row, error) {
-		journal := mode != "plain"
-		fullSync := mode == "journal+fullsync"
-		var best time.Duration
-		var stats empart.Stats
-		for rep := 0; rep < reps; rep++ {
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("run-%d.dat", seq))
-			elems := workload.Elems(workload.Uniform, int(n), cfg.B, 0x7c31)
-			var st empart.Stats
-			var wall time.Duration
-			var runErr error
-			if journal {
-				jpath := filepath.Join(dir, fmt.Sprintf("run-%d.journal", seq))
-				job, err := empart.OpenSortJob(
-					empart.JobConfig{Config: cfg, Path: path, Journal: jpath, FullSync: fullSync},
-					func() ([]empart.Elem, error) { return elems, nil })
-				if err != nil {
-					return pr10Row{}, err
-				}
-				sys := job.System()
-				if telReg != nil {
-					sys.SetMetrics(telReg)
-				}
-				registerLive(sys)
-				sys.ResetStats()
-				start := time.Now()
-				out, err := job.Run()
-				wall = time.Since(start)
-				st = sys.Stats()
-				if err == nil {
-					out.Release()
-				}
-				job.Close()
-				os.Remove(jpath)
-				runErr = err
-			} else {
-				sys, err := empart.NewFileBacked(cfg, path)
-				if err != nil {
-					return pr10Row{}, err
-				}
-				if telReg != nil {
-					sys.SetMetrics(telReg)
-				}
-				registerLive(sys)
-				f := sys.Stage(elems)
-				sys.ResetStats()
-				start := time.Now()
-				out, err := sys.Sort(f)
-				wall = time.Since(start)
-				st = sys.Stats()
-				if err == nil {
-					out.Release()
-				}
-				sys.Close()
-				runErr = err
-			}
-			os.Remove(path)
-			if runErr != nil {
-				return pr10Row{}, fmt.Errorf("sort n=%d mode=%s: %w", n, mode, runErr)
-			}
-			if rep == 0 {
-				stats, best = st, wall
-			} else {
-				if st != stats {
-					return pr10Row{}, fmt.Errorf("sort n=%d mode=%s: I/O counts differ across reps: %v vs %v",
-						n, mode, st, stats)
-				}
-				if wall < best {
-					best = wall
-				}
-			}
-		}
-		r := pr10Row{
-			Bench: "sort", N: n, Journal: journal, FullSync: fullSync,
-			Reads: stats.Reads, Writes: stats.Writes, IOs: stats.Total(),
-		}
-		if best > 0 {
-			r.WallNS = best.Nanoseconds()
-			r.NsPerElem = float64(best.Nanoseconds()) / float64(n)
-			r.MBps = float64(r.IOs*int64(cfg.B)*16) / best.Seconds() / 1e6
-		}
-		return r, nil
-	}
-
-	doc.Suite = "pr10"
-	doc.Config.M, doc.Config.B, doc.Config.Reps = cfg.M, cfg.B, reps
-	doc.Host.GOOS, doc.Host.GOARCH, doc.Host.GOMAXPROCS = runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)
-
-	for _, n := range sizes {
-		off, err := observe(n, "plain")
+		cPar, err := imcomp.MultiPartition(append([]emio.Elem(nil), base...), sizes)
 		if err != nil {
-			return doc, err
+			s.err = fmt.Errorf("im-parity mpart K=%d: %w", k, err)
+			return
 		}
-		on, err := observe(n, "journal")
-		if err != nil {
-			return doc, err
-		}
-		full, err := observe(n, "journal+fullsync")
-		if err != nil {
-			return doc, err
-		}
-		on.Overhead = float64(on.WallNS) / float64(off.WallNS)
-		on.IOMatch = off.Reads == on.Reads && off.Writes == on.Writes
-		full.Overhead = float64(full.WallNS) / float64(off.WallNS)
-		full.IOMatch = off.Reads == full.Reads && off.Writes == full.Writes
-		doc.Rows = append(doc.Rows, off, on, full)
-		fmt.Fprintf(os.Stderr, "pr10: sort n=%-8d plain %8.2fms  journal %8.2fms (%.3fx)  fullsync %8.2fms (%.3fx)  ioMatch=%v/%v\n",
-			n, float64(off.WallNS)/1e6, float64(on.WallNS)/1e6, on.Overhead,
-			float64(full.WallNS)/1e6, full.Overhead, on.IOMatch, full.IOMatch)
+		s.md("| %d | %d | %d | %.2f |\n", k, cSel, cPar, float64(cSel)/float64(cPar))
 	}
-	return doc, nil
+	s.md("\n")
 }

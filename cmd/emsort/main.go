@@ -11,8 +11,9 @@
 //	seq 100000 | shuf | emsort > sorted.txt
 //
 // With -workers N the sort runs on the parallel sharded engine: N goroutines
-// over S logical shards, same outputs and same logical I/O counts, less wall
-// clock. With -metrics-addr the job serves live Prometheus metrics and pprof
+// over S logical shards, the same sorted output and less wall clock. Its
+// logical I/O follows the sharded plan: identical for every N >= 1, but not
+// the sequential engine's count. With -metrics-addr the job serves live Prometheus metrics and pprof
 // while it runs; with -progress it streams phase/ETA lines to the report
 // stream.
 // -checksum and -retry arm the resilience layer: corrupted blocks and
@@ -58,7 +59,7 @@ import (
 var (
 	flagM        = flag.Int("m", 1<<12, "memory size M in elements")
 	flagB        = flag.Int("b", 1<<5, "block size B in elements")
-	flagWorkers  = flag.Int("workers", 0, "worker goroutines for the parallel sharded engine (0 = sequential engine; the parallel engine's output matches it bit for bit, and engine I/O counts are identical for every worker count)")
+	flagWorkers  = flag.Int("workers", 0, "worker goroutines for the parallel sharded engine (0 = sequential engine; the parallel engine's output matches it bit for bit, and its I/O counts are identical for every worker count >= 1 but differ from the sequential engine's)")
 	flagIn       = flag.String("in", "", "input file of integers (default stdin)")
 	flagOut      = flag.String("out", "", "output file (default stdout)")
 	flagBacking  = flag.String("backing", "", "path for a real backing file for the simulated disk (default: in-memory)")

@@ -40,7 +40,7 @@ var (
 	flagN       = flag.Int("n", 1<<18, "input size N")
 	flagM       = flag.Int("m", 1<<12, "memory size M")
 	flagB       = flag.Int("b", 1<<5, "block size B")
-	flagWorkers = flag.Int("workers", 0, "worker goroutines for the parallel sharded engine (0 = sequential engine; the parallel engine's output matches it bit for bit, and engine I/O counts are identical for every worker count)")
+	flagWorkers = flag.Int("workers", 0, "worker goroutines for the parallel sharded engine, which runs -algo sort only (0 = sequential engine; the parallel engine's output matches it bit for bit, and its I/O counts are identical for every worker count >= 1 but differ from the sequential engine's; every other -algo ignores -workers)")
 	flagK       = flag.Int64("k", 64, "partition/splitter/rank count K")
 	flagA       = flag.Int64("a", 0, "lower size bound a")
 	flagBMax    = flag.Int64("bmax", 0, "upper size bound b (0 means N)")

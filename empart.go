@@ -169,9 +169,10 @@ var (
 // System is an external-memory machine instance: a simulated disk with I/O
 // accounting, a memory-budget accountant armed at M, and the algorithm
 // suite. A System is not safe for concurrent use (the EM model is
-// sequential); with cfg.Workers > 0 the sorting-based operations fan out to
+// sequential); with cfg.Workers > 0 Sort and DistributionSort fan out to
 // worker goroutines internally, but every call still joins them before
-// returning, so the caller-facing discipline is unchanged.
+// returning, so the caller-facing discipline is unchanged. Every other
+// algorithm ignores Workers.
 type System struct {
 	ctx *emio.Ctx
 	par *empar.Engine // parallel sharded engine; nil when cfg.Workers == 0
@@ -209,11 +210,11 @@ func (s *System) armWorkers(cfg Config) error {
 // file at path (created or truncated): every counted block transfer is an
 // actual positioned read or write. Call Close when done.
 //
-// Setting cfg.Pipeline.Enabled turns on the asynchronous prefetch/
-// write-behind pipeline for the backing file: appends are written by a
-// background worker through a bounded queue and sequential scans trigger
+// Setting cfg.Pipeline.Enabled turns on the asynchronous I/O engine for the
+// backing file: appends are staged into batches, each written with one
+// positioned write while the next batch fills, and sequential scans trigger
 // coalesced read-ahead, overlapping physical I/O with computation. The
-// pipeline affects wall-clock speed only — Stats, trace spans, fault-hook
+// engine affects wall-clock speed only — Stats, trace spans, fault-hook
 // order and all outputs are bit-identical with it on or off.
 func NewFileBacked(cfg Config, path string) (*System, error) {
 	d, err := emio.NewFileBackedDiskPipeline(path, cfg.B, cfg.Pipeline)
@@ -671,9 +672,6 @@ func (s *System) MultiSelectContext(ctx context.Context, f *File, ranks []int64)
 // algorithm, and the baseline Theorem 4 separates multi-selection from.
 func (s *System) MultiPartition(f *File, sizes []int64) (*File, error) {
 	return guard(s, func() (*File, error) {
-		if s.par != nil {
-			return s.par.MultiPartition(f, sizes)
-		}
 		return mpart.Partition(s.ctx, f, sizes)
 	})
 }
@@ -688,9 +686,6 @@ func (s *System) MultiPartitionContext(ctx context.Context, f *File, sizes []int
 // whose induced buckets all have sizes in [p.A, p.B].
 func (s *System) Splitters(f *File, p Params) (*File, error) {
 	return guard(s, func() (*File, error) {
-		if s.par != nil {
-			return s.par.Splitters(f, p)
-		}
 		return core.Splitters(s.ctx, f, p)
 	})
 }
@@ -705,9 +700,6 @@ func (s *System) SplittersContext(ctx context.Context, f *File, p Params) (*File
 // partitions with sizes in [p.A, p.B], concatenated.
 func (s *System) Partition(f *File, p Params) (*PartitionResult, error) {
 	return guard(s, func() (*PartitionResult, error) {
-		if s.par != nil {
-			return s.par.Partition(f, p)
-		}
 		return core.Partition(s.ctx, f, p)
 	})
 }

@@ -28,7 +28,7 @@ func faultMatrixModes() []struct {
 		pipe Pipeline
 	}{
 		{"sync", Pipeline{}},
-		{"pipeline", Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}},
+		{"pipeline", Pipeline{Enabled: true}},
 	}
 	if emio.UringSupported() {
 		// With an injector or retry policy armed the ring falls back to one
@@ -45,7 +45,7 @@ func faultMatrixModes() []struct {
 			struct {
 				name string
 				pipe Pipeline
-			}{"uring-pipeline", Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4}},
+			}{"uring-pipeline", Pipeline{Enabled: true, Uring: true}},
 		)
 	}
 	return modes

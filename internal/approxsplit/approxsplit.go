@@ -381,59 +381,3 @@ func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, error) 
 // bucket i is the interval (sp[i-1], sp[i]] in the total order. Binary
 // search by the classification kernel; CPU only.
 func BucketOf(sp []emio.Elem, e emio.Elem) int { return emio.Bucket(sp, e) }
-
-// FromSorted returns a file holding the K-1 exact equi-depth splitters of an
-// already-sorted file: the elements of rank i*n/K for i = 1..K-1 (n must be a
-// multiple of K). Every induced bucket (s_{i-1}, s_i] then holds exactly n/K
-// elements. One partial forward scan, O(K/B + min(n, (K-1)*n/K)/B) I/Os and
-// O(B) memory. The parallel engine derives approximate splitters this way
-// from its sorted output, so the result is independent of worker count.
-func FromSorted(ctx *emio.Ctx, sorted *emio.File, k int64) (*emio.File, error) {
-	n := sorted.Len()
-	if k < 1 || n%k != 0 {
-		return nil, fmt.Errorf("approxsplit: n=%d not divisible into K=%d buckets", n, k)
-	}
-	sp := ctx.StartSpan("approxsplit/from-sorted", emio.AttrInt("n", n), emio.AttrInt("k", k))
-	defer sp.End()
-	out := ctx.Scratch("splitters")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		out.Release()
-		return nil, err
-	}
-	r, err := emio.NewReader(ctx, sorted)
-	if err != nil {
-		w.Close()
-		out.Release()
-		return nil, err
-	}
-	stride := n / k
-	var rank, next int64 = 0, stride
-	for next < n {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		rank++
-		if rank == next {
-			w.Append(e)
-			next += stride
-		}
-	}
-	rerr := r.Err()
-	r.Close()
-	if rerr != nil {
-		w.Close()
-		out.Release()
-		return nil, rerr
-	}
-	if err := w.Close(); err != nil {
-		out.Release()
-		return nil, err
-	}
-	if out.Len() != k-1 {
-		out.Release()
-		return nil, fmt.Errorf("approxsplit: picked %d of %d splitters", out.Len(), k-1)
-	}
-	return out, nil
-}

@@ -22,12 +22,14 @@ import (
 // Log arms the structured event log (see LogConfig); like the other
 // telemetry legs it is strictly observational and changes no outputs.
 //
-// Workers selects the parallel sharded execution engine: 0 (the default)
-// runs every algorithm sequentially; w >= 1 runs the parallelizable
-// operations over S logical shards driven by w worker goroutines. The shard
-// count S is a deterministic function of M and B alone, so outputs, logical
-// Stats and trace JSON are bit-identical for every positive worker count —
-// workers change only wall-clock speed.
+// Workers selects the parallel sharded execution engine for the two sorts:
+// 0 (the default) runs them sequentially; w >= 1 runs Sort and
+// DistributionSort over S logical shards driven by w worker goroutines. The
+// shard count S is a deterministic function of M and B alone, so outputs,
+// logical Stats and trace JSON are bit-identical for every positive worker
+// count. The sharded output equals the sequential one, but its logical I/O
+// and trace follow the sharded plan. Every other algorithm ignores Workers
+// and runs exactly as with 0.
 type Config struct {
 	M int // memory capacity, in elements
 	B int // block size, in elements
@@ -50,79 +52,53 @@ type Config struct {
 }
 
 // Pipeline configures the asynchronous I/O engine of a file-backed disk.
-// When Enabled, block appends are staged into batches of up to QueueDepth
-// blocks, each written with one positioned write while the next batch
-// stages, and sequential readers trigger coalesced read-ahead of up to
-// PrefetchDepth contiguous blocks in one positioned read. The engine moves
-// only physical transfers: logical I/O accounting, fault-hook firing and
-// trace spans happen when the algorithm issues the block, so Stats and
-// outputs are bit-identical with the pipeline on or off.
+// When Enabled, block appends are staged into batches of queueDepth blocks,
+// each written with one positioned write while the next batch stages, and
+// sequential readers trigger coalesced read-ahead of up to prefetchDepth
+// contiguous blocks in one positioned read. The engine moves only physical
+// transfers: logical I/O accounting, fault-hook firing and trace spans happen
+// when the algorithm issues the block, so Stats and outputs are bit-identical
+// with the pipeline on or off.
 // Direct is independent of Enabled: it opens the backing file with O_DIRECT
 // (on platforms that support it), bypassing the OS page cache so every
 // physical transfer pays real device latency — the cost regime the EM model
-// assumes. It composes with the pipeline in either state, which is what makes
-// pipeline-on/off wall-clock comparisons on a direct-I/O backing fair.
+// assumes. It composes with the pipeline in either state.
 // Direct I/O constrains physical transfers to 512-byte-aligned offsets,
 // lengths and buffers; the store pads partial blocks to honor this, which can
 // grow the backing file's byte footprint (never the logical I/O counts).
 // Use DirectIOSupported to probe the filesystem first.
 //
-// Uring routes physical transfers through a Linux io_uring: each transfer is
-// submitted as an SQE instead of a blocking pread/pwrite syscall, with the
-// store's long-lived buffers registered as fixed buffers and completions
-// drained by whichever goroutine is waiting on one. Like Direct it is
-// independent of Enabled and composes with it (an O_DIRECT backing driven
-// through the ring is the closest-to-device configuration), and like Direct
-// it degrades silently — to the syscall paths — where UringSupported reports
-// false. UringDepth is the submission-queue depth (the kernel rounds it up to
-// a power of two) and bounds in-flight transfers. The ring changes only how
-// raw transfers reach the device: logical I/O accounting, checksums, retry,
+// Uring routes physical transfers through a Linux io_uring of uringDepth
+// entries: each transfer is submitted as an SQE instead of a blocking
+// pread/pwrite syscall, with the store's long-lived buffers registered as
+// fixed buffers and completions drained by whichever goroutine is waiting on
+// one. Like Direct it is independent of Enabled and composes with it (an
+// O_DIRECT backing driven through the ring is the closest-to-device
+// configuration), and like Direct it degrades silently — to the syscall
+// paths — where UringSupported reports false. The ring changes only how raw
+// transfers reach the device: logical I/O accounting, checksums, retry,
 // fault injection and tracing wrap its completions exactly as they wrap
 // syscall returns, so outputs, Stats and trace JSON are bit-identical across
 // {buffered, direct, uring}.
 type Pipeline struct {
-	Enabled       bool
-	PrefetchDepth int  // blocks of sequential read-ahead; 0 means DefaultPrefetchDepth
-	QueueDepth    int  // staged-write batch size in blocks; 0 means DefaultQueueDepth
-	Direct        bool // open the backing file with O_DIRECT (see above)
-	Uring         bool // submit physical transfers through an io_uring (see above)
-	UringDepth    int  // io_uring submission-queue depth; 0 means DefaultUringDepth
+	Enabled bool
+	Direct  bool // open the backing file with O_DIRECT (see above)
+	Uring   bool // submit physical transfers through an io_uring (see above)
 }
 
-// Default pipeline depths, used when a depth knob is left at zero.
+// The I/O engine's depths.
 const (
-	DefaultPrefetchDepth = 8
-	DefaultQueueDepth    = 16
-	DefaultUringDepth    = 64
+	prefetchDepth = 8  // blocks per sequential read-ahead window
+	queueDepth    = 16 // blocks per staged-write batch
+	uringDepth    = 64 // io_uring submission-queue entries
 )
 
-// withDefaults fills zero depth knobs with the package defaults.
-func (p Pipeline) withDefaults() Pipeline {
-	if p.PrefetchDepth == 0 {
-		p.PrefetchDepth = DefaultPrefetchDepth
-	}
-	if p.QueueDepth == 0 {
-		p.QueueDepth = DefaultQueueDepth
-	}
-	if p.UringDepth == 0 {
-		p.UringDepth = DefaultUringDepth
-	}
-	return p
-}
+// depths are the engine depths of one file store. Every exported constructor
+// uses engineDepths; the engine's own tests pass shallower ones so a few
+// blocks cross batch and window seams.
+type depths struct{ prefetch, queue, uring int }
 
-// validate rejects negative depth knobs.
-func (p Pipeline) validate() error {
-	if p.PrefetchDepth < 0 {
-		return fmt.Errorf("%w: prefetch depth %d < 0", ErrBadConfig, p.PrefetchDepth)
-	}
-	if p.QueueDepth < 0 {
-		return fmt.Errorf("%w: write-behind queue depth %d < 0", ErrBadConfig, p.QueueDepth)
-	}
-	if p.UringDepth < 0 {
-		return fmt.Errorf("%w: io_uring queue depth %d < 0", ErrBadConfig, p.UringDepth)
-	}
-	return nil
-}
+var engineDepths = depths{prefetch: prefetchDepth, queue: queueDepth, uring: uringDepth}
 
 // ErrBadConfig is wrapped by all Config validation errors.
 var ErrBadConfig = errors.New("emio: invalid configuration")
@@ -144,10 +120,7 @@ func (c Config) Validate() error {
 	if err := c.Retry.validate(); err != nil {
 		return err
 	}
-	if err := c.Log.validate(); err != nil {
-		return err
-	}
-	return c.Pipeline.validate()
+	return c.Log.validate()
 }
 
 // Blocks returns the number of blocks needed to store n elements,

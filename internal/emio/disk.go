@@ -116,7 +116,7 @@ func NewFileBackedDisk(path string, blockSize int) (*Disk, error) {
 // physical I/O scheduling (wall-clock speed); logical I/O counters, fault
 // hooks, tracing and outputs are bit-identical with the pipeline on or off.
 func NewFileBackedDiskPipeline(path string, blockSize int, p Pipeline) (*Disk, error) {
-	return newFileBackedDisk(path, blockSize, p, false)
+	return newFileBackedDisk(path, blockSize, p, engineDepths, false)
 }
 
 // NewFileBackedDiskResume is NewFileBackedDiskPipeline without the truncate:
@@ -125,25 +125,22 @@ func NewFileBackedDiskPipeline(path string, blockSize int, p Pipeline) (*Disk, e
 // until adoption raises the append cursor, fresh allocations would land on
 // the old data.
 func NewFileBackedDiskResume(path string, blockSize int, p Pipeline) (*Disk, error) {
-	return newFileBackedDisk(path, blockSize, p, true)
+	return newFileBackedDisk(path, blockSize, p, engineDepths, true)
 }
 
-func newFileBackedDisk(path string, blockSize int, p Pipeline, keep bool) (*Disk, error) {
+func newFileBackedDisk(path string, blockSize int, p Pipeline, dep depths, keep bool) (*Disk, error) {
 	if blockSize < 1 {
 		return nil, fmt.Errorf("emio: block size %d < 1", blockSize)
 	}
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	d := &Disk{blockSize: blockSize, cancel: &cancelCell{}, budget: &diskBudget{}}
-	st, err := newFileStore(d, path, p, keep)
+	st, err := newFileStore(d, path, p, dep, keep)
 	if err != nil {
 		return nil, err
 	}
 	d.store = st
 	d.id = fmt.Sprintf("file-%d", diskSeq.Add(1))
 	if p.Enabled {
-		d.prefetch = st.pipe.PrefetchDepth
+		d.prefetch = st.dep.prefetch
 	}
 	return d, nil
 }

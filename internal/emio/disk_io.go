@@ -22,14 +22,14 @@ import (
 //     reservation of adjacent extents (allocRun), so its consecutive appends
 //     land on adjacent offsets however the other shards interleave.
 //   - Staged writes: appends are encoded into a staging batch of up to
-//     Pipeline.QueueDepth blocks. A full batch goes out as one positioned
-//     write per run of adjacent extents, usually one. Up to writeSlack batch
-//     writes run while the next batch stages. A file's staged and in-flight
-//     blocks are written out before it is read, synced or released.
+//     queueDepth blocks. A full batch goes out as one positioned write per
+//     run of adjacent extents, usually one. Up to writeSlack batch writes
+//     run while the next batch stages. A file's staged and in-flight blocks
+//     are written out before it is read, synced or released.
 //   - Read-ahead: a sequential read (Reader, ReadBlockSequential) fills a
-//     per-file window with up to Pipeline.PrefetchDepth contiguous blocks in
-//     one positioned read, and the following window is read while the
-//     current one is consumed.
+//     per-file window with up to prefetchDepth contiguous blocks in one
+//     positioned read, and the following window is read while the current
+//     one is consumed.
 //   - Errors: a failed write is recorded against every file in its batch and
 //     reported once: by the next operation on such a file (an append, a
 //     read, Sync, Writer.Close), else by Disk.Settle at the end of a shard's
@@ -130,8 +130,8 @@ func newDiskIO(fs *fileStore, d *Disk, reserve bool) *diskIO {
 		d:          d,
 		reserve:    reserve,
 		blockBytes: bb,
-		depth:      fs.pipe.QueueDepth,
-		winBlocks:  fs.pipe.PrefetchDepth,
+		depth:      fs.dep.queue,
+		winBlocks:  fs.dep.prefetch,
 		errs:       make(map[*File]*stickyErr),
 		win:        make(map[*File]*readWindow),
 	}

@@ -8,8 +8,8 @@ import (
 
 // Shard I/O coalescing: two shards of one pipelined file disk, appending in
 // lockstep the way two workers interleave, must each still get contiguous
-// extents, so their blocks reach the backing file in QueueDepth-block writes
-// and come back in PrefetchDepth-block reads — with logical accounting and
+// extents, so their blocks reach the backing file in queue-depth-block writes
+// and come back in prefetch-depth-block reads — with logical accounting and
 // contents unchanged, and every extent back on the free list at the end.
 func TestShardIOCoalescesInterleavedShards(t *testing.T) {
 	const (
@@ -21,8 +21,8 @@ func TestShardIOCoalescesInterleavedShards(t *testing.T) {
 		name string
 		pipe Pipeline
 	}{
-		{"buffered", Pipeline{Enabled: true, PrefetchDepth: depth, QueueDepth: depth}},
-		{"direct-uring", Pipeline{Enabled: true, PrefetchDepth: depth, QueueDepth: depth, Direct: true, Uring: true}},
+		{"buffered", Pipeline{Enabled: true}},
+		{"direct-uring", Pipeline{Enabled: true, Direct: true, Uring: true}},
 	}
 	for _, tc := range pipes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -30,7 +30,7 @@ func TestShardIOCoalescesInterleavedShards(t *testing.T) {
 			if tc.pipe.Direct && !DirectIOSupported(dir) {
 				t.Skip("O_DIRECT not supported on this filesystem")
 			}
-			d, err := NewFileBackedDiskPipeline(filepath.Join(dir, "s.dat"), b, tc.pipe)
+			d, err := newFileBackedDisk(filepath.Join(dir, "s.dat"), b, tc.pipe, shallow(depth, depth), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,8 +176,8 @@ func TestShardIOBypassedUnderInjector(t *testing.T) {
 	const b, nblk = 8, 16
 	for _, owner := range []string{"shard", "parent"} {
 		t.Run(owner, func(t *testing.T) {
-			d, err := NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "s.dat"), b,
-				Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4})
+			d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "s.dat"), b,
+				Pipeline{Enabled: true}, shallow(4, 4), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,8 +224,8 @@ func TestShardIOBypassedUnderInjector(t *testing.T) {
 func TestShardIOStagedWriteFailure(t *testing.T) {
 	errDevice := errors.New("device error")
 	newShard := func(t *testing.T) (*Disk, *Ctx) {
-		d, err := NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "e.dat"), 8,
-			Pipeline{Enabled: true, QueueDepth: 2})
+		d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "e.dat"), 8,
+			Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestMetricsPhysicalLayerFileBacked(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var ctx *Ctx
 			if pipelined {
-				ctx = pipelinedCtx(t, 1024, 8, Pipeline{})
+				ctx = pipelinedCtx(t, 1024, 8, engineDepths)
 			} else {
 				ctx = fileBackedCtx(t, 1024, 8)
 			}

@@ -8,11 +8,18 @@ import (
 	"testing"
 )
 
-// pipelinedCtx builds a Ctx over a pipelined file-backed disk.
-func pipelinedCtx(t *testing.T, m, b int, p Pipeline) *Ctx {
+// shallow returns engine depths with a read-ahead window of prefetch blocks
+// and staging batches of queue blocks, so a test's few blocks cross their
+// seams.
+func shallow(prefetch, queue int) depths {
+	return depths{prefetch: prefetch, queue: queue, uring: uringDepth}
+}
+
+// pipelinedCtx builds a Ctx over a pipelined file-backed disk with engine
+// depths dep.
+func pipelinedCtx(t *testing.T, m, b int, dep depths) *Ctx {
 	t.Helper()
-	p.Enabled = true
-	d, err := NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "pipe.dat"), b, p)
+	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "pipe.dat"), b, Pipeline{Enabled: true}, dep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +33,7 @@ func pipelinedCtx(t *testing.T, m, b int, p Pipeline) *Ctx {
 
 func TestPipelineRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 100, 1000, 4096} {
-		for _, p := range []Pipeline{{}, {PrefetchDepth: 1}, {PrefetchDepth: 4, QueueDepth: 2}} {
+		for _, p := range []depths{engineDepths, shallow(1, queueDepth), shallow(4, 2)} {
 			ctx := pipelinedCtx(t, 64, 8, p)
 			in := seqElems(n)
 			f, err := StoreAll(ctx, "rt", in)
@@ -66,7 +73,7 @@ func TestPipelineRoundTrip(t *testing.T) {
 
 func TestPipelineRandomAccessFallsBack(t *testing.T) {
 	// Random block reads must bypass the staging window and stay correct.
-	ctx := pipelinedCtx(t, 64, 8, Pipeline{PrefetchDepth: 4})
+	ctx := pipelinedCtx(t, 64, 8, shallow(4, queueDepth))
 	in := seqElems(256)
 	f, err := StoreAll(ctx, "rnd", in)
 	if err != nil {
@@ -96,7 +103,7 @@ func TestPipelineRandomAccessFallsBack(t *testing.T) {
 func TestPipelineInterleavedReadWrite(t *testing.T) {
 	// A merge-like pattern: read one file while write-behind is filling
 	// another, then read back the freshly written file (forcing a drain).
-	ctx := pipelinedCtx(t, 128, 8, Pipeline{PrefetchDepth: 4, QueueDepth: 4})
+	ctx := pipelinedCtx(t, 128, 8, shallow(4, 4))
 	in := seqElems(512)
 	src, err := StoreAll(ctx, "src", in)
 	if err != nil {
@@ -145,7 +152,7 @@ func TestForcePortableCodecRoundTrip(t *testing.T) {
 	// the fallback path is live, not dead code.
 	forcePortableCodec = true
 	defer func() { forcePortableCodec = false }()
-	ctx := pipelinedCtx(t, 64, 8, Pipeline{})
+	ctx := pipelinedCtx(t, 64, 8, engineDepths)
 	in := seqElems(300)
 	f, err := StoreAll(ctx, "portable", in)
 	if err != nil {
@@ -196,7 +203,7 @@ func TestFreeExtentReuseCapsBackingFile(t *testing.T) {
 func TestFreeExtentReuseKeepsDataIntact(t *testing.T) {
 	// Interleave live files with release/reuse cycles: reused extents must
 	// never clobber live data (the write-behind drain on release guards this).
-	ctx := pipelinedCtx(t, 128, 8, Pipeline{QueueDepth: 2})
+	ctx := pipelinedCtx(t, 128, 8, shallow(prefetchDepth, 2))
 	keep := make([]*File, 0, 8)
 	want := make([][]Elem, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -234,12 +241,16 @@ func TestDirectIORoundTrip(t *testing.T) {
 	// Block size 8 elems = 128 bytes, well under the 512-byte direct granule,
 	// so every transfer exercises the padding path; odd n adds partial blocks.
 	for _, n := range []int{0, 1, 7, 8, 9, 100, 1000} {
-		for _, p := range []Pipeline{
-			{Direct: true},
-			{Enabled: true, Direct: true, PrefetchDepth: 4, QueueDepth: 2},
+		for _, tc := range []struct {
+			p   Pipeline
+			dep depths
+		}{
+			{Pipeline{Direct: true}, engineDepths},
+			{Pipeline{Enabled: true, Direct: true}, shallow(4, 2)},
 		} {
-			d, err := NewFileBackedDiskPipeline(
-				filepath.Join(t.TempDir(), "direct.dat"), 8, p)
+			p := tc.p
+			d, err := newFileBackedDisk(
+				filepath.Join(t.TempDir(), "direct.dat"), 8, p, tc.dep, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,8 +301,8 @@ func TestAsyncWriteErrorSurfacesAtNextOpAndClose(t *testing.T) {
 	// only if nothing else delivered it — at Disk.Close.
 	errDevice := errors.New("device error")
 	newFaulty := func(failFrom int64) (*Disk, *Ctx) {
-		d, err := NewFileBackedDiskPipeline(
-			filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{Enabled: true, QueueDepth: 2})
+		d, err := newFileBackedDisk(
+			filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,8 +380,8 @@ func TestAsyncWriteErrorNamesFileAndOffset(t *testing.T) {
 	// Disk.Close, an operator's only remaining context. The wrapped error must
 	// therefore name the failing file and its backing byte offset.
 	errDevice := errors.New("device error")
-	d, err := NewFileBackedDiskPipeline(
-		filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{Enabled: true, QueueDepth: 2})
+	d, err := newFileBackedDisk(
+		filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +461,7 @@ func TestPipelineStatsMatchSynchronous(t *testing.T) {
 	if got := run(fileBackedCtx(t, 1024, 8)); got != base {
 		t.Errorf("sync file backend %v != memory %v", got, base)
 	}
-	if got := run(pipelinedCtx(t, 1024, 8, Pipeline{})); got != base {
+	if got := run(pipelinedCtx(t, 1024, 8, engineDepths)); got != base {
 		t.Errorf("pipelined file backend %v != memory %v", got, base)
 	}
 }
@@ -494,14 +505,5 @@ func TestMemStorePoolReusesBlocks(t *testing.T) {
 	BuildFile(d, "b", seqElems(64))
 	if got := len(ms.free); got != 0 {
 		t.Fatalf("free list holds %d blocks after reuse, want 0", got)
-	}
-}
-
-func TestPipelineValidate(t *testing.T) {
-	if _, err := NewFileBackedDiskPipeline("x.dat", 8, Pipeline{Enabled: true, PrefetchDepth: -1}); err == nil {
-		t.Error("negative prefetch depth accepted")
-	}
-	if err := (Config{M: 64, B: 8, Pipeline: Pipeline{QueueDepth: -2}}).Validate(); err == nil {
-		t.Error("negative queue depth accepted by Config.Validate")
 	}
 }

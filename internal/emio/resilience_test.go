@@ -21,6 +21,7 @@ func fastRetry(attempts int) Retry {
 type backendCase struct {
 	name string
 	pipe Pipeline
+	dep  depths // engine depths of a pipelined backend
 	mem  bool
 }
 
@@ -28,7 +29,7 @@ func resilienceBackends() []backendCase {
 	return []backendCase{
 		{name: "mem", mem: true},
 		{name: "file", pipe: Pipeline{}},
-		{name: "file-pipeline", pipe: Pipeline{Enabled: true, QueueDepth: 4, PrefetchDepth: 4}},
+		{name: "file-pipeline", pipe: Pipeline{Enabled: true}, dep: shallow(4, 4)},
 	}
 }
 
@@ -44,7 +45,7 @@ func newBackendCtx(t *testing.T, bc backendCase, cfg Config) *Ctx {
 		}
 		return ctx
 	}
-	d, err := NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "resil.dat"), cfg.B, bc.pipe)
+	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "resil.dat"), cfg.B, bc.pipe, bc.dep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,8 +411,8 @@ func TestStickyErrorReportedOnce(t *testing.T) {
 	// back as a second distinct error at Disk.Close — but a failure nothing
 	// delivered must still reach Disk.Close.
 	newPipeCtx := func(t *testing.T) (*Ctx, *Disk, *Injector) {
-		d, err := NewFileBackedDiskPipeline(
-			filepath.Join(t.TempDir(), "sticky.dat"), 8, Pipeline{Enabled: true, QueueDepth: 2})
+		d, err := newFileBackedDisk(
+			filepath.Join(t.TempDir(), "sticky.dat"), 8, Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,16 +468,17 @@ func TestResilienceUnderDirectIO(t *testing.T) {
 	if !DirectIOSupported(dir) {
 		t.Skip("O_DIRECT unsupported on this filesystem")
 	}
-	for _, pipe := range []Pipeline{
-		{Direct: true},
-		{Enabled: true, Direct: true, QueueDepth: 4, PrefetchDepth: 4},
+	for _, tc := range []struct {
+		name string
+		pipe Pipeline
+		dep  depths
+	}{
+		{"sync", Pipeline{Direct: true}, engineDepths},
+		{"pipeline", Pipeline{Enabled: true, Direct: true}, shallow(4, 4)},
 	} {
-		name := "sync"
-		if pipe.Enabled {
-			name = "pipeline"
-		}
+		name := tc.name
 		t.Run(name, func(t *testing.T) {
-			d, err := NewFileBackedDiskPipeline(filepath.Join(dir, name+".dat"), 8, pipe)
+			d, err := newFileBackedDisk(filepath.Join(dir, name+".dat"), 8, tc.pipe, tc.dep, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -526,8 +528,8 @@ func TestPipelineFaultGoroutineCleanup(t *testing.T) {
 	for _, kind := range []string{"write", "read"} {
 		t.Run(kind, func(t *testing.T) {
 			base := NumGoroutines()
-			d, err := NewFileBackedDiskPipeline(
-				filepath.Join(t.TempDir(), "leak.dat"), 8, Pipeline{Enabled: true, QueueDepth: 2, PrefetchDepth: 4})
+			d, err := newFileBackedDisk(
+				filepath.Join(t.TempDir(), "leak.dat"), 8, Pipeline{Enabled: true}, shallow(4, 2), false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -520,8 +520,8 @@ func TestWriterCloseJoinsFlushAndSyncErrors(t *testing.T) {
 	// swallowing a sticky asynchronous write-behind failure that only
 	// surfaces at Sync. Arrange both and require both in the joined error.
 	dir := t.TempDir()
-	d, err := NewFileBackedDiskPipeline(filepath.Join(dir, "w.dat"), 8,
-		Pipeline{Enabled: true, QueueDepth: 4})
+	d, err := newFileBackedDisk(filepath.Join(dir, "w.dat"), 8,
+		Pipeline{Enabled: true}, shallow(prefetchDepth, 4), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func (d *Disk) NewShard(k int) (*Disk, error) {
 		st.scratch = alignedBytes(fs.pad(d.blockSize*elemBytes), fs.direct)
 		if fs.io != nil {
 			st.io = newDiskIO(fs, sd, true)
-			sd.prefetch = fs.pipe.PrefetchDepth
+			sd.prefetch = fs.dep.prefetch
 		}
 	}
 	return sd, nil

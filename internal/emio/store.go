@@ -220,7 +220,7 @@ type fileStore struct {
 	zbuf   []byte               // aligned zero buffer for prewriting, amu-guarded
 	physR  atomic.Int64         // positioned reads issued (incl. transfer goroutines)
 	physW  atomic.Int64         // positioned writes issued (incl. transfer goroutines)
-	pipe   Pipeline             // normalized pipeline configuration
+	dep    depths               // engine depths (engineDepths outside tests)
 	// ring is the io_uring physical backend, nil when Pipeline.Uring is off or
 	// unsupported; raw transfers then fall back to pread/pwrite syscalls. The
 	// ring sits strictly below the resilience layer: runPhys wraps ring
@@ -243,7 +243,7 @@ type fileStore struct {
 // existing file in place (crash-resume: journaled extents are re-adopted, so
 // the bytes must survive the reopen); otherwise the file is created or
 // truncated.
-func newFileStore(d *Disk, path string, pipe Pipeline, keep bool) (*fileStore, error) {
+func newFileStore(d *Disk, path string, pipe Pipeline, dep depths, keep bool) (*fileStore, error) {
 	direct := pipe.Direct && oDirectFlag != 0
 	flags := os.O_RDWR | os.O_CREATE
 	if !keep {
@@ -262,16 +262,16 @@ func newFileStore(d *Disk, path string, pipe Pipeline, keep bool) (*fileStore, e
 		size:   d.blockSize,
 		direct: direct,
 		free:   make(map[int]*extentQueue),
-		pipe:   pipe.withDefaults(),
+		dep:    dep,
 	}
 	s.scratch = alignedBytes(s.pad(s.size*elemBytes), direct)
 	if pipe.Enabled {
 		s.io = newDiskIO(s, d, false)
 	}
-	if s.pipe.Uring && UringSupported() {
+	if pipe.Uring && UringSupported() {
 		// Ring creation failure degrades silently to the syscall paths,
 		// mirroring how Pipeline.Direct degrades without O_DIRECT support.
-		if r, err := newUring(fd, s.pipe.UringDepth); err == nil {
+		if r, err := newUring(fd, dep.uring); err == nil {
 			s.ring = r
 			r.sm = &s.sm
 			fixed := [][]byte{s.scratch}

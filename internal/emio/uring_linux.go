@@ -182,9 +182,6 @@ type uring struct {
 // newUring builds a ring of the given depth over f; on failure the store
 // falls back to the syscall paths.
 func newUring(f *os.File, depth int) (*uring, error) {
-	if depth < 1 {
-		depth = DefaultUringDepth
-	}
 	u, err := setupRing(uint32(depth))
 	if err != nil {
 		return nil, err

@@ -15,20 +15,27 @@ import (
 // pass) on kernels and platforms without io_uring; the cross-backend output
 // and Stats guarantees are proved by the top-level parity suite.
 
+// uringConfig is a ring configuration with the engine depths to open it at.
+type uringConfig struct {
+	pipe Pipeline
+	dep  depths
+}
+
 // uringConfigs spans the ring's composition space: bare ring, ring under the
-// async pipeline, and ring over O_DIRECT.
-func uringConfigs(t *testing.T) []Pipeline {
+// async pipeline (shallow batches and windows, then a four-entry ring), and
+// ring over O_DIRECT.
+func uringConfigs(t *testing.T) []uringConfig {
 	t.Helper()
 	if !UringSupported() {
 		t.Skip("io_uring not supported on this kernel/platform")
 	}
-	ps := []Pipeline{
-		{Uring: true},
-		{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 2},
-		{Enabled: true, Uring: true, UringDepth: 4},
+	ps := []uringConfig{
+		{Pipeline{Uring: true}, engineDepths},
+		{Pipeline{Enabled: true, Uring: true}, shallow(4, 2)},
+		{Pipeline{Enabled: true, Uring: true}, depths{prefetch: prefetchDepth, queue: queueDepth, uring: 4}},
 	}
 	if DirectIOSupported(t.TempDir()) {
-		ps = append(ps, Pipeline{Enabled: true, Uring: true, Direct: true})
+		ps = append(ps, uringConfig{Pipeline{Enabled: true, Uring: true, Direct: true}, engineDepths})
 	}
 	return ps
 }
@@ -37,7 +44,7 @@ func TestUringRoundTrip(t *testing.T) {
 	for _, p := range uringConfigs(t) {
 		for _, n := range []int{0, 1, 7, 8, 9, 100, 1000, 4096} {
 			base := NumGoroutines()
-			d, err := NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "u.dat"), 8, p)
+			d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "u.dat"), 8, p.pipe, p.dep, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,8 +217,8 @@ func TestUringMetricsHistograms(t *testing.T) {
 	if !UringSupported() {
 		t.Skip("io_uring not supported on this kernel/platform")
 	}
-	d, err := NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "m.dat"), 8,
-		Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4})
+	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "m.dat"), 8,
+		Pipeline{Enabled: true, Uring: true}, shallow(4, 4), false)
 	if err != nil {
 		t.Fatal(err)
 	}

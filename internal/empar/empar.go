@@ -1,5 +1,5 @@
 // Package empar is the parallel sharded execution engine: it runs the
-// repository's sorting-based algorithms over S logical shards driven by P
+// facade's Sort and DistributionSort over S logical shards driven by P
 // worker goroutines while keeping the logical I/O model exact and
 // deterministic.
 //
@@ -30,8 +30,8 @@
 // the machine), every task is a pure function of the input, and all shard
 // deltas — Stats, memory peaks, footprint peaks, trace spans, metrics — are
 // folded into the parent context at phase barriers in shard order. Outputs,
-// Stats and trace JSON are therefore bit-identical for every worker count;
-// workers change wall-clock speed only. The sorted output equals the
+// Stats and trace JSON are therefore bit-identical for every positive worker
+// count; among those, workers change wall-clock speed only. The sorted output equals the
 // sequential extsort output byte for byte because the sorted sequence of a
 // multiset is unique.
 package empar

@@ -101,7 +101,7 @@ func TestEngineReleasesShardFiles(t *testing.T) {
 		"mem": func(*testing.T) *emio.Disk { return emio.NewDisk(b) },
 		"file-pipeline": func(t *testing.T) *emio.Disk {
 			d, err := emio.NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "e.dat"), b,
-				emio.Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4})
+				emio.Pipeline{Enabled: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestEnginePhysicalIOSteadyAcrossCalls(t *testing.T) {
 		elems[i] = emio.Elem{Key: int64(rng >> 30), Aux: int64(i)}
 	}
 	d, err := emio.NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "p.dat"), b,
-		emio.Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4})
+		emio.Pipeline{Enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func backendMatrix() []backend {
 		}},
 		{"file-pipeline", func(t *testing.T) (*emio.Ctx, func() error) {
 			d, err := emio.NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "p.dat"), cfg.B,
-				emio.Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4})
+				emio.Pipeline{Enabled: true})
 			if err != nil {
 				t.Fatal(err)
 			}

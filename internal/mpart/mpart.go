@@ -36,7 +36,7 @@ func Partition(ctx *emio.Ctx, f *emio.File, sizes []int64) (*emio.File, error) {
 	sp := ctx.StartSpan("mpart/partition",
 		emio.AttrInt("n", f.Len()), emio.AttrInt("k", int64(len(sizes))))
 	defer sp.End()
-	if err := SizesValid(f.Len(), sizes); err != nil {
+	if err := sizesValid(f.Len(), sizes); err != nil {
 		return nil, err
 	}
 	bnd, err := boundaryFile(ctx, sizes)
@@ -65,10 +65,9 @@ func Partition(ctx *emio.Ctx, f *emio.File, sizes []int64) (*emio.File, error) {
 	return out, nil
 }
 
-// SizesValid checks a multi-partition size prescription against an input of
-// n elements: every σ_i must be nonnegative and they must sum to n. Shared
-// by Partition and the parallel engine's sort-based multi-partition path.
-func SizesValid(n int64, sizes []int64) error {
+// sizesValid checks a multi-partition size prescription against an input of
+// n elements: every σ_i must be nonnegative and they must sum to n.
+func sizesValid(n int64, sizes []int64) error {
 	var sum int64
 	for i, s := range sizes {
 		if s < 0 {

@@ -41,7 +41,7 @@ func metricsParityBackends(cfg Config) []struct {
 		}},
 		{"file-pipeline", func(t *testing.T) *System {
 			c := cfg
-			c.Pipeline = Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}
+			c.Pipeline = Pipeline{Enabled: true}
 			sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "mp.dat"))
 			if err != nil {
 				t.Fatal(err)

@@ -143,7 +143,7 @@ func TestPipelineParitySuite(t *testing.T) {
 		}},
 		{"file-pipeline", func(t *testing.T) *System {
 			c := cfg
-			c.Pipeline = Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}
+			c.Pipeline = Pipeline{Enabled: true}
 			sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "p.dat"))
 			if err != nil {
 				t.Fatal(err)
@@ -190,7 +190,7 @@ func TestPipelineParitySuite(t *testing.T) {
 			c := cfg
 			c.Checksum = true
 			c.Retry = Retry{MaxAttempts: 3}
-			c.Pipeline = Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}
+			c.Pipeline = Pipeline{Enabled: true}
 			sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "rp.dat"))
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +222,7 @@ func TestPipelineParitySuite(t *testing.T) {
 			struct {
 				name string
 				mk   func(t *testing.T) *System
-			}{"file-direct-pipeline", mkDirect(Pipeline{Enabled: true, Direct: true, PrefetchDepth: 4, QueueDepth: 4})},
+			}{"file-direct-pipeline", mkDirect(Pipeline{Enabled: true, Direct: true})},
 		)
 	}
 	if emio.UringSupported() {
@@ -249,13 +249,13 @@ func TestPipelineParitySuite(t *testing.T) {
 			struct {
 				name string
 				mk   func(t *testing.T) *System
-			}{"file-uring-pipeline", mkUring(Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4})},
+			}{"file-uring-pipeline", mkUring(Pipeline{Enabled: true, Uring: true})},
 		)
 		if emio.DirectIOSupported(t.TempDir()) {
 			backends = append(backends, struct {
 				name string
 				mk   func(t *testing.T) *System
-			}{"file-uring-direct", mkUring(Pipeline{Enabled: true, Uring: true, Direct: true, PrefetchDepth: 4, QueueDepth: 4})})
+			}{"file-uring-direct", mkUring(Pipeline{Enabled: true, Uring: true, Direct: true})})
 		}
 	}
 	for _, d := range parityDrivers(n) {
@@ -295,7 +295,7 @@ func TestPipelineFaultParity(t *testing.T) {
 	observe := func(t *testing.T, pipelined bool, failAt int64, read bool) observation {
 		c := cfg
 		if pipelined {
-			c.Pipeline = Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}
+			c.Pipeline = Pipeline{Enabled: true}
 		}
 		sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "f.dat"))
 		if err != nil {

@@ -12,9 +12,9 @@ import (
 )
 
 // The workers parity suite: the parallel engine's worker count must be
-// invisible to everything but the clock. For every engine-routed driver, on
-// every backend, outputs, Stats, the trace span tree and the leak detector
-// must be bit-identical across worker counts — including a GOMAXPROCS=1
+// invisible to everything but the clock. For every driver below, on every
+// backend, outputs, Stats, the trace span tree and the leak detector must be
+// bit-identical across worker counts — including a GOMAXPROCS=1
 // schedule, where "parallel" degenerates to cooperative interleaving.
 // (Shard count is a function of M and B, so these runs all use the same
 // shard layout; the scheduling of shard tasks onto goroutines is the only
@@ -29,16 +29,17 @@ func parWorkerCounts() []int {
 	return []int{1, 2, p}
 }
 
-// parDrivers are the facade operations routed through the parallel engine.
+// parDrivers are the two sorts the parallel engine runs, plus the three
+// sort-shaped algorithms that must ignore Workers.
 func parDrivers(n int64) []parityDriver {
 	all := parityDrivers(n)
-	routed := map[string]bool{
+	keep := map[string]bool{
 		"sort": true, "distsort": true, "multipartition": true,
 		"splitters": true, "partition": true,
 	}
 	var out []parityDriver
 	for _, d := range all {
-		if routed[d.name] {
+		if keep[d.name] {
 			out = append(out, d)
 		}
 	}
@@ -69,7 +70,7 @@ func TestWorkersParitySuite(t *testing.T) {
 			return sys
 		}},
 		{"file-pipeline", func(t *testing.T, cfg Config) *System {
-			cfg.Pipeline = Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}
+			cfg.Pipeline = Pipeline{Enabled: true}
 			sys, err := NewFileBacked(cfg, filepath.Join(t.TempDir(), "wp.dat"))
 			if err != nil {
 				t.Fatal(err)
@@ -86,7 +87,7 @@ func TestWorkersParitySuite(t *testing.T) {
 			name string
 			mk   func(t *testing.T, cfg Config) *System
 		}{"file-direct-uring", func(t *testing.T, cfg Config) *System {
-			cfg.Pipeline = Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4, Direct: true, Uring: true}
+			cfg.Pipeline = Pipeline{Enabled: true, Direct: true, Uring: true}
 			sys, err := NewFileBacked(cfg, filepath.Join(t.TempDir(), "wd.dat"))
 			if err != nil {
 				t.Fatal(err)
@@ -262,6 +263,61 @@ func TestWorkersOutputMatchesSequential(t *testing.T) {
 			rep := par.ShardReport()
 			if rep.Shards < 2 || rep.Sequential {
 				t.Errorf("expected sharded execution, got report %+v", rep)
+			}
+		})
+	}
+}
+
+// TestWorkersParityWithSequential holds every facade algorithm to the
+// sequential engine: at Workers 1 and 2 each call must return the output
+// bytes of Workers 0. Only the two sorts run on the parallel engine, whose
+// sharded plan does different logical I/O for the same unique sorted
+// output; every other algorithm must also match Workers 0 in Stats and
+// trace, so Table 1's bounds hold whatever the worker count.
+func TestWorkersParityWithSequential(t *testing.T) {
+	const n = 1 << 12
+	base := Config{M: 1 << 10, B: 1 << 5}
+	elems := workload.Elems(workload.Uniform, n, base.B, 0x5e9)
+	sharded := map[string]bool{"sort": true, "distsort": true}
+	drivers := append(parityDrivers(n), parityDriver{"splitters-right", func(t *testing.T, sys *System, f *File) []byte {
+		// Right-grounded splitters: Theorem 5's sublinear case.
+		out, err := sys.Splitters(f, Params{K: 16, A: 64, B: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := elemsKey(sys.Read(out))
+		out.Release()
+		return res
+	}})
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			var ref parityRun
+			for _, w := range []int{0, 1, 2} {
+				cfg := base
+				cfg.Workers = w
+				got := runParity(t, d, func(t *testing.T) *System {
+					sys, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sys
+				}, elems)
+				if w == 0 {
+					ref = got
+					continue
+				}
+				if !bytes.Equal(got.output, ref.output) {
+					t.Errorf("workers=%d: output differs from workers=0", w)
+				}
+				if sharded[d.name] {
+					continue
+				}
+				if got.stats != ref.stats {
+					t.Errorf("workers=%d: stats %v != workers=0 %v", w, got.stats, ref.stats)
+				}
+				if !bytes.Equal(got.trace, ref.trace) {
+					t.Errorf("workers=%d: trace differs from workers=0", w)
+				}
 			}
 		})
 	}
