@@ -50,33 +50,33 @@ func cancelMatrixModes() []struct {
 type cancelAlgo struct {
 	name    string
 	sharded bool // with Workers > 0 the call runs on the engine's shards
-	run     func(ctx context.Context, sys *System, f *File, n int64) error
+	run     func(sys *System, f *File, n int64) error
 }
 
 func cancelAlgos() []cancelAlgo {
 	return []cancelAlgo{
-		{"extsort", true, func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.SortContext(ctx, f)
+		{"extsort", true, func(sys *System, f *File, n int64) error {
+			_, err := sys.Sort(f)
 			return err
 		}},
-		{"distsort", true, func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.DistributionSortContext(ctx, f)
+		{"distsort", true, func(sys *System, f *File, n int64) error {
+			_, err := sys.DistributionSort(f)
 			return err
 		}},
-		{"msel", false, func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.MultiSelectContext(ctx, f, []int64{1, n / 2, n})
+		{"msel", false, func(sys *System, f *File, n int64) error {
+			_, err := sys.MultiSelect(f, []int64{1, n / 2, n})
 			return err
 		}},
-		{"mpart", false, func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.MultiPartitionContext(ctx, f, []int64{n / 4, n / 4, n - 2*(n/4)})
+		{"mpart", false, func(sys *System, f *File, n int64) error {
+			_, err := sys.MultiPartition(f, []int64{n / 4, n / 4, n - 2*(n/4)})
 			return err
 		}},
-		{"approxsplit", false, func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.SplittersContext(ctx, f, Params{K: 16, A: 16, B: n})
+		{"approxsplit", false, func(sys *System, f *File, n int64) error {
+			_, err := sys.Splitters(f, Params{K: 16, A: 16, B: n})
 			return err
 		}},
-		{"histogram", false, func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.EquiDepthHistogramContext(ctx, f, 8, 0.5, 0.5)
+		{"histogram", false, func(sys *System, f *File, n int64) error {
+			_, err := sys.EquiDepthHistogram(f, 8, 0.5, 0.5)
 			return err
 		}},
 	}
@@ -125,7 +125,12 @@ func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline, worke
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- a.run(ctx, sys, f, n) }()
+	go func() {
+		stop := sys.BindContext(ctx)
+		err := a.run(sys, f, n)
+		stop()
+		done <- err
+	}()
 
 	// Wait for the storm to start, proving the algorithm is mid-run.
 	deadline := time.Now().Add(10 * time.Second)
@@ -218,7 +223,7 @@ func TestCancellationSingleProc(t *testing.T) {
 		Pipeline{Enabled: true}, 0)
 }
 
-// TestBindContextRaceFree exercises the context watcher's lifecycle: binding
+// TestBindContextLifecycle exercises the context watcher's lifecycle: binding
 // and stopping without a cancel must not leak the watcher goroutine, and a
 // pre-cancelled context must cancel the system before any I/O runs.
 func TestBindContextLifecycle(t *testing.T) {
@@ -238,7 +243,10 @@ func TestBindContextLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := sys.Stage(workload.Elems(workload.Uniform, 1<<10, 1<<5, 1))
-	if _, err := sys.SortContext(ctx, f); !errors.Is(err, ErrCancelled) {
+	stop := sys.BindContext(ctx)
+	_, err = sys.Sort(f)
+	stop()
+	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("sort under a dead context: %v, want ErrCancelled", err)
 	}
 	sys.ClearCancel()

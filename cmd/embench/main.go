@@ -21,135 +21,55 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"os/signal"
 	"runtime/pprof"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	empart "repro"
+	"repro/internal/cli"
 	"repro/internal/emio"
-	"repro/internal/emio/metrics"
 	"repro/internal/imcomp"
 	"repro/internal/intermix"
 	"repro/internal/workload"
 )
 
 var (
-	flagN       = flag.Int("n", 1<<18, "input size N in elements")
-	flagM       = flag.Int("m", 1<<12, "memory size M in elements")
-	flagB       = flag.Int("b", 1<<5, "block size B in elements")
-	flagQuick   = flag.Bool("quick", false, "smaller N for a fast smoke run")
-	flagDist    = flag.String("dist", "uniform", "input distribution (see internal/workload)")
-	flagJSON    = flag.Bool("json", false, "emit one JSON array of measurement rows instead of markdown")
-	flagTrace   = flag.Bool("trace", false, "print a per-run phase trace (span tree) to stderr")
-	flagProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	flagMetrics = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this host:port while the benchmarks run")
-	flagProg    = flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-	flagTop     = flag.Bool("top", false, "render a live terminal dashboard to stderr while the benchmarks run")
+	flagN     = flag.Int("n", 1<<18, "input size N in elements")
+	flagQuick = flag.Bool("quick", false, "smaller N for a fast smoke run")
+	flagDist  = flag.String("dist", "uniform", "input distribution (see internal/workload)")
+	flagJSON  = flag.Bool("json", false, "emit one JSON array of measurement rows instead of markdown")
+	flagProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	shared    = cli.Register(flag.CommandLine, false)
 )
 
-// telReg, when non-nil, is the shared metrics registry every benchmark System
-// attaches to, so one scrape endpoint watches the whole sweep (registration
-// is idempotent; counters accumulate across systems).
-var telReg *metrics.Registry
-
-// liveSys publishes the System currently being measured to the signal trap:
-// one choke point, updated as the sweep moves from system to system.
-var liveSys atomic.Pointer[empart.System]
-
-// trapSignals cancels the live System on SIGINT/SIGTERM so a long sweep
-// stops within about one block transfer and exits nonzero; a second signal
-// exits immediately.
-func trapSignals() {
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-ch
-		if sys := liveSys.Load(); sys != nil {
-			sys.Cancel(fmt.Errorf("received %v", sig))
-			<-ch
-		}
-		os.Exit(130)
-	}()
-}
-
-// startTelemetry arms telReg and the opt-in scrape endpoint and progress
-// reporter; the returned stop function flushes and shuts them down.
-func startTelemetry() (func(), error) {
-	if *flagMetrics == "" && *flagProg == 0 && !*flagTop {
-		return func() {}, nil
-	}
-	telReg = metrics.New()
-	var srv *metrics.Server
-	if *flagMetrics != "" {
-		var err error
-		srv, err = metrics.Serve(*flagMetrics, telReg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "embench: metrics on %s\n", srv.URL())
-	}
-	var rep *metrics.Reporter
-	if *flagProg > 0 {
-		reg := telReg
-		rep = metrics.StartProgress(os.Stderr, *flagProg, func() metrics.Progress {
-			snap := reg.Snapshot()
-			return metrics.Progress{
-				Phase: snap.Infos["empart_phase"],
-				Done:  snap.Counter("empart_logical_reads_total") + snap.Counter("empart_logical_writes_total"),
-				Unit:  "ios",
-			}
-		})
-	}
-	var dash *metrics.Dash
-	if *flagTop {
-		reg := telReg
-		dash = metrics.StartDash(os.Stderr, time.Second, 0, func() (metrics.Snapshot, error) {
-			return reg.Snapshot(), nil
-		})
-	}
-	return func() {
-		if rep != nil {
-			rep.Stop()
-		}
-		if dash != nil {
-			dash.Stop()
-		}
-		if srv != nil {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "embench: metrics server: %v\n", err)
-			}
-		}
-	}, nil
-}
+// observers, when non-nil, watch the whole sweep: every benchmark System
+// attaches to their one metrics registry, so one scrape endpoint covers the
+// sweep (registration is idempotent; counters accumulate across systems).
+var observers *cli.Observers
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("embench: ")
-	flag.Parse()
-	trapSignals()
-	if *flagProf != "" {
-		pf, err := os.Create(*flagProf)
-		if err != nil {
-			log.Fatal(err)
+	shared.Main("embench", func() error {
+		if *flagProf != "" {
+			pf, err := os.Create(*flagProf)
+			if err != nil {
+				return err
+			}
+			defer pf.Close()
+			if err := pprof.StartCPUProfile(pf); err != nil {
+				return err
+			}
+			defer pprof.StopCPUProfile()
 		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			log.Fatal(err)
+		var err error
+		if observers, err = shared.Observe("embench", 0, os.Stderr); err != nil {
+			return err
 		}
-		defer pprof.StopCPUProfile()
-	}
-	stopTelemetry, err := startTelemetry()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopTelemetry()
-	if err := table1(os.Stdout, flagOptions()); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintln(os.Stderr, "embench: done")
+		defer observers.Stop()
+		if err := table1(os.Stdout, flagOptions()); err != nil {
+			return err
+		}
+		fmt.Fprintln(os.Stderr, "embench: done")
+		return nil
+	})
 }
 
 // options are one sweep's machine (M, B), input size and distribution, and
@@ -165,7 +85,7 @@ const quickN = 1 << 15
 
 // flagOptions reads a sweep's options from the command line.
 func flagOptions() options {
-	o := options{n: *flagN, m: *flagM, b: *flagB, dist: *flagDist, json: *flagJSON, trace: *flagTrace}
+	o := options{n: *flagN, m: shared.M, b: shared.B, dist: *flagDist, json: *flagJSON, trace: shared.Trace}
 	if *flagQuick {
 		o.n = quickN
 	}
@@ -274,21 +194,19 @@ func (s *sweep) ios(label string, cfg empart.Config, nn int64, seed uint64, c ca
 		s.err = fmt.Errorf("%s: %w", label, err)
 		return 0
 	}
-	if telReg != nil {
-		sys.SetMetrics(telReg)
-	}
-	liveSys.Store(sys)
+	observers.Attach(sys)
+	defer cli.Live(sys)()
 	f := sys.Stage(workload.Elems(s.kind, int(nn), cfg.B, seed))
 	sys.ResetStats()
 	if s.o.trace {
-		sys.EnableTracing()
+		sys.SetTracer(empart.NewTracer())
 	}
 	if err := c(sys, f); err != nil {
 		s.err = fmt.Errorf("%s: %w", label, err)
 		return 0
 	}
 	if s.o.trace {
-		fmt.Fprintf(os.Stderr, "--- trace %s ---\n%s", label, sys.TraceReport())
+		fmt.Fprintf(os.Stderr, "--- trace %s ---\n%s", label, sys.Tracer().Render())
 	}
 	return sys.Stats().Total()
 }

@@ -2,25 +2,29 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	empart "repro"
+	"repro/internal/cli"
 )
 
-func opts(cfg empart.Config, backing string, trace bool) runOpts {
-	return runOpts{cfg: cfg, backing: backing, trace: trace}
+func opts(m, b int, backing string, trace bool) runOpts {
+	return runOpts{Flags: cli.Flags{M: m, B: b, Backing: backing, Trace: trace}}
 }
 
 func TestRunSortsStream(t *testing.T) {
 	in := strings.NewReader("5 3 9 1 -4 3")
 	var out, report bytes.Buffer
-	if err := run(opts(empart.Config{M: 64, B: 8}, "", true), in, &out, &report); err != nil {
+	if err := run(opts(64, 8, "", true), in, &out, &report); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := out.String(), "-4\n1\n3\n3\n5\n9\n"; got != want {
@@ -38,7 +42,7 @@ func TestRunFileBacked(t *testing.T) {
 	in := strings.NewReader("2 1")
 	var out, report bytes.Buffer
 	backing := filepath.Join(t.TempDir(), "d.dat")
-	if err := run(opts(empart.Config{M: 64, B: 8}, backing, false), in, &out, &report); err != nil {
+	if err := run(opts(64, 8, backing, false), in, &out, &report); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != "1\n2\n" {
@@ -48,14 +52,14 @@ func TestRunFileBacked(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	var out, report bytes.Buffer
-	o := opts(empart.Config{M: 64, B: 8}, "", false)
+	o := opts(64, 8, "", false)
 	if err := run(o, strings.NewReader("12 potato"), &out, &report); err == nil {
 		t.Error("non-numeric input accepted")
 	}
 	if err := run(o, strings.NewReader("   "), &out, &report); err == nil {
 		t.Error("empty input accepted")
 	}
-	if err := run(opts(empart.Config{M: 1, B: 8}, "", false), strings.NewReader("1"), &out, &report); err == nil {
+	if err := run(opts(1, 8, "", false), strings.NewReader("1"), &out, &report); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -69,9 +73,9 @@ func TestRunWithTelemetry(t *testing.T) {
 		fmt.Fprintln(&in, i)
 	}
 	var out, report bytes.Buffer
-	o := opts(empart.Config{M: 64, B: 8}, "", false)
-	o.metricsAddr = "127.0.0.1:0"
-	o.progress = time.Hour // only the final Stop line fires deterministically
+	o := opts(64, 8, "", false)
+	o.MetricsAddr = "127.0.0.1:0"
+	o.Progress = time.Hour // only the final Stop line fires deterministically
 	if err := run(o, &in, &out, &report); err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +88,75 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(rep, "cost") {
 		t.Errorf("report %q missing cost line", rep)
+	}
+}
+
+// TestProgressTotalIsSortCost: a fresh sequential sort's progress line counts
+// toward the sort's exact logical I/O, so the final line reads 100% of the
+// same unabbreviated total as the cost line, on the plain and the journaled
+// path alike.
+func TestProgressTotalIsSortCost(t *testing.T) {
+	dir := t.TempDir()
+	plain := opts(64, 8, "", false)
+	journaled := opts(64, 8, filepath.Join(dir, "d.dat"), false)
+	journaled.journal = filepath.Join(dir, "d.journal")
+	costRe := regexp.MustCompile(`cost reads=\d+ writes=\d+ total=(\d+) `)
+	progRe := regexp.MustCompile(`(?m)^progress: (\d+)/(\d+) ios \(100\.0%\)`)
+	for name, o := range map[string]runOpts{"plain": plain, "journaled": journaled} {
+		var in bytes.Buffer
+		for i := 300; i > 0; i-- {
+			fmt.Fprintln(&in, i)
+		}
+		o.Progress = time.Hour // only the final Stop line fires deterministically
+		var out, report bytes.Buffer
+		if err := run(o, &in, &out, &report); err != nil {
+			t.Fatal(err)
+		}
+		cost, prog := costRe.FindStringSubmatch(report.String()), progRe.FindStringSubmatch(report.String())
+		if cost == nil || prog == nil {
+			t.Fatalf("%s: report lacks a cost line or a final progress line with a total:\n%s", name, report.String())
+		}
+		if prog[1] != cost[1] || prog[2] != cost[1] {
+			t.Errorf("%s: final progress %s/%s ios, want %s/%s as on the cost line", name, prog[1], prog[2], cost[1], cost[1])
+		}
+	}
+}
+
+// TestRunWritesOTLP: -otlp PREFIX exports the run's trace and metrics as
+// OTLP/JSON documents.
+func TestRunWritesOTLP(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run")
+	o := opts(64, 8, "", false)
+	o.OTLP = prefix
+	var out, report bytes.Buffer
+	if err := run(o, strings.NewReader("5 3 9 1 -4 3"), &out, &report); err != nil {
+		t.Fatal(err)
+	}
+	for suffix, key := range map[string]string{".trace.json": "resourceSpans", ".metrics.json": "resourceMetrics"} {
+		raw, err := os.ReadFile(prefix + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil || len(doc[key]) == 0 {
+			t.Errorf("%s: want a JSON document with %s, got %v:\n%.300s", prefix+suffix, key, err, raw)
+		}
+	}
+}
+
+// TestHostLine pins the report's first line, which CI's io_uring probe
+// greps: what the host supports and which backend the run used.
+func TestHostLine(t *testing.T) {
+	for backend, backing := range map[string]string{"memory": "", "file": filepath.Join(t.TempDir(), "d.dat")} {
+		var out, report bytes.Buffer
+		if err := run(opts(64, 8, backing, false), strings.NewReader("2 1"), &out, &report); err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(report.String(), "\n")
+		want := regexp.MustCompile(`^emsort: host directIO=(true|false) uring=(true|false)  backend=` + backend + `$`)
+		if !want.MatchString(first) {
+			t.Errorf("host line %q, want a match of %v", first, want)
+		}
 	}
 }
 
@@ -101,13 +174,14 @@ func TestTelemetryScrapeDuringRun(t *testing.T) {
 	f := sys.Stage(elems)
 	sys.ResetStats()
 
-	o := runOpts{metricsAddr: "127.0.0.1:0", progress: time.Hour}
+	o := cli.Flags{MetricsAddr: "127.0.0.1:0", Progress: time.Hour}
 	var report bytes.Buffer
-	stop, err := startTelemetry(sys, o, int64(sys.Machine().Sort(int64(len(elems)))), &report)
+	obs, err := o.Observe("emsort", int64(sys.Machine().Sort(int64(len(elems)))), &report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
+	obs.Attach(sys)
+	defer obs.Stop()
 	url := strings.TrimSpace(strings.TrimPrefix(
 		strings.SplitN(report.String(), "\n", 2)[0], "emsort: metrics on "))
 

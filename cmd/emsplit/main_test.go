@@ -2,15 +2,20 @@ package main
 
 import (
 	"bytes"
-	"time"
-
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/cli"
 )
 
 func base() options {
 	return options{
-		algo: "splitters", n: 1 << 13, m: 4096, b: 32,
+		algo: "splitters", n: 1 << 13, Flags: cli.Flags{M: 4096, B: 32},
 		k: 8, a: 64, bmax: 0, dist: "uniform", seed: 1,
 	}
 }
@@ -63,7 +68,7 @@ func TestExecuteRejections(t *testing.T) {
 		t.Error("unknown distribution accepted")
 	}
 	o = base()
-	o.m = 1
+	o.M = 1
 	if _, err := execute(o); err == nil {
 		t.Error("bad machine accepted")
 	}
@@ -77,8 +82,8 @@ func TestExecuteRejections(t *testing.T) {
 func TestExecuteWithTelemetry(t *testing.T) {
 	var telemetry bytes.Buffer
 	o := base()
-	o.metricsAddr = "127.0.0.1:0"
-	o.progress = time.Hour // only the final Stop line fires deterministically
+	o.MetricsAddr = "127.0.0.1:0"
+	o.Progress = time.Hour // only the final Stop line fires deterministically
 	o.progressOut = &telemetry
 	report, err := execute(o)
 	if err != nil {
@@ -93,5 +98,45 @@ func TestExecuteWithTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(got, "progress: ") || !strings.Contains(got, "ios") {
 		t.Errorf("telemetry %q missing progress line", got)
+	}
+}
+
+// TestExecuteWritesOTLP: -otlp PREFIX exports the run's trace and metrics as
+// OTLP/JSON documents.
+func TestExecuteWritesOTLP(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run")
+	o := base()
+	o.OTLP = prefix
+	o.progressOut = &bytes.Buffer{}
+	if _, err := execute(o); err != nil {
+		t.Fatal(err)
+	}
+	for suffix, key := range map[string]string{".trace.json": "resourceSpans", ".metrics.json": "resourceMetrics"} {
+		raw, err := os.ReadFile(prefix + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil || len(doc[key]) == 0 {
+			t.Errorf("%s: want a JSON document with %s, got %v:\n%.300s", prefix+suffix, key, err, raw)
+		}
+	}
+}
+
+// TestExecuteHostLine pins the report's first line: what the host supports
+// and which backend the run used.
+func TestExecuteHostLine(t *testing.T) {
+	for backend, backing := range map[string]string{"memory": "", "file": filepath.Join(t.TempDir(), "d.dat")} {
+		o := base()
+		o.Backing = backing
+		report, err := execute(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(report, "\n")
+		want := regexp.MustCompile(`^host: directIO=(true|false) uring=(true|false)  backend=` + backend + `$`)
+		if !want.MatchString(first) {
+			t.Errorf("host line %q, want a match of %v", first, want)
+		}
 	}
 }

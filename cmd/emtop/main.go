@@ -3,7 +3,7 @@
 // and renders phases, I/O counters, pipeline health and sparkline latency
 // histograms, refreshing in place like top(1).
 //
-//	emsort -n 10000000 -file /tmp/d.dat -metrics-addr 127.0.0.1:9101 &
+//	emsort -in big.txt -out sorted.txt -backing /tmp/d.dat -metrics-addr 127.0.0.1:9101 &
 //	emtop -url http://127.0.0.1:9101/metrics
 //
 // With -once it prints a single frame and exits (scriptable; also how the

@@ -33,9 +33,7 @@ package empart
 
 import (
 	"context"
-	"log/slog"
 	"sync"
-	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/core"
@@ -181,29 +179,10 @@ type System struct {
 // New creates a System for the given machine configuration, with blocks held
 // in host memory.
 func New(cfg Config) (*System, error) {
-	ctx, err := emio.NewCtx(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{ctx: ctx}
-	if err := s.armWorkers(cfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// armWorkers constructs the parallel engine when the configuration asks for
-// worker goroutines.
-func (s *System) armWorkers(cfg Config) error {
-	if cfg.Workers == 0 {
-		return nil
-	}
-	eng, err := empar.New(s.ctx, cfg.Workers)
-	if err != nil {
-		return err
-	}
-	s.par = eng
-	return nil
+	return open(cfg, emio.NewDisk(cfg.B), nil)
 }
 
 // NewFileBacked creates a System whose simulated disk is backed by a real
@@ -218,20 +197,7 @@ func (s *System) armWorkers(cfg Config) error {
 // order and all outputs are bit-identical with it on or off.
 func NewFileBacked(cfg Config, path string) (*System, error) {
 	d, err := emio.NewFileBackedDiskPipeline(path, cfg.B, cfg.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := emio.NewCtxWithDisk(cfg, d)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	s := &System{ctx: ctx}
-	if err := s.armWorkers(cfg); err != nil {
-		d.Close()
-		return nil, err
-	}
-	return s, nil
+	return open(cfg, d, err)
 }
 
 // NewFileBackedResume creates a System over an EXISTING backing file at
@@ -242,16 +208,22 @@ func NewFileBacked(cfg Config, path string) (*System, error) {
 // than this one.
 func NewFileBackedResume(cfg Config, path string) (*System, error) {
 	d, err := emio.NewFileBackedDiskResume(path, cfg.B, cfg.Pipeline)
+	return open(cfg, d, err)
+}
+
+// open builds a System over d, the disk a constructor opened (or failed to
+// open, with err), and the parallel engine when cfg asks for workers. It
+// closes d on every error path, and with it any event-log file sink that
+// cfg.Log attached.
+func open(cfg Config, d *emio.Disk, err error) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := emio.NewCtxWithDisk(cfg, d)
-	if err != nil {
-		d.Close()
-		return nil, err
+	s := &System{}
+	if s.ctx, err = emio.NewCtxWithDisk(cfg, d); err == nil && cfg.Workers > 0 {
+		s.par, err = empar.New(s.ctx, cfg.Workers)
 	}
-	s := &System{ctx: ctx}
-	if err := s.armWorkers(cfg); err != nil {
+	if err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -272,17 +244,14 @@ func (s *System) Close() error { return s.ctx.Disk().Close() }
 // subsequent operation fails immediately) until ClearCancel.
 func (s *System) Cancel(cause error) { s.ctx.Disk().Cancel(cause) }
 
-// Cancelled returns nil while the System is live, or the *CancelledError
-// recorded by Cancel.
-func (s *System) Cancelled() error { return s.ctx.Disk().Cancelled() }
-
 // ClearCancel re-arms a cancelled System for further operations.
 func (s *System) ClearCancel() { s.ctx.Disk().ClearCancel() }
 
 // BindContext ties the System's cancellation to a context: when ctx is
 // cancelled, System.Cancel fires with the context's cause. It returns a stop
-// function that detaches the watcher (always call it, typically deferred —
-// the per-operation Context variants like SortContext do this for you). A
+// function that detaches the watcher: always call it, typically as
+// defer sys.BindContext(ctx)() around an operation, which then returns a
+// *CancelledError wrapping the context's cause when ctx is cancelled. A
 // context that can never be cancelled binds nothing and costs nothing.
 func (s *System) BindContext(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
@@ -306,21 +275,12 @@ func (s *System) BindContext(ctx context.Context) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// SetDiskBudget arms (or with limit <= 0 disarms) the disk-byte quota at
-// runtime; Config.DiskBudget does the same at construction. When armed,
-// every block append is charged B·16 bytes against the quota and a rejected
-// append fails the operation with a *ResourceError carrying live usage.
-func (s *System) SetDiskBudget(limit int64) { s.ctx.Disk().SetDiskBudget(limit) }
-
 // DiskBudget returns the configured disk-byte quota, 0 when unbounded.
 func (s *System) DiskBudget() int64 { return s.ctx.Disk().DiskBudget() }
 
 // DiskBytes returns the bytes currently charged against the disk budget
 // (live blocks times B·16).
 func (s *System) DiskBytes() int64 { return s.ctx.Disk().DiskBytes() }
-
-// PeakDiskBytes returns the high-water mark of DiskBytes.
-func (s *System) PeakDiskBytes() int64 { return s.ctx.Disk().PeakDiskBytes() }
 
 // Ctx exposes the underlying context for advanced use (direct access to the
 // internal packages).
@@ -340,9 +300,6 @@ func (s *System) Stats() Stats { return s.ctx.Disk().Stats() }
 // ResetStats zeroes the I/O counters; call it after staging inputs so only
 // the algorithms are measured.
 func (s *System) ResetStats() { s.ctx.Disk().ResetStats() }
-
-// Workers returns the configured worker-goroutine count (0 = sequential).
-func (s *System) Workers() int { return s.ctx.Config().Workers }
 
 // ShardReport describes the shard layout of the parallel engine's most
 // recent operation: shard count, workers used, per-shard output bytes. The
@@ -441,35 +398,6 @@ func (s *System) SetTracer(t *Tracer) { s.ctx.SetTracer(t) }
 // Tracer returns the attached tracer, or nil.
 func (s *System) Tracer() *Tracer { return s.ctx.Tracer() }
 
-// EnableTracing attaches a fresh tracer and returns it: shorthand for
-// t := NewTracer(); s.SetTracer(t).
-func (s *System) EnableTracing() *Tracer {
-	t := emio.NewTracer()
-	s.ctx.SetTracer(t)
-	return t
-}
-
-// TraceReport renders the attached tracer's span tree as an indented
-// human-readable table (one row per phase: I/Os, reads, writes, peak memory,
-// peak disk blocks, scratch files). Empty when no tracer is attached.
-func (s *System) TraceReport() string {
-	t := s.ctx.Tracer()
-	if t == nil {
-		return ""
-	}
-	return t.Render()
-}
-
-// TraceJSON exports the attached tracer's span tree as JSON. Returns nil
-// when no tracer is attached.
-func (s *System) TraceJSON() ([]byte, error) {
-	t := s.ctx.Tracer()
-	if t == nil {
-		return nil, nil
-	}
-	return t.JSON()
-}
-
 // NewMetricsRegistry creates an empty metrics registry, for sharing one
 // scrape endpoint across several Systems (instrument registration is
 // idempotent by name; counters then accumulate across systems).
@@ -484,14 +412,6 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 // proves it). Enable before the algorithm runs; nil detaches.
 func (s *System) SetMetrics(reg *MetricsRegistry) { s.ctx.Disk().EnableMetrics(reg) }
 
-// EnableMetrics attaches a fresh registry and returns it: shorthand for
-// reg := NewMetricsRegistry(); s.SetMetrics(reg).
-func (s *System) EnableMetrics() *MetricsRegistry {
-	reg := metrics.New()
-	s.ctx.Disk().EnableMetrics(reg)
-	return reg
-}
-
 // MetricsRegistry returns the attached registry, or nil when metrics are
 // disabled.
 func (s *System) MetricsRegistry() *MetricsRegistry {
@@ -500,22 +420,6 @@ func (s *System) MetricsRegistry() *MetricsRegistry {
 	}
 	return nil
 }
-
-// Metrics captures a point-in-time snapshot of every metric on the attached
-// registry. The zero Snapshot is returned when metrics are disabled.
-func (s *System) Metrics() MetricsSnapshot {
-	if m := s.ctx.Disk().Metrics(); m != nil {
-		return m.Snapshot()
-	}
-	return MetricsSnapshot{}
-}
-
-// SetLogger attaches (or, with nil, detaches) a structured log sink. Every
-// Disk, pipeline, retry and fault event is delivered to h as a log/slog
-// record enriched with the active span's phase path, span seq and disk id.
-// Strictly observational: outputs, Stats and trace JSON are bit-identical
-// with logging on or off.
-func (s *System) SetLogger(h slog.Handler) { s.ctx.Disk().SetLogHandler(h) }
 
 // EnableLog attaches a fresh event log built from cfg and returns it. The
 // returned log's ring can be inspected with Events; its JSON-lines file sink
@@ -532,37 +436,6 @@ func (s *System) EnableLog(cfg LogConfig) (*EventLog, error) {
 // EventLog returns the attached event log, or nil when none was created
 // through EnableLog or Config.Log.
 func (s *System) EventLog() *EventLog { return s.ctx.Disk().EventLog() }
-
-// LogEvents returns the attached event log's ring contents, oldest first
-// (nil when logging is disabled).
-func (s *System) LogEvents() []LogEvent {
-	if el := s.ctx.Disk().EventLog(); el != nil {
-		return el.Events()
-	}
-	return nil
-}
-
-// TraceOTLP exports the attached tracer's span tree as an OTLP/JSON
-// ExportTraceServiceRequest document ready for any OTLP collector or for
-// Jaeger/Perfetto import. Returns nil when no tracer is attached.
-func (s *System) TraceOTLP(service string) ([]byte, error) {
-	t := s.ctx.Tracer()
-	if t == nil {
-		return nil, nil
-	}
-	return t.OTLP(service)
-}
-
-// MetricsOTLP exports a snapshot of the attached registry as an OTLP/JSON
-// ExportMetricsServiceRequest document, exemplar span seqs included. Returns
-// nil when metrics are disabled.
-func (s *System) MetricsOTLP(service string) ([]byte, error) {
-	reg := s.MetricsRegistry()
-	if reg == nil {
-		return nil, nil
-	}
-	return reg.OTLP(service, time.Now())
-}
 
 // LiveFiles returns the names of all files currently live on the simulated
 // disk (staged inputs and scratch files alike), sorted.
@@ -612,15 +485,6 @@ func (s *System) Sort(f *File) (*File, error) {
 	})
 }
 
-// SortContext is Sort bound to a context: cancelling ctx cancels the running
-// sort, which returns a *CancelledError wrapping the context's cause. Every
-// algorithm method has such a variant; they are shorthand for
-// defer s.BindContext(ctx)() around the plain call.
-func (s *System) SortContext(ctx context.Context, f *File) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.Sort(f)
-}
-
 // DistributionSort sorts f by Aggarwal-Vitter distribution (splitter-based
 // scattering) instead of merging: the same Θ((N/B) lg_{M/B}(N/B)) bound,
 // built on the paper's approximate-splitter machinery. With Workers > 0 it
@@ -634,23 +498,11 @@ func (s *System) DistributionSort(f *File) (*File, error) {
 	})
 }
 
-// DistributionSortContext is DistributionSort bound to a context.
-func (s *System) DistributionSortContext(ctx context.Context, f *File) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.DistributionSort(f)
-}
-
 // Select returns the element of the given 1-based rank in O(N/B) I/Os.
 func (s *System) Select(f *File, rank int64) (Elem, error) {
 	return guard(s, func() (Elem, error) {
 		return emsel.Select(s.ctx, f, rank)
 	})
-}
-
-// SelectContext is Select bound to a context.
-func (s *System) SelectContext(ctx context.Context, f *File, rank int64) (Elem, error) {
-	defer s.BindContext(ctx)()
-	return s.Select(f, rank)
 }
 
 // MultiSelect returns the elements of the given nondecreasing ranks, in rank
@@ -659,12 +511,6 @@ func (s *System) MultiSelect(f *File, ranks []int64) (*File, error) {
 	return guard(s, func() (*File, error) {
 		return msel.Select(s.ctx, f, ranks)
 	})
-}
-
-// MultiSelectContext is MultiSelect bound to a context.
-func (s *System) MultiSelectContext(ctx context.Context, f *File, ranks []int64) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.MultiSelect(f, ranks)
 }
 
 // MultiPartition divides f into partitions of the prescribed sizes
@@ -676,24 +522,12 @@ func (s *System) MultiPartition(f *File, sizes []int64) (*File, error) {
 	})
 }
 
-// MultiPartitionContext is MultiPartition bound to a context.
-func (s *System) MultiPartitionContext(ctx context.Context, f *File, sizes []int64) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.MultiPartition(f, sizes)
-}
-
 // Splitters solves approximate K-splitters (Theorem 5): K-1 elements of f
 // whose induced buckets all have sizes in [p.A, p.B].
 func (s *System) Splitters(f *File, p Params) (*File, error) {
 	return guard(s, func() (*File, error) {
 		return core.Splitters(s.ctx, f, p)
 	})
-}
-
-// SplittersContext is Splitters bound to a context.
-func (s *System) SplittersContext(ctx context.Context, f *File, p Params) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.Splitters(f, p)
 }
 
 // Partition solves approximate K-partitioning (Theorem 6): K order-respecting
@@ -704,24 +538,12 @@ func (s *System) Partition(f *File, p Params) (*PartitionResult, error) {
 	})
 }
 
-// PartitionContext is Partition bound to a context.
-func (s *System) PartitionContext(ctx context.Context, f *File, p Params) (*PartitionResult, error) {
-	defer s.BindContext(ctx)()
-	return s.Partition(f, p)
-}
-
 // PrecisePartition performs exact b-sized partitioning via the §3 reduction
 // (approximate partitioning plus an O(N/B) re-chunking pass).
 func (s *System) PrecisePartition(f *File, b int64) (*File, error) {
 	return guard(s, func() (*File, error) {
 		return core.PrecisePartitionViaApprox(s.ctx, f, b)
 	})
-}
-
-// PrecisePartitionContext is PrecisePartition bound to a context.
-func (s *System) PrecisePartitionContext(ctx context.Context, f *File, b int64) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.PrecisePartition(f, b)
 }
 
 // EquiDepthHistogram builds a K-bucket equi-depth histogram with asymmetric
@@ -731,10 +553,4 @@ func (s *System) EquiDepthHistogram(f *File, k int, lo, hi float64) ([]Histogram
 	return guard(s, func() ([]HistogramBucket, error) {
 		return histogram.EquiDepth(s.ctx, f, k, lo, hi)
 	})
-}
-
-// EquiDepthHistogramContext is EquiDepthHistogram bound to a context.
-func (s *System) EquiDepthHistogramContext(ctx context.Context, f *File, k int, lo, hi float64) ([]HistogramBucket, error) {
-	defer s.BindContext(ctx)()
-	return s.EquiDepthHistogram(f, k, lo, hi)
 }

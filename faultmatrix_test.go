@@ -91,7 +91,8 @@ func TestFaultMatrixTransientRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { sys.Close() })
-			reg := sys.EnableMetrics()
+			reg := NewMetricsRegistry()
+			sys.SetMetrics(reg)
 
 			f := sys.Stage(elems)
 			inj := NewInjector(0x5eed)

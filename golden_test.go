@@ -109,9 +109,9 @@ func runGolden(t *testing.T, c goldenCase) goldenRecord {
 	defer sys.Close()
 	f := sys.Stage(workload.Elems(c.kind, c.n, c.cfg.B, 7))
 	sys.ResetStats()
-	sys.EnableTracing()
+	sys.SetTracer(NewTracer())
 	elems, sizes := c.run(t, sys, f)
-	trace, err := sys.TraceJSON()
+	trace, err := sys.Tracer().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,17 +25,7 @@ func NewCtx(cfg Config) (*Ctx, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := NewDisk(cfg.B)
-	applyResilience(d, cfg)
-	if err := applyLog(d, cfg); err != nil {
-		return nil, err
-	}
-	return &Ctx{
-		cfg:  cfg,
-		disk: d,
-		mem:  NewAccountant(int64(cfg.M)),
-		rng:  rand.New(rand.NewPCG(0x7a1e5, 0x9e3779b9)),
-	}, nil
+	return NewCtxWithDisk(cfg, NewDisk(cfg.B))
 }
 
 // applyResilience arms the disk's opt-in resilience features named by the

@@ -343,7 +343,7 @@ func mergeCheckpointed(ctx *emio.Ctx, runs []*emio.File, ck *Checkpoint, startPa
 	if len(runs) == 0 {
 		return finish(ctx.Scratch("sorted"), nil)
 	}
-	fan := mergeFanIn(ctx)
+	fan := mergeFanIn(ctx.M(), ctx.B())
 	pass := startPass
 	for len(runs) > 1 {
 		if err := ctx.Err(); err != nil {

@@ -63,14 +63,7 @@ func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, observe func(sorted []
 		sp.End()
 	}()
 	b := ctx.B()
-	// Leave one block for the run writer and one block of slack for a
-	// caller-held stream buffer (composite algorithms keep an output writer
-	// open across a sort).
-	runBlocks := ctx.M()/b - 2
-	if runBlocks < 1 {
-		runBlocks = 1
-	}
-	runCap := runBlocks * b
+	runCap := runCapacity(ctx.M(), b)
 	buf, err := ctx.AllocElems(runCap)
 	if err != nil {
 		return nil, err
@@ -138,7 +131,7 @@ func MergeAllWithFanIn(ctx *emio.Ctx, runs []*emio.File, maxFan int) (*emio.File
 	if len(runs) == 0 {
 		return ctx.Scratch("sorted"), nil
 	}
-	fan := mergeFanIn(ctx)
+	fan := mergeFanIn(ctx.M(), ctx.B())
 	if maxFan > 1 && maxFan < fan {
 		fan = maxFan
 	}
@@ -200,16 +193,53 @@ func degradeFanIn(d *emio.Disk, fan int) int {
 	return fan
 }
 
+// runCapacity is the element capacity of one formed run: M/B - 2 blocks, at
+// least one. One block is left for the run writer and one as slack for a
+// caller-held stream buffer (composite algorithms keep an output writer open
+// across a sort).
+func runCapacity(m, b int) int { return max(m/b-2, 1) * b }
+
 // mergeFanIn picks the merge width: each input run needs a B-element reader
 // buffer, the merger needs about two words per (power-of-two padded) source,
 // one output buffer must remain, and one further block is left as slack for a
 // caller-held stream buffer. f = (M - 2B) / (B + 4), at least 2.
-func mergeFanIn(ctx *emio.Ctx) int {
-	f := (ctx.M() - 2*ctx.B()) / (ctx.B() + 4)
-	if f < 2 {
-		f = 2
+func mergeFanIn(m, b int) int { return max((m-2*b)/(b+4), 2) }
+
+// Cost returns the exact logical I/O of Sort on n elements of a staged file
+// with memory m and block size b, without a disk budget (which may narrow the
+// fan-in): one read and one write per block in run formation, then, per merge
+// pass, the blocks of every run in a group of two or more plus the blocks of
+// the group's output. It replays Sort's run and group sizes, built on the
+// same runCapacity and mergeFanIn, so it cannot drift from the algorithm.
+func Cost(n int64, m, b int) int64 {
+	bb := int64(b)
+	blocks := func(k int64) int64 { return (k + bb - 1) / bb }
+	runCap := int64(runCapacity(m, b))
+	var runs []int64
+	for left := n; left > 0; left -= runCap {
+		runs = append(runs, min(left, runCap))
 	}
-	return f
+	ios := 2 * blocks(n)
+	fan := mergeFanIn(m, b)
+	for len(runs) > 1 {
+		var next []int64
+		for lo := 0; lo < len(runs); lo += fan {
+			group := runs[lo:min(lo+fan, len(runs))]
+			if len(group) == 1 {
+				next = append(next, group[0])
+				continue
+			}
+			var sum int64
+			for _, r := range group {
+				sum += r
+				ios += blocks(r)
+			}
+			ios += blocks(sum)
+			next = append(next, sum)
+		}
+		runs = next
+	}
+	return ios
 }
 
 // mergeOpts tunes one group merge. The default (zero) value neither releases

@@ -141,6 +141,27 @@ func TestSortIOComplexity(t *testing.T) {
 	}
 }
 
+// TestCostMatchesSort pins Cost to the measured logical I/O of Sort: empty
+// and one-element inputs, sizes that are not a multiple of B, one run, one
+// merge pass and several passes (M=32, B=4 merges with fan-in 2).
+func TestCostMatchesSort(t *testing.T) {
+	for _, mb := range []struct{ m, b int }{{32, 4}, {64, 8}, {256, 16}, {256, 32}, {1 << 10, 32}} {
+		for _, n := range []int{0, 1, 7, 100, 1000, 5000, 12345} {
+			ctx := mustCtx(t, mb.m, mb.b)
+			in := emio.BuildFile(ctx.Disk(), "cost", randKeys(n, rand.New(rand.NewPCG(5, uint64(n)))))
+			ctx.Disk().ResetStats()
+			out, err := Sort(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Release()
+			if got, want := Cost(int64(n), mb.m, mb.b), ctx.Disk().Stats().Total(); got != want {
+				t.Errorf("N=%d M=%d B=%d: Cost = %d, Sort measured %d", n, mb.m, mb.b, got, want)
+			}
+		}
+	}
+}
+
 func TestSortMultiPassTinyMemory(t *testing.T) {
 	// M=32, B=4 forces many runs and multiple merge passes.
 	ctx := mustCtx(t, 32, 4)

@@ -59,12 +59,12 @@ func runMetricsParity(t *testing.T, d parityDriver, mk func(t *testing.T) *Syste
 	sys := mk(t)
 	f := sys.Stage(elems)
 	sys.ResetStats()
-	sys.EnableTracing()
+	sys.SetTracer(NewTracer())
 	if withMetrics {
-		sys.EnableMetrics()
+		sys.SetMetrics(NewMetricsRegistry())
 	}
 	out := d.run(t, sys, f)
-	trace, err := sys.TraceJSON()
+	trace, err := sys.Tracer().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func metricsParitySuite(t *testing.T) {
 				}
 				// The run must actually have been observed: logical counters
 				// mirror the model's Stats exactly.
-				snap := sys.Metrics()
+				snap := sys.MetricsRegistry().Snapshot()
 				if got := snap.Counter("empart_logical_reads_total"); got != on.stats.Reads {
 					t.Errorf("%s: logical reads metric = %d, Stats.Reads = %d", be.name, got, on.stats.Reads)
 				}

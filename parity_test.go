@@ -105,9 +105,9 @@ func runParity(t *testing.T, d parityDriver, mk func(t *testing.T) *System, elem
 	sys := mk(t)
 	f := sys.Stage(elems)
 	sys.ResetStats()
-	sys.EnableTracing()
+	sys.SetTracer(NewTracer())
 	out := d.run(t, sys, f)
-	trace, err := sys.TraceJSON()
+	trace, err := sys.Tracer().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,8 @@ func TestWorkersShardMetricsAndReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := sys.EnableMetrics()
+	reg := NewMetricsRegistry()
+	sys.SetMetrics(reg)
 	f := sys.Stage(workload.Elems(workload.Uniform, n, cfg.B, 0x3a3d))
 	sys.ResetStats()
 	out, err := sys.Sort(f)

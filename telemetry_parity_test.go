@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -31,16 +32,16 @@ func runTelemetryParity(t *testing.T, d parityDriver, mk func(t *testing.T) *Sys
 	logPath := ""
 	f := sys.Stage(elems)
 	sys.ResetStats()
-	sys.EnableTracing()
+	sys.SetTracer(NewTracer())
 	if withTelemetry {
-		sys.EnableMetrics()
+		sys.SetMetrics(NewMetricsRegistry())
 		logPath = filepath.Join(t.TempDir(), "events.jsonl")
 		if _, err := sys.EnableLog(LogConfig{Level: slog.LevelDebug, Path: logPath}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	out := d.run(t, sys, f)
-	trace, err := sys.TraceJSON()
+	trace, err := sys.Tracer().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func telemetryParitySuite(t *testing.T) {
 				// The run must actually have been narrated: phase boundaries
 				// land in the ring at debug level, and every event's span_seq
 				// resolves to a real span of the recorded trace.
-				events := sys.LogEvents()
+				events := sys.EventLog().Events()
 				if len(events) == 0 {
 					t.Fatalf("%s: telemetry-on run logged no events", be.name)
 				}
@@ -172,14 +173,14 @@ func TestTraceOTLPExport(t *testing.T) {
 	}
 	defer sys.Close()
 	f := sys.Stage(workload.Elems(workload.Uniform, 1<<12, cfg.B, 0xa11))
-	sys.EnableTracing()
+	sys.SetTracer(NewTracer())
 	out, err := sys.Sort(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Release()
 
-	raw, err := sys.TraceOTLP("parity-test")
+	raw, err := sys.Tracer().OTLP("parity-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +235,15 @@ func TestMetricsOTLPExemplarsResolve(t *testing.T) {
 	}
 	defer sys.Close()
 	f := sys.Stage(workload.Elems(workload.Uniform, 1<<12, cfg.B, 0xa12))
-	sys.EnableTracing()
-	sys.EnableMetrics()
+	sys.SetTracer(NewTracer())
+	sys.SetMetrics(NewMetricsRegistry())
 	out, err := sys.Sort(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Release()
 
-	raw, err := sys.MetricsOTLP("parity-test")
+	raw, err := sys.MetricsRegistry().OTLP("parity-test", time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

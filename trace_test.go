@@ -96,7 +96,7 @@ func runSuite(t *testing.T, name string, run func(sys *System, f *File) error, t
 	f := sys.Stage(elems)
 	sys.ResetStats()
 	if traced {
-		sys.EnableTracing()
+		sys.SetTracer(NewTracer())
 	}
 	if err := run(sys, f); err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -171,23 +171,38 @@ func TestTraceChildIOSumsToParent(t *testing.T) {
 	}
 }
 
-// TestTraceReportAndJSONFacade exercises the public rendering surface.
+// TestTraceReportAndJSONFacade exercises the public rendering surface: the
+// attached tracer's Render and JSON, reached through System.Tracer.
 func TestTraceReportAndJSONFacade(t *testing.T) {
 	sys := newSys(t)
-	if sys.TraceReport() != "" {
+	// traceReport and traceJSON render the attached tracer, empty without one.
+	traceReport := func() string {
+		if tr := sys.Tracer(); tr != nil {
+			return tr.Render()
+		}
+		return ""
+	}
+	traceJSON := func() ([]byte, error) {
+		if tr := sys.Tracer(); tr != nil {
+			return tr.JSON()
+		}
+		return nil, nil
+	}
+	if traceReport() != "" {
 		t.Error("TraceReport nonempty with no tracer")
 	}
-	if raw, err := sys.TraceJSON(); err != nil || raw != nil {
+	if raw, err := traceJSON(); err != nil || raw != nil {
 		t.Errorf("TraceJSON with no tracer = %s, %v", raw, err)
 	}
 	if sys.Tracer() != nil {
-		t.Error("Tracer() nonnil before EnableTracing")
+		t.Error("Tracer() nonnil before SetTracer")
 	}
 
 	_, f := stageUniform(t, sys, 4096, 9)
-	tr := sys.EnableTracing()
+	tr := NewTracer()
+	sys.SetTracer(tr)
 	if sys.Tracer() != tr {
-		t.Error("Tracer() does not round-trip EnableTracing")
+		t.Error("Tracer() does not round-trip SetTracer")
 	}
 	out, err := sys.Sort(f)
 	if err != nil {
@@ -195,13 +210,13 @@ func TestTraceReportAndJSONFacade(t *testing.T) {
 	}
 	out.Release()
 
-	report := sys.TraceReport()
+	report := traceReport()
 	for _, want := range []string{"extsort/sort", "extsort/form-runs", "extsort/merge-pass", "peakMem"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("TraceReport missing %q:\n%s", want, report)
 		}
 	}
-	raw, err := sys.TraceJSON()
+	raw, err := traceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +230,7 @@ func TestTraceReportAndJSONFacade(t *testing.T) {
 
 	// Detaching restores the untraced fast path.
 	sys.SetTracer(nil)
-	if sys.TraceReport() != "" {
+	if traceReport() != "" {
 		t.Error("TraceReport nonempty after detach")
 	}
 }
