@@ -52,13 +52,14 @@ test-short:
 race:
 	$(GO) test -race -short ./...
 
-# The parallel-engine parity contract, standalone and unabridged: for every
-# backend and workers in {1, 2, P}, outputs, Stats, and traces must be
-# bit-identical, under the race detector, including the GOMAXPROCS=1
-# schedule and the shard fault path. `make race` already runs these; this
-# target is the explicit blocking gate for CI.
+# The workers parity contract, standalone and unabridged: for every facade
+# algorithm, backend and machine, outputs, Stats, peak memory and traces at
+# workers 1, 2 and 4 must be bit-identical to workers 0, under the race
+# detector, including the GOMAXPROCS=1 schedule; plus the workers fault
+# cells and ParallelSort's table, transcript and fuzz-seed tests. `make race`
+# already runs these; this target is the explicit blocking gate for CI.
 parity:
-	$(GO) test -race -count=1 -run 'WorkersParity|WorkersShard|WorkersOutput|ShardFault|EngineMatchesSequential' . ./internal/empar
+	$(GO) test -race -count=1 -run 'WorkersParity|ShardFault|ParallelSort' . ./internal/inmem
 
 # The fault matrix under the race detector: injected transient/permanent
 # faults and bit-flip corruption across {mem, file, file+pipeline}, retry

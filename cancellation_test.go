@@ -48,34 +48,33 @@ func cancelMatrixModes() []struct {
 }
 
 type cancelAlgo struct {
-	name    string
-	sharded bool // with Workers > 0 the call runs on the engine's shards
-	run     func(sys *System, f *File, n int64) error
+	name string
+	run  func(sys *System, f *File, n int64) error
 }
 
 func cancelAlgos() []cancelAlgo {
 	return []cancelAlgo{
-		{"extsort", true, func(sys *System, f *File, n int64) error {
+		{"extsort", func(sys *System, f *File, n int64) error {
 			_, err := sys.Sort(f)
 			return err
 		}},
-		{"distsort", true, func(sys *System, f *File, n int64) error {
+		{"distsort", func(sys *System, f *File, n int64) error {
 			_, err := sys.DistributionSort(f)
 			return err
 		}},
-		{"msel", false, func(sys *System, f *File, n int64) error {
+		{"msel", func(sys *System, f *File, n int64) error {
 			_, err := sys.MultiSelect(f, []int64{1, n / 2, n})
 			return err
 		}},
-		{"mpart", false, func(sys *System, f *File, n int64) error {
+		{"mpart", func(sys *System, f *File, n int64) error {
 			_, err := sys.MultiPartition(f, []int64{n / 4, n / 4, n - 2*(n/4)})
 			return err
 		}},
-		{"approxsplit", false, func(sys *System, f *File, n int64) error {
+		{"approxsplit", func(sys *System, f *File, n int64) error {
 			_, err := sys.Splitters(f, Params{K: 16, A: 16, B: n})
 			return err
 		}},
-		{"histogram", false, func(sys *System, f *File, n int64) error {
+		{"histogram", func(sys *System, f *File, n int64) error {
 			_, err := sys.EquiDepthHistogram(f, 8, 0.5, 0.5)
 			return err
 		}},
@@ -83,10 +82,8 @@ func cancelAlgos() []cancelAlgo {
 }
 
 // runCancelCase drives one (algorithm, backend, workers) cell: park the job
-// in a scripted retry storm, cancel its context, and require a prompt typed
-// failure with full teardown. When the call runs on shards the storm hits
-// shard 1 only, so the cancel must also stop the workers running the other
-// shards; every other call runs on the parent disk, where the storm goes.
+// in a scripted retry storm on the System's disk, cancel its context, and
+// require a prompt typed failure with full teardown.
 func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline, workers int) {
 	t.Helper()
 	const n = 1 << 14
@@ -111,16 +108,7 @@ func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline, worke
 
 	inj := NewInjector(0xca9ce1)
 	inj.FailRead(10, 1<<30) // storm at the 11th physical read, post-staging
-	if workers > 0 && a.sharded {
-		// Shards carry their own injector slots (the retry policy is shared).
-		sys.SetShardHook(func(k int, d *Disk) {
-			if k == 1 {
-				d.SetInjector(inj)
-			}
-		})
-	} else {
-		sys.SetInjector(inj)
-	}
+	sys.SetInjector(inj)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -192,11 +180,11 @@ func TestCancellationMatrix(t *testing.T) {
 	}
 }
 
-// TestCancellationWorkers runs four cells on two workers. In the two sorts
-// one shard's worker is parked in the storm while the other shards stage and
-// read ahead through the coalescing shard I/O, and the cancel must unwind
-// them all, release every shard file and leave no transfer in flight. mpart
-// and approxsplit ignore Workers and are parked on the parent disk.
+// TestCancellationWorkers runs four cells on two workers, each parked in the
+// storm on the System's disk like the sequential matrix: the two sorts,
+// which sort their runs and base cases on both workers, and mpart and
+// approxsplit, which ignore Workers. The cancel must unwind each, release
+// its scratch and leave no goroutine behind.
 func TestCancellationWorkers(t *testing.T) {
 	cells := map[string]bool{"extsort": true, "distsort": true, "mpart": true, "approxsplit": true}
 	for _, mode := range cancelMatrixModes() {

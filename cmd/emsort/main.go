@@ -10,12 +10,10 @@
 //	emsort -metrics-addr :9090 -progress 2s -in big.txt -out sorted.txt
 //	seq 100000 | shuf | emsort > sorted.txt
 //
-// With -workers N the sort runs on the parallel sharded engine: N goroutines
-// over S logical shards, the same sorted output and less wall clock. Its
-// logical I/O follows the sharded plan: identical for every N >= 1, but not
-// the sequential engine's count. With -metrics-addr the job serves live Prometheus metrics and pprof
-// while it runs; with -progress it streams phase/ETA lines to the report
-// stream.
+// With -workers N each run is sorted in memory on N goroutines: less wall
+// clock, and the same output, I/O cost and trace as without it. With
+// -metrics-addr the job serves live Prometheus metrics and pprof while it
+// runs; with -progress it streams phase/ETA lines to the report stream.
 // -checksum and -retry arm the resilience layer: corrupted blocks and
 // persistent transient faults abort the job with a typed, nonzero-exit error.
 //
@@ -51,7 +49,7 @@ import (
 var (
 	flagIn       = flag.String("in", "", "input file of integers (default stdin)")
 	flagOut      = flag.String("out", "", "output file (default stdout)")
-	flagJournal  = flag.String("journal", "", "checkpoint journal path: make the sort crash-safe, resumable with -resume (needs -backing, sequential only)")
+	flagJournal  = flag.String("journal", "", "checkpoint journal path: make the sort crash-safe, resumable with -resume (needs -backing)")
 	flagResume   = flag.Bool("resume", false, "resume a crashed job from -journal instead of starting fresh")
 	flagFullSync = flag.Bool("full-sync", false, "power-loss durability: fsync backing file and journal at every phase barrier (default journaling never fsyncs — it survives process crashes like SIGKILL and OOM at near-zero overhead, but not a power cut)")
 	flagCrashW   = flag.Int64("crash-after-write", 0, "SIGKILL self at this positive physical write op (crash-harness hook; counted after staging; 0 disarms)")
@@ -181,12 +179,11 @@ func sortReported(sys *empart.System, o runOpts, n int64, dst, report io.Writer,
 }
 
 // progressTotal is the logical I/O the progress line counts toward: the
-// exact cost of a fresh sequential sort of n elements, or 0 (no percentage
-// or ETA) where it is not known upfront, because the parallel engine follows
-// a sharded plan, a disk budget may narrow the merge fan-in, or a resumed
-// job skips its completed phases.
+// exact cost of a fresh sort of n elements at any worker count, or 0 (no
+// percentage or ETA) where it is not known upfront, because a disk budget
+// may narrow the merge fan-in or a resumed job skips its completed phases.
 func progressTotal(o runOpts, n int64) int64 {
-	if o.Workers > 0 || o.DiskBudget > 0 || o.resume {
+	if o.DiskBudget > 0 || o.resume {
 		return 0
 	}
 	return extsort.Cost(n, o.M, o.B)
@@ -222,34 +219,10 @@ func emit(sys *empart.System, o runOpts, n int64, out *empart.File, dst, report 
 	mc := sys.Machine()
 	fmt.Fprintf(report, "emsort: N=%d M=%d B=%d  cost %v  bound %.0f  floor %.0f\n",
 		n, o.M, o.B, st, mc.Sort(n), mc.SortFloor(n))
-	if rep := sys.ShardReport(); rep.Shards > 1 {
-		fmt.Fprintf(report, "emsort: parallel engine: %d shards, %d workers, balance %s\n",
-			rep.Shards, rep.Workers, shardBalance(rep.ShardBytes))
-	}
 	if o.Trace {
 		fmt.Fprintf(report, "phase trace:\n%s", sys.Tracer().Render())
 	}
 	return nil
-}
-
-// shardBalance renders a shard byte vector as "max/mean=1.04" — the load
-// balance of the parallel range merges (1.0 = perfect).
-func shardBalance(bytes []int64) string {
-	if len(bytes) == 0 {
-		return "n/a"
-	}
-	var sum, max int64
-	for _, b := range bytes {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return "n/a"
-	}
-	mean := float64(sum) / float64(len(bytes))
-	return fmt.Sprintf("max/mean=%.2f", float64(max)/mean)
 }
 
 // parseKeys reads whitespace-separated signed integers.

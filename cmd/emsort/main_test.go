@@ -100,13 +100,21 @@ func TestProgressTotalIsSortCost(t *testing.T) {
 	plain := opts(64, 8, "", false)
 	journaled := opts(64, 8, filepath.Join(dir, "d.dat"), false)
 	journaled.journal = filepath.Join(dir, "d.journal")
+	// Two workers on a run of 5,000 keys, which ParallelSort splits: the
+	// sort's I/O, and so the total, is the sequential one.
+	workers := opts(8192, 64, "", false)
+	workers.Workers = 2
 	costRe := regexp.MustCompile(`cost reads=\d+ writes=\d+ total=(\d+) `)
 	progRe := regexp.MustCompile(`(?m)^progress: (\d+)/(\d+) ios \(100\.0%\)`)
-	for name, o := range map[string]runOpts{"plain": plain, "journaled": journaled} {
+	for name, c := range map[string]struct {
+		o runOpts
+		n int
+	}{"plain": {plain, 300}, "journaled": {journaled, 300}, "workers": {workers, 5000}} {
 		var in bytes.Buffer
-		for i := 300; i > 0; i-- {
+		for i := c.n; i > 0; i-- {
 			fmt.Fprintln(&in, i)
 		}
+		o := c.o
 		o.Progress = time.Hour // only the final Stop line fires deterministically
 		var out, report bytes.Buffer
 		if err := run(o, &in, &out, &report); err != nil {

@@ -11,6 +11,10 @@
 //	emsplit -algo precise -n 262144 -bmax 4096
 //	emsplit -algo sort -n 262144
 //	emsplit -algo histogram -n 262144 -k 16 -lo 0.5 -hi 4
+//
+// With -workers N, -algo sort sorts each of its in-memory runs on N
+// goroutines; its output and cost line are the same at every N, and every
+// other algorithm ignores -workers.
 package main
 
 import (
@@ -203,9 +207,6 @@ func execute(o options) (report string, err error) {
 		fmt.Fprintf(&sb, "paper bound: %.0f I/Os -> fitted constant %.2f\n", bound, float64(st.Total())/bound)
 	}
 	fmt.Fprintf(&sb, "peak memory: %d of M=%d elements\n", sys.PeakMemory(), o.M)
-	if rep := sys.ShardReport(); rep.Shards > 1 {
-		fmt.Fprintf(&sb, "parallel engine: %d shards, %d workers\n", rep.Shards, rep.Workers)
-	}
 	if o.Trace {
 		fmt.Fprintf(&sb, "\nphase trace:\n%s", sys.Tracer().Render())
 	}

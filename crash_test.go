@@ -82,7 +82,21 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// Crash points spanning every phase: mid formation, formation's final
-	// block, early pass 0, late pass 0, and mid pass 1 (the final pass).
+	// block, early pass 0, late pass 0, and mid pass 1 (the final pass). The
+	// sequential points run at the top level; the same points run again with
+	// two workers sorting each run, which must change neither the output nor
+	// the work a resume redoes.
+	crashPoints(t, bin, baseArgs, want)
+	t.Run("workers-2", func(t *testing.T) {
+		crashPoints(t, bin, append(append([]string{}, baseArgs...), "-workers", "2"), want)
+	})
+}
+
+// crashPoints SIGKILLs the journaled emsort job of args at each scripted
+// write, resumes it, and requires the reference output want and exactly the
+// unfinished work redone.
+func crashPoints(t *testing.T, bin string, baseArgs []string, want []byte) {
+	t.Helper()
 	crashOps := []int64{100, 620, 700, 1200, 1700}
 	var resumedWrites []int64
 	lastPassSeen := int64(-2)

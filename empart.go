@@ -40,7 +40,6 @@ import (
 	"repro/internal/distsort"
 	"repro/internal/emio"
 	"repro/internal/emio/metrics"
-	"repro/internal/empar"
 	"repro/internal/emsel"
 	"repro/internal/extsort"
 	"repro/internal/histogram"
@@ -101,7 +100,7 @@ type (
 	// File is a sequence of elements on the simulated disk.
 	File = emio.File
 	// Disk is the simulated disk itself: block store plus counters. Exposed
-	// for the shard hook and advanced harness use.
+	// for advanced harness use (System.Ctx().Disk()).
 	Disk = emio.Disk
 	// Params carries (K, A, B): partition count and the admissible size
 	// range [A, B] for the approximate problems.
@@ -134,14 +133,15 @@ type (
 	EventLog = emio.EventLog
 	// LogEvent is one record of the event log's in-memory ring.
 	LogEvent = emio.Event
-	// ShardError wraps a failure of the parallel engine with the shard task
-	// index that raised it; errors.As/Is reach the cause. Match with
-	// errors.As.
-	ShardError = empar.ShardError
-	// ShardReport describes the shard layout of the parallel engine's most
-	// recent operation (System.ShardReport).
-	ShardReport = empar.Report
 )
+
+// ShardReport is the zero-value stub left by the retired sharded engine:
+// System.ShardReport always returns ShardReport{}. It stays only because the
+// benchmark reads its two fields.
+type ShardReport struct {
+	Workers    int     // always 0
+	ShardBytes []int64 // always nil
+}
 
 // Re-exported variant constants.
 const (
@@ -167,13 +167,12 @@ var (
 // System is an external-memory machine instance: a simulated disk with I/O
 // accounting, a memory-budget accountant armed at M, and the algorithm
 // suite. A System is not safe for concurrent use (the EM model is
-// sequential); with cfg.Workers > 0 Sort and DistributionSort fan out to
-// worker goroutines internally, but every call still joins them before
-// returning, so the caller-facing discipline is unchanged. Every other
-// algorithm ignores Workers.
+// sequential). With cfg.Workers >= 2, Sort, SortJob and DistributionSort sort
+// their in-memory runs and base cases on that many goroutines and join them
+// before the sort goes on; outputs, Stats, peak memory and traces are the
+// same as with Workers = 0. Every other algorithm ignores Workers.
 type System struct {
 	ctx *emio.Ctx
-	par *empar.Engine // parallel sharded engine; nil when cfg.Workers == 0
 }
 
 // New creates a System for the given machine configuration, with blocks held
@@ -212,22 +211,18 @@ func NewFileBackedResume(cfg Config, path string) (*System, error) {
 }
 
 // open builds a System over d, the disk a constructor opened (or failed to
-// open, with err), and the parallel engine when cfg asks for workers. It
-// closes d on every error path, and with it any event-log file sink that
-// cfg.Log attached.
+// open, with err). It closes d on every error path, and with it any
+// event-log file sink that cfg.Log attached.
 func open(cfg Config, d *emio.Disk, err error) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{}
-	if s.ctx, err = emio.NewCtxWithDisk(cfg, d); err == nil && cfg.Workers > 0 {
-		s.par, err = empar.New(s.ctx, cfg.Workers)
-	}
+	ctx, err := emio.NewCtxWithDisk(cfg, d)
 	if err != nil {
 		d.Close()
 		return nil, err
 	}
-	return s, nil
+	return &System{ctx: ctx}, nil
 }
 
 // Close releases backend resources (the backing file for file-backed
@@ -236,9 +231,9 @@ func (s *System) Close() error { return s.ctx.Disk().Close() }
 
 // Cancel requests cooperative cancellation of whatever operation is running
 // (or runs next) on this System, recording cause. The first block transfer
-// to observe the flag — on the algorithm goroutine, a pipeline worker, a
-// prefetcher or a shard worker — abandons the operation, which returns a
-// *CancelledError wrapping cause within about one block-transfer latency.
+// to observe the flag — on the algorithm goroutine or an I/O engine
+// transfer — abandons the operation, which returns a *CancelledError
+// wrapping cause within about one block-transfer latency.
 // Safe to call from any goroutine, including signal handlers; the first
 // cause wins and later calls are no-ops. The System stays cancelled (every
 // subsequent operation fails immediately) until ClearCancel.
@@ -301,25 +296,8 @@ func (s *System) Stats() Stats { return s.ctx.Disk().Stats() }
 // the algorithms are measured.
 func (s *System) ResetStats() { s.ctx.Disk().ResetStats() }
 
-// ShardReport describes the shard layout of the parallel engine's most
-// recent operation: shard count, workers used, per-shard output bytes. The
-// zero report is returned for sequential systems.
-func (s *System) ShardReport() ShardReport {
-	if s.par == nil {
-		return ShardReport{}
-	}
-	return s.par.LastReport()
-}
-
-// SetShardHook installs a callback invoked for every shard sub-disk the
-// parallel engine creates, before any worker touches it. The fault harness
-// uses it to arm an injector on a single shard; it is a no-op on sequential
-// systems.
-func (s *System) SetShardHook(h func(shard int, d *Disk)) {
-	if s.par != nil {
-		s.par.SetShardHook(h)
-	}
-}
+// ShardReport returns the zero ShardReport: no algorithm shards its input.
+func (s *System) ShardReport() ShardReport { return ShardReport{} }
 
 // PeakMemory returns the high-water mark of the memory accountant.
 func (s *System) PeakMemory() int64 { return s.ctx.Mem().Peak() }
@@ -473,27 +451,22 @@ func guard[T any](s *System, fn func() (T, error)) (T, error) {
 
 // Sort external-merge-sorts f into a new file:
 // O((N/B) lg_{M/B}(N/B)) I/Os. The baseline against which everything else is
-// compared. With Workers > 0 the parallel engine runs it over sharded
-// sub-disks; the output is byte-identical either way (the sorted sequence is
-// unique) and the logical accounting is identical across worker counts.
+// compared. With Workers >= 2 each run is sorted in memory on that many
+// goroutines; the runs, the merges, the output, Stats and trace are the same
+// at every worker count.
 func (s *System) Sort(f *File) (*File, error) {
 	return guard(s, func() (*File, error) {
-		if s.par != nil {
-			return s.par.Sort(f)
-		}
 		return extsort.Sort(s.ctx, f)
 	})
 }
 
 // DistributionSort sorts f by Aggarwal-Vitter distribution (splitter-based
 // scattering) instead of merging: the same Θ((N/B) lg_{M/B}(N/B)) bound,
-// built on the paper's approximate-splitter machinery. With Workers > 0 it
-// routes through the parallel engine (see internal/distsort's package doc).
+// built on the paper's approximate-splitter machinery. With Workers >= 2 its
+// in-memory base cases are sorted on that many goroutines, with the same
+// output, Stats and trace as at Workers = 0.
 func (s *System) DistributionSort(f *File) (*File, error) {
 	return guard(s, func() (*File, error) {
-		if s.par != nil {
-			return s.par.Sort(f)
-		}
 		return distsort.Sort(s.ctx, f)
 	})
 }

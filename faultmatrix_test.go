@@ -218,22 +218,20 @@ func TestFaultMatrixCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestFaultMatrixShardFault is the parallel row of the matrix: a fault
-// injected on one shard sub-disk must surface from the parallel engine as a
-// typed error chain — *ShardError naming the shard, wrapping the usual
-// *TransientError/ErrInjected marks — without deadlocking the other workers
-// (every call joins its goroutines even on failure) and without leaking
-// goroutines. Each shard has its own injector slot, so the schedule fires
-// only on the chosen shard no matter which worker runs it.
+// TestFaultMatrixShardFault is the workers row of the matrix: with two
+// workers sorting each run, a fault injected on the System's disk must
+// surface from Sort as the typed chain of the sequential rows — a
+// *TransientError carrying ErrInjected — after exactly one fault, and the
+// call must join every goroutine it started, so none leaks.
 func TestFaultMatrixShardFault(t *testing.T) {
-	const n = 1 << 12
-	cfg := Config{M: 1 << 10, B: 1 << 5, Workers: 4}
+	const n = 1 << 14
+	cfg := Config{M: 1 << 13, B: 1 << 5, Workers: 2}
 	elems := workload.Elems(workload.Uniform, n, cfg.B, 0x5a4d)
 
 	for _, mode := range faultMatrixModes() {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, kind := range []string{"read", "write"} {
-				for _, shard := range []int{0, 1, 3} {
+				for _, op := range []int64{0, 300, 600} {
 					base := emio.NumGoroutines()
 					c := cfg
 					c.Pipeline = mode.pipe
@@ -244,36 +242,25 @@ func TestFaultMatrixShardFault(t *testing.T) {
 					f := sys.Stage(elems)
 					inj := NewInjector(0x5a4d)
 					if kind == "read" {
-						inj.FailRead(0, 1)
+						inj.FailRead(op, 1)
 					} else {
-						inj.FailWrite(0, 1)
+						inj.FailWrite(op, 1)
 					}
-					sys.SetShardHook(func(k int, d *Disk) {
-						if k == shard {
-							d.SetInjector(inj)
-						}
-					})
+					sys.SetInjector(inj)
 					out, err := sys.Sort(f)
 					if err == nil {
 						out.Release()
-						t.Fatalf("%s fault on shard %d: sort succeeded", kind, shard)
-					}
-					var se *ShardError
-					if !errors.As(err, &se) {
-						t.Fatalf("%s fault on shard %d: error = %v, want *ShardError", kind, shard, err)
-					}
-					if se.Shard != shard {
-						t.Errorf("%s fault: ShardError names shard %d, want %d", kind, se.Shard, shard)
+						t.Fatalf("%s fault at op %d: sort succeeded", kind, op)
 					}
 					var te *emio.TransientError
 					if !errors.As(err, &te) {
-						t.Errorf("%s fault on shard %d: chain lacks *TransientError: %v", kind, shard, err)
+						t.Errorf("%s fault at op %d: chain lacks *TransientError: %v", kind, op, err)
 					}
 					if !errors.Is(err, emio.ErrInjected) {
-						t.Errorf("%s fault on shard %d: chain lacks ErrInjected: %v", kind, shard, err)
+						t.Errorf("%s fault at op %d: chain lacks ErrInjected: %v", kind, op, err)
 					}
 					if st := inj.Stats(); st.Transient != 1 {
-						t.Errorf("%s fault: injector fired %d faults, want exactly 1 (other shards untouched)", kind, st.Transient)
+						t.Errorf("%s fault at op %d: injector fired %d faults, want exactly 1", kind, op, st.Transient)
 					}
 					sys.Close()
 					emio.RequireNoGoroutineLeaks(t, base)

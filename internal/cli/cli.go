@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -57,7 +56,7 @@ func Register(fs *flag.FlagSet, backend bool) *Flags {
 	if !backend {
 		return f
 	}
-	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines for the parallel sharded engine, which runs sorts only (0 = sequential engine; the parallel engine's output matches it bit for bit, and its I/O counts are identical for every worker count >= 1 but differ from the sequential engine's)")
+	fs.IntVar(&f.Workers, "workers", 0, "goroutines that sort each in-memory run of a sort (0 or 1 = one; output, I/O counts and trace are the same at every worker count)")
 	fs.StringVar(&f.Backing, "backing", "", "path for a real backing file for the simulated disk (default: in-memory)")
 	fs.BoolVar(&f.Uring, "uring", false, "submit physical I/O through an io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
 	fs.BoolVar(&f.Checksum, "checksum", false, "CRC32C-checksum every stored block and fail on corruption at read time")
@@ -108,19 +107,13 @@ func (f *Flags) Host(sys *empart.System) string {
 		empart.DirectIOSupported(probeDir), empart.UringSupported(), backend)
 }
 
-// Main runs the command called name: it parses the command line, gives the
-// parallel engine room for -workers, traps SIGINT and SIGTERM, and exits
-// nonzero with the rendered error when run fails.
+// Main runs the command called name: it parses the command line, traps
+// SIGINT and SIGTERM, and exits nonzero with the rendered error when run
+// fails.
 func (f *Flags) Main(name string, run func() error) {
 	log.SetFlags(0)
 	log.SetPrefix(name + ": ")
 	flag.Parse()
-	// The parallel engine's workers spend most of their time blocked in
-	// syscalls; on hosts with fewer cores than workers, give the runtime a P
-	// per blocked worker plus compute headroom so the device queue stays full.
-	if want := 2 * f.Workers; want > runtime.GOMAXPROCS(0) {
-		runtime.GOMAXPROCS(want)
-	}
 	trapSignals()
 	if err := run(); err != nil {
 		log.Fatal(render(err))

@@ -7,10 +7,9 @@
 // the package exists to exercise the splitter engine as a real substrate
 // consumer and to provide the classic merge-vs-distribution ablation.
 //
-// With Config.Workers > 0 the facade routes DistributionSort through the
-// parallel sharded engine (internal/empar) instead: the sorted output is the
-// unique nondecreasing (Key, Aux) sequence either way, so the two paths are
-// output-bit-identical; only the I/O schedule differs.
+// Config.Workers parallelises only the in-memory sort of the base-case
+// buckets (inmem.ParallelSort): the I/O schedule, the output and the trace
+// are the same at every worker count.
 package distsort
 
 import (
@@ -78,7 +77,7 @@ func sortInto(ctx *emio.Ctx, chunk *emio.File, owned bool, w *emio.Writer) error
 		if err != nil {
 			return err
 		}
-		inmem.Sort(buf)
+		inmem.ParallelSort(buf, ctx.Config().Workers)
 		for _, e := range buf {
 			w.Append(e)
 		}

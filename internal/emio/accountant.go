@@ -17,9 +17,7 @@ import (
 //
 // The meter is lock-free and safe for concurrent use: Charge reserves with a
 // compare-and-swap against the limit, Credit is an atomic add, and the peak
-// is maintained by a CAS-max loop. The parallel engine gives every shard its
-// own Accountant and merges peaks deterministically (in shard order) through
-// RaisePeak, so totals are identical for every worker count.
+// is maintained by a CAS-max loop.
 type Accountant struct {
 	limit int64
 	used  atomic.Int64
@@ -74,8 +72,7 @@ func (a *Accountant) Peak() int64 { return a.peak.Load() }
 func (a *Accountant) Limit() int64 { return a.limit }
 
 // RaisePeak lifts the high-water mark to at least v (CAS-max; never lowers
-// it). The parallel engine uses it to fold per-shard peaks into the parent
-// meter; the tracer uses it to restore an enclosing span's scoped peak.
+// it). The tracer uses it to restore an enclosing span's scoped peak.
 func (a *Accountant) RaisePeak(v int64) {
 	for {
 		p := a.peak.Load()

@@ -6,12 +6,9 @@ import (
 )
 
 // TestAccountantConcurrent exercises the accountant from many goroutines at
-// once — the access pattern of the parallel engine, where every shard
-// charges its own sub-accountant while the coordinator reads Used() and the
-// phase folds call RaisePeak on the parent. Run under -race this test fails
-// on any non-atomic implementation (the pre-parallel accountant used plain
-// int64 fields; charging from two goroutines was a data race and lost
-// updates).
+// once, charging and crediting while reading Used(). Run under -race this
+// test fails on any non-atomic implementation (plain int64 fields race and
+// lose updates when two goroutines charge).
 func TestAccountantConcurrent(t *testing.T) {
 	const (
 		workers = 8
@@ -44,8 +41,7 @@ func TestAccountantConcurrent(t *testing.T) {
 	}
 }
 
-// TestAccountantConcurrentRaisePeak races RaisePeak (the fold operation)
-// against charging goroutines: the final peak must be exactly the maximum of
+// TestAccountantConcurrentRaisePeak races RaisePeak against charging goroutines: the final peak must be exactly the maximum of
 // every raise and every observed usage high-water — a CAS-max, not a
 // last-writer-wins store.
 func TestAccountantConcurrentRaisePeak(t *testing.T) {

@@ -2,8 +2,7 @@ package emio
 
 // Cooperative cancellation of a running job.
 //
-// A Disk carries one cancel cell — shared with every shard sub-disk cut from
-// it — holding the job's cancellation state. Cancel may be called from any
+// A Disk carries one cancel cell holding the job's cancellation state. Cancel may be called from any
 // goroutine (a signal handler, a context watcher, a server's admission
 // layer); the algorithm observes it at the logical I/O boundary: every
 // ReadBlock/AppendBlock checks the cell before counting the transfer, and
@@ -53,15 +52,14 @@ func (e *CancelledError) Unwrap() []error {
 	return []error{ErrCancelled}
 }
 
-// cancelCell is the shared cancellation flag of one job. The parent Disk and
-// all its shard sub-disks point at the same cell, so a cancel on any of them
-// stops every worker.
+// cancelCell is the cancellation flag of one job: written by Cancel from any
+// goroutine, read at every logical transfer and retry attempt.
 type cancelCell struct {
 	err atomic.Pointer[CancelledError]
 }
 
-// Cancel requests cooperative cancellation of the job running on this disk
-// (and, through the shared cell, on every shard cut from it). The first call
+// Cancel requests cooperative cancellation of the job running on this disk.
+// The first call
 // wins; later calls are no-ops. Safe from any goroutine, at any time.
 func (d *Disk) Cancel(cause error) {
 	if d.cancel == nil {

@@ -22,19 +22,17 @@ import (
 // Log arms the structured event log (see LogConfig); like the other
 // telemetry legs it is strictly observational and changes no outputs.
 //
-// Workers selects the parallel sharded execution engine for the two sorts:
-// 0 (the default) runs them sequentially; w >= 1 runs Sort and
-// DistributionSort over S logical shards driven by w worker goroutines. The
-// shard count S is a deterministic function of M and B alone, so outputs,
-// logical Stats and trace JSON are bit-identical for every positive worker
-// count. The sharded output equals the sequential one, but its logical I/O
-// and trace follow the sharded plan. Every other algorithm ignores Workers
-// and runs exactly as with 0.
+// Workers is the number of goroutines the two sorts may use for their
+// in-memory sorting: extsort's run formation (Sort and SortJob) and
+// distsort's base cases (DistributionSort). 0 and 1 sort on the calling
+// goroutine. Every sort still runs at full M with the same I/O schedule, so
+// outputs, logical Stats, peak memory and trace JSON are bit-identical at
+// every worker count. Every other algorithm ignores Workers.
 type Config struct {
 	M int // memory capacity, in elements
 	B int // block size, in elements
 
-	Workers int // parallel worker goroutines; 0 = sequential execution
+	Workers int // goroutines for the sorts' in-memory sorting; 0 = the caller's only
 
 	Pipeline Pipeline // async physical-I/O pipeline (file-backed disks)
 

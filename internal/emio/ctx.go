@@ -168,9 +168,9 @@ func intCharge(n int) int64 { return int64((n + 1) / 2) }
 // and closes Θ(M/B) streams per level, and a fresh zeroed B-element buffer
 // for each was most of the allocation of a partitioning call. Stream buffers
 // need no zeroing: a Reader only exposes elements a block read filled in,
-// and a Writer only writes elements it appended. A Ctx serves one goroutine
-// at a time (the parallel engine gives each shard its own), so the free list
-// takes no lock; it never holds more buffers than were open at once.
+// and a Writer only writes elements it appended. A Ctx serves one goroutine,
+// so the free list takes no lock; it never holds more buffers than were open
+// at once.
 func (c *Ctx) takeBlockBuf() ([]Elem, error) {
 	if err := c.mem.Charge(int64(c.cfg.B)); err != nil {
 		return nil, err

@@ -16,7 +16,9 @@ import (
 // failure-path testing.
 //
 // A Disk is not safe for concurrent use; the EM model is sequential and so is
-// every algorithm built on it.
+// every algorithm built on it. Config.Workers does not change that: the
+// sorts' parallel in-memory sorting runs between block transfers, on memory
+// the algorithm already holds, and never touches the disk.
 type Disk struct {
 	blockSize int
 	store     blockStore
@@ -79,10 +81,9 @@ type Disk struct {
 	retry    *retrier
 	inj      atomic.Pointer[Injector]
 
-	// Job-lifecycle state, shared with shard sub-disks: the cooperative
-	// cancellation cell (see cancel.go) and the disk-byte accountant (see
-	// resource.go). Both are allocated by the constructors; a cancel or a
-	// budget charge on any shard is visible to all of them.
+	// Job-lifecycle state: the cooperative cancellation cell (see cancel.go)
+	// and the disk-byte accountant (see resource.go), both allocated by the
+	// constructors.
 	cancel *cancelCell
 	budget *diskBudget
 }
@@ -162,17 +163,6 @@ func (d *Disk) FreeExtents() int64 {
 		return s.freeExtents()
 	}
 	return 0
-}
-
-// OrderFreeExtents puts the backing file's released extents in offset order,
-// so that the contiguous reservations of shard sub-disks are as long as the
-// free space allows, whatever order earlier work released its files in. The
-// parallel engine calls it before each sharded sort. A no-op for memory
-// disks.
-func (d *Disk) OrderFreeExtents() {
-	if s, ok := storeBase(d).(*fileStore); ok {
-		s.orderFree()
-	}
 }
 
 // PhysStats returns the cumulative count of physical transfers (positioned
@@ -307,15 +297,6 @@ func (d *Disk) Stats() Stats { return d.stats }
 // their inputs so that only the algorithm under test is measured.
 func (d *Disk) ResetStats() { d.stats = Stats{} }
 
-// AddStats folds a logical-I/O delta into the disk's counters. The parallel
-// engine accounts each shard's transfers on the shard's own sub-disk and
-// then folds the deltas into the parent in shard order at phase barriers, so
-// the parent's Stats are deterministic for every worker count.
-func (d *Disk) AddStats(s Stats) {
-	d.stats.Reads += s.Reads
-	d.stats.Writes += s.Writes
-}
-
 // EnableChecksums arms per-block CRC32C checksums: every block append
 // records the checksum of its on-disk image in a memory-resident sidecar,
 // and every read verifies the decoded payload against it, returning a
@@ -425,8 +406,7 @@ func (d *Disk) ResetPeakLive() { d.peakLive = d.liveBlocks }
 
 // RaisePeakLive lifts the disk-footprint high-water mark to at least v
 // (never lowers it). The tracer uses it to restore an enclosing span's
-// scoped peak; the parallel engine uses it to fold shard footprints into the
-// parent disk's meter.
+// scoped peak.
 func (d *Disk) RaisePeakLive(v int64) {
 	if v > d.peakLive {
 		d.peakLive = v

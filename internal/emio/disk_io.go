@@ -11,16 +11,11 @@ import (
 
 // The I/O engine of a pipelined file store.
 //
-// Every disk over a pipelined file store gets its own diskIO: the parent disk
-// and each shard sub-disk of the parallel engine. It is used by whichever
-// goroutine drives the disk, the algorithm goroutine for the parent and the
-// worker running the shard's current task for a shard:
+// The disk over a pipelined file store runs one diskIO, driven by the
+// algorithm goroutine:
 //
-//   - Extents: the parent takes one extent per block from the shared
-//     allocator (allocExtent), so free-extent reuse keeps its backing file at
-//     the live footprint. A shard takes full-block extents from a per-shard
-//     reservation of adjacent extents (allocRun), so its consecutive appends
-//     land on adjacent offsets however the other shards interleave.
+//   - Extents: each block takes one extent from the allocator (allocExtent),
+//     so free-extent reuse keeps the backing file at the live footprint.
 //   - Staged writes: appends are encoded into a staging batch of up to
 //     queueDepth blocks. A full batch goes out as one positioned write per
 //     run of adjacent extents, usually one. Up to writeSlack batch writes
@@ -32,8 +27,7 @@ import (
 //     one is consumed.
 //   - Errors: a failed write is recorded against every file in its batch and
 //     reported once: by the next operation on such a file (an append, a
-//     read, Sync, Writer.Close), else by Disk.Settle at the end of a shard's
-//     task, else by Disk.Close.
+//     read, Sync, Writer.Close), else by Disk.Close.
 //   - Fault injector armed: writes still stage and their errors are still
 //     deferred, but each staged block goes out as its own transfer, in order,
 //     on the owning goroutine, and reads skip read-ahead. So scripted
@@ -49,12 +43,6 @@ import (
 // writeSlack is the number of batch writes that may be in flight while the
 // next batch stages.
 const writeSlack = 2
-
-// shardReserveBatches is the length of a shard's extent reservation in
-// staging batches. Reservations longer than one batch keep a file contiguous
-// across flushes, so read-ahead windows seldom break at a reservation seam;
-// the unused rest goes back to the allocator at Settle.
-const shardReserveBatches = 4
 
 // batchOp locates one encoded block inside a writeBatch: nbytes of payload
 // bound for backing offset off on behalf of f.
@@ -79,22 +67,18 @@ type writeRun struct {
 	x   *xfer
 }
 
-// diskIO is the engine state of one disk of a pipelined file store. It is
-// used by one goroutine at a time; the parallel engine's phase barriers order
-// the hand-offs between a shard's tasks.
+// diskIO is the engine state of the disk of a pipelined file store, used by
+// the goroutine driving the disk.
 type diskIO struct {
 	fs         *fileStore
 	d          *Disk
-	reserve    bool // take full-block extents from reservations (shards)
-	blockBytes int  // extent size of a full block (padded in direct mode)
-	depth      int  // staging capacity in blocks
-	winBlocks  int  // read-ahead window capacity in blocks
+	blockBytes int // extent size of a full block (padded in direct mode)
+	depth      int // staging capacity in blocks
+	winBlocks  int // read-ahead window capacity in blocks
 
-	stage   *writeBatch   // the batch being staged
-	flying  []*writeBatch // batch writes in flight, oldest first
-	spare   []*writeBatch // idle batch buffers
-	resOff  int64         // next extent of the current reservation
-	resLeft int           // extents left in it
+	stage  *writeBatch   // the batch being staged
+	flying []*writeBatch // batch writes in flight, oldest first
+	spare  []*writeBatch // idle batch buffers
 
 	errs    map[*File]*stickyErr // staged-write failures by file
 	errList []*stickyErr         // the same, in failure order, until settle
@@ -110,9 +94,9 @@ type stickyErr struct {
 	delivered bool
 }
 
-// readWindow holds blocks [from, from+count) of the file read through (a
-// view or a whole file), read from the backing file at startOff. The head
-// window of a file has always been awaited; its next is in flight.
+// readWindow holds blocks [from, from+count) of a file, read from the
+// backing file at startOff. The head window of a file has always been
+// awaited; its next is in flight.
 type readWindow struct {
 	from, count int
 	startOff    int64
@@ -123,12 +107,11 @@ type readWindow struct {
 
 func (w *readWindow) covers(i int) bool { return i >= w.from && i < w.from+w.count }
 
-func newDiskIO(fs *fileStore, d *Disk, reserve bool) *diskIO {
+func newDiskIO(fs *fileStore) *diskIO {
 	bb := fs.pad(fs.size * elemBytes)
 	io := &diskIO{
 		fs:         fs,
-		d:          d,
-		reserve:    reserve,
+		d:          fs.disk,
 		blockBytes: bb,
 		depth:      fs.dep.queue,
 		winBlocks:  fs.dep.prefetch,
@@ -169,7 +152,7 @@ func (io *diskIO) append(f *File, payload []Elem) error {
 	}
 	nbytes := len(payload) * elemBytes
 	pn := io.fs.pad(nbytes)
-	off := io.extent(pn)
+	off := io.fs.allocExtent(pn)
 	b := io.stage
 	start := len(b.buf)
 	b.buf = b.buf[:start+pn]
@@ -186,22 +169,6 @@ func (io *diskIO) append(f *File, payload []Elem) error {
 	return nil
 }
 
-// extent returns the backing offset for a new block of pn bytes: a one-off
-// extent for the parent and for a shard's short last block, else the next
-// extent of the shard's reservation.
-func (io *diskIO) extent(pn int) int64 {
-	if !io.reserve || pn != io.blockBytes {
-		return io.fs.allocExtent(pn)
-	}
-	if io.resLeft == 0 {
-		io.resOff, io.resLeft = io.fs.allocRun(pn, shardReserveBatches*io.depth)
-	}
-	off := io.resOff
-	io.resOff += int64(pn)
-	io.resLeft--
-	return off
-}
-
 // flush starts the write of the staged batch, first completing the oldest
 // write in flight when writeSlack are. Under a fault injector it instead
 // writes the batch out here, one transfer per block.
@@ -214,7 +181,7 @@ func (io *diskIO) flush() {
 		io.waitAll()
 		pos := 0
 		for k, op := range b.ops {
-			err := io.fs.transfer(io.d, opWrite, op.f.name, b.buf[pos:pos+op.nbytes], op.off, 1)
+			err := io.fs.transfer(opWrite, op.f.name, b.buf[pos:pos+op.nbytes], op.off, 1)
 			io.done(b.ops[k:k+1], err)
 			pos += op.nbytes
 		}
@@ -232,13 +199,13 @@ func (io *diskIO) flush() {
 			nb += b.ops[end].nbytes
 			end++
 		}
-		x := newXfer(io.d, opWrite, b.ops[start].f.name, b.buf[pos:pos+nb], b.ops[start].off, end-start)
+		x := newXfer(opWrite, b.ops[start].f.name, b.buf[pos:pos+nb], b.ops[start].off, end-start)
 		b.runs = append(b.runs, writeRun{end: end, x: x})
 		xs = append(xs, x)
 		pos += nb
 		start = end
 	}
-	io.fs.startXfer(io.d, xs...)
+	io.fs.startXfer(xs...)
 	io.flying = append(io.flying, b)
 	io.stage = io.takeSpare()
 }
@@ -280,7 +247,7 @@ func (io *diskIO) done(ops []batchOp, err error) {
 		// A write abandoned because the job was cancelled is an expected
 		// teardown outcome, not lost data: it stays sticky so the next
 		// operation on the file fails fast, but is never resurfaced at
-		// Settle or Close after the job has reported the cancellation.
+		// Close after the job has reported the cancellation.
 		se := &stickyErr{err: storeWriteError(io.d, op.f.name, op.off, err), delivered: errors.Is(err, ErrCancelled)}
 		io.errs[op.f] = se
 		io.errList = append(io.errList, se)
@@ -322,18 +289,17 @@ func (io *diskIO) sync(f *File) error {
 	return io.fileErr(f)
 }
 
-// read serves block i of f, which is block blk of src (f itself, or the file
-// a view resolves to): from f's read-ahead window when one holds the block,
-// else with a single positioned read through scratch.
-func (io *diskIO) read(f, src *File, i, blk int, buf []Elem, seq bool, scratch []byte) (int, error) {
-	if err := io.sync(src); err != nil {
+// read serves block i of f: from f's read-ahead window when one holds the
+// block, else with a single positioned read.
+func (io *diskIO) read(f *File, i int, buf []Elem, seq bool) (int, error) {
+	if err := io.sync(f); err != nil {
 		return 0, err
 	}
-	n := src.blockLen(blk)
+	n := f.blockLen(i)
 	if cap(buf) < n {
 		return 0, fmt.Errorf("%w: buffer cap %d < block len %d", ErrBlockSize, cap(buf), n)
 	}
-	w, hit := io.window(f, src, i, blk, seq && io.d.Injector() == nil)
+	w, hit := io.window(f, i, seq && io.d.Injector() == nil)
 	if sm := io.fs.sm.Load(); sm != nil {
 		if hit {
 			sm.prefetchHits.Inc()
@@ -342,9 +308,9 @@ func (io *diskIO) read(f, src *File, i, blk int, buf []Elem, seq bool, scratch [
 		}
 	}
 	if w == nil {
-		return io.fs.readShared(io.d, src, blk, buf, scratch)
+		return io.fs.readBlock(f, i, buf)
 	}
-	off := int(src.extents[blk] - w.startOff)
+	off := int(f.extents[i] - w.startOff)
 	decodeElems(buf[:n], w.buf[off:off+n*elemBytes], true)
 	return n, nil
 }
@@ -354,7 +320,7 @@ func (io *diskIO) read(f, src *File, i, blk int, buf []Elem, seq bool, scratch [
 // new chain at i. Either way the window after the returned one is put in
 // flight. A failed read-ahead drops the chain and returns nil, so the block
 // is read on its own and a failure reports like a synchronous one.
-func (io *diskIO) window(f, src *File, i, blk int, seq bool) (w *readWindow, hit bool) {
+func (io *diskIO) window(f *File, i int, seq bool) (w *readWindow, hit bool) {
 	w = io.win[f]
 	if w != nil && !w.covers(i) && w.next != nil && w.next.covers(i) {
 		io.bufs = append(io.bufs, w.buf)
@@ -367,7 +333,7 @@ func (io *diskIO) window(f, src *File, i, blk int, seq bool) (w *readWindow, hit
 		if !seq {
 			return nil, false
 		}
-		if w = io.startWindow(f, src, i, blk); w == nil {
+		if w = io.startWindow(f, i); w == nil {
 			return nil, false
 		}
 		io.win[f] = w
@@ -382,30 +348,30 @@ func (io *diskIO) window(f, src *File, i, blk int, seq bool) (w *readWindow, hit
 	}
 	if seq && w.next == nil {
 		end := w.from + w.count
-		w.next = io.startWindow(f, src, end, blk-i+end)
+		w.next = io.startWindow(f, end)
 	}
 	return w, hit
 }
 
 // startWindow starts reading up to winBlocks contiguous blocks of f from
-// block j (block sblk of src) into a window. It returns nil, reading
-// nothing, when fewer than two blocks are contiguous there.
-func (io *diskIO) startWindow(f, src *File, j, sblk int) *readWindow {
+// block j into a window. It returns nil, reading nothing, when fewer than
+// two blocks are contiguous there.
+func (io *diskIO) startWindow(f *File, j int) *readWindow {
 	if j >= f.nblocks {
 		return nil
 	}
-	startOff := src.extents[sblk]
+	startOff := f.extents[j]
 	count, nbytes := 0, 0
-	for count < io.winBlocks && j+count < f.nblocks && src.extents[sblk+count] == startOff+int64(nbytes) {
-		nbytes += io.fs.extentBytes(src, sblk+count)
+	for count < io.winBlocks && j+count < f.nblocks && f.extents[j+count] == startOff+int64(nbytes) {
+		nbytes += io.fs.extentBytes(f, j+count)
 		count++
 	}
 	if count < 2 {
 		return nil
 	}
 	w := &readWindow{from: j, count: count, startOff: startOff, buf: io.getBuf()}
-	w.x = newXfer(io.d, opRead, src.name, w.buf[:nbytes], startOff, count)
-	io.fs.startXfer(io.d, w.x)
+	w.x = newXfer(opRead, f.name, w.buf[:nbytes], startOff, count)
+	io.fs.startXfer(w.x)
 	return w
 }
 
@@ -440,18 +406,13 @@ func (io *diskIO) forget(f *File) {
 	delete(io.errs, f)
 }
 
-// settle writes every staged block, waits out all transfers, returns the
-// rest of a shard's reservation to the allocator and reports the first
-// staged-write failure nothing has reported yet.
+// settle writes every staged block, waits out all transfers and reports the
+// first staged-write failure nothing has reported yet.
 func (io *diskIO) settle() error {
 	io.flush()
 	io.waitAll()
 	for f := range io.win {
 		io.dropWindows(f)
-	}
-	if io.resLeft > 0 {
-		io.fs.freeRun(io.resOff, io.blockBytes, io.resLeft)
-		io.resLeft = 0
 	}
 	var err error
 	for _, se := range io.errList {
@@ -464,11 +425,10 @@ func (io *diskIO) settle() error {
 	return err
 }
 
-// xfer is one positioned transfer of buf at off for d's file fname, started
+// xfer is one positioned transfer of buf at off for the file fname, started
 // by startXfer and completed by awaitXfer. blocks is its run length,
 // recorded in the run-size histograms.
 type xfer struct {
-	d      *Disk
 	op     ioOp
 	fname  string
 	buf    []byte
@@ -480,17 +440,17 @@ type xfer struct {
 	err    error
 }
 
-func newXfer(d *Disk, op ioOp, fname string, buf []byte, off int64, blocks int) *xfer {
-	return &xfer{d: d, op: op, fname: fname, buf: buf, off: off, blocks: blocks, done: make(chan struct{})}
+func newXfer(op ioOp, fname string, buf []byte, off int64, blocks int) *xfer {
+	return &xfer{op: op, fname: fname, buf: buf, off: off, blocks: blocks, done: make(chan struct{})}
 }
 
-// startXfer issues the transfers xs of disk d and returns without waiting.
-// With an io_uring armed and d's fault layer idle (its per-attempt schedules
+// startXfer issues the transfers xs and returns without waiting. With an
+// io_uring armed and the disk's fault layer idle (its per-attempt schedules
 // need the synchronous path) each is its own ring submission. Otherwise one
 // goroutine runs them in order, so a batch of scattered runs costs one
 // goroutine, not one per run.
-func (s *fileStore) startXfer(d *Disk, xs ...*xfer) {
-	if r := s.ring; r != nil && d.Injector() == nil && d.retry == nil && s.testWriteErr == nil {
+func (s *fileStore) startXfer(xs ...*xfer) {
+	if r := s.ring; r != nil && s.disk.Injector() == nil && s.disk.retry == nil && s.testWriteErr == nil {
 		for _, x := range xs {
 			s.submit(r, x)
 		}
@@ -498,7 +458,7 @@ func (s *fileStore) startXfer(d *Disk, xs ...*xfer) {
 	}
 	go func() {
 		for _, x := range xs {
-			x.err = s.transfer(d, x.op, x.fname, x.buf, x.off, x.blocks)
+			x.err = s.transfer(x.op, x.fname, x.buf, x.off, x.blocks)
 			close(x.done)
 		}
 	}()
@@ -537,28 +497,26 @@ func (s *fileStore) awaitXfer(x *xfer) error {
 	}
 	if x.redo {
 		x.redo = false
-		x.err = s.physOn(x.d, x.op, x.fname, x.buf, x.off)
+		x.err = s.physOn(x.op, x.fname, x.buf, x.off)
 	}
 	return x.err
 }
 
 // transfer performs one positioned transfer on the calling goroutine and
 // records it in the physical counters and histograms.
-func (s *fileStore) transfer(d *Disk, op ioOp, fname string, buf []byte, off int64, blocks int) error {
+func (s *fileStore) transfer(op ioOp, fname string, buf []byte, off int64, blocks int) error {
 	sm := s.sm.Load()
 	t0 := clock(sm)
-	err := s.physOn(d, op, fname, buf, off)
+	err := s.physOn(op, fname, buf, off)
 	s.noteXfer(sm, op, t0, blocks, err)
 	return err
 }
 
-// physOn issues one positioned transfer for d's file fname under d's fault
-// injector and retry policy: shard sub-disks share the store but carry their
-// own injectors, so a schedule armed on shard k fires only on shard k's
-// transfers. With neither armed it is a bare transfer over the active
-// backend, the io_uring when armed, else pread/pwrite. The test-only write
-// hook models a device error below both.
-func (s *fileStore) physOn(d *Disk, op ioOp, fname string, raw []byte, off int64) error {
+// physOn issues one positioned transfer for the file fname under the disk's
+// fault injector and retry policy. With neither armed it is a bare transfer
+// over the active backend, the io_uring when armed, else pread/pwrite. The
+// test-only write hook models a device error below both.
+func (s *fileStore) physOn(op ioOp, fname string, raw []byte, off int64) error {
 	do := func() error {
 		if op == opRead {
 			return s.preadRaw(raw, off)
@@ -570,10 +528,10 @@ func (s *fileStore) physOn(d *Disk, op ioOp, fname string, raw []byte, off int64
 		}
 		return s.pwriteRaw(raw, off)
 	}
-	if d.Injector() == nil && d.retry == nil {
+	if s.disk.Injector() == nil && s.disk.retry == nil {
 		return do()
 	}
-	return d.runPhys(op, fname, off, do)
+	return s.disk.runPhys(op, fname, off, do)
 }
 
 // clock reads the wall clock only when metrics are attached.

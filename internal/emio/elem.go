@@ -26,6 +26,11 @@ var cmpHook func(lo, hi Elem)
 // Harness-side use only.
 func SetCompareHook(h func(lo, hi Elem)) { cmpHook = h }
 
+// CompareHooked reports whether a comparison observer is installed. Code
+// that could spread comparisons over several goroutines stays on one while
+// it is, so the observer sees the sequential transcript.
+func CompareHooked() bool { return cmpHook != nil }
+
 // Less reports whether a precedes b in the total order (Key, Aux).
 //
 // All algorithms in this repository compare elements with Less, Compare or

@@ -33,14 +33,6 @@ type File struct {
 	// ReleasePrefix while the file's tail stays readable (consuming reads,
 	// the disk-budget degradation path of merges).
 	freed int
-
-	// View metadata (see Disk.NewView): a view is a read-only window onto a
-	// contiguous block range of another disk's file. viewSrc is the backing
-	// file and viewOff the first backing block of the window; both are nil/0
-	// for ordinary files. Views own no storage — Release drops only the
-	// window's metadata.
-	viewSrc *File
-	viewOff int
 }
 
 // Errors returned by block-level file operations.
@@ -75,14 +67,10 @@ func (f *File) Release() {
 		return
 	}
 	f.disk.store.release(f)
-	if f.viewSrc == nil {
-		// Views own no blocks: they were registered without noteAlloc, so
-		// releasing one must not lower the footprint either. Blocks already
-		// reclaimed by ReleasePrefix were credited there.
-		live := int64(f.nblocks - f.freed)
-		f.disk.noteFree(live)
-		f.disk.creditBlocks(live)
-	}
+	// Blocks already reclaimed by ReleasePrefix were credited there.
+	live := int64(f.nblocks - f.freed)
+	f.disk.noteFree(live)
+	f.disk.creditBlocks(live)
 	f.disk.noteRelease(f)
 	f.n = 0
 	f.nblocks = 0
@@ -101,10 +89,9 @@ func (f *File) Release() {
 // The caller guarantees the reclaimed blocks are settled (no pending
 // write-behind) and strictly behind any live read-ahead window — the
 // consuming Reader enforces a lag of the disk's prefetch depth plus one.
-// No-op on views, released files and stores without extent-granular
-// reclamation (shard sub-disks).
+// No-op on released files.
 func (f *File) ReleasePrefix(upTo int) {
-	if f.released || f.viewSrc != nil {
+	if f.released {
 		return
 	}
 	if upTo > f.nblocks {
@@ -113,11 +100,7 @@ func (f *File) ReleasePrefix(upTo int) {
 	if upTo <= f.freed {
 		return
 	}
-	pr, ok := f.disk.store.(prefixReleaser)
-	if !ok {
-		return
-	}
-	pr.releaseRange(f, f.freed, upTo)
+	f.disk.store.releaseRange(f, f.freed, upTo)
 	n := int64(upTo - f.freed)
 	f.freed = upTo
 	f.disk.noteFree(n)
@@ -137,9 +120,6 @@ func (f *File) blockLen(i int) int {
 // memory-backed disks it is the block's dense-log position (the offset it
 // would have on a file backing).
 func (f *File) blockOff(i int) int64 {
-	if f.viewSrc != nil {
-		return f.viewSrc.blockOff(f.viewOff + i)
-	}
 	if i < len(f.extents) {
 		return f.extents[i]
 	}
@@ -235,7 +215,7 @@ func (f *File) Sync() error {
 	if f.released {
 		return nil
 	}
-	if s, ok := f.disk.store.(fileSyncer); ok {
+	if s, ok := f.disk.store.(*fileStore); ok {
 		return s.syncFile(f)
 	}
 	return nil

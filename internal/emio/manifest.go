@@ -7,8 +7,7 @@ package emio
 // extent list, and (when checksums are armed) the per-block CRC32C sidecar.
 // The checkpoint layer journals manifests of completed phase outputs; on
 // resume, a disk opened with NewFileBackedDiskResume over the same backing
-// file reconstructs the files with AdoptFile — zero I/O, exactly like extent
-// adoption between shards.
+// file reconstructs the files with AdoptFile, at zero I/O.
 //
 // Resume safety invariant: AdoptFile raises the store's append cursor past
 // every adopted extent, so blocks written after the crash point — which the
@@ -35,16 +34,14 @@ type FileManifest struct {
 
 // Manifest captures the file's durable description for a journal record,
 // draining pending write-behind blocks first so the manifest only ever
-// describes bytes that have reached the backing file. Only ordinary files on
-// file-backed disks can be manifested: views, memory-backed files and
+// describes bytes that have reached the backing file. Only files on
+// file-backed disks can be manifested: memory-backed files and
 // prefix-consumed files (ReleasePrefix) have no stable extent list to
 // record.
 func (f *File) Manifest() (FileManifest, error) {
 	switch {
 	case f.released:
 		return FileManifest{}, fmt.Errorf("%w (%s)", ErrReleased, f.name)
-	case f.viewSrc != nil:
-		return FileManifest{}, fmt.Errorf("emio: manifest of %s: views are not manifestable", f.name)
 	case f.freed > 0:
 		return FileManifest{}, fmt.Errorf("emio: manifest of %s: prefix-consumed files are not manifestable", f.name)
 	case len(f.extents) != f.nblocks:

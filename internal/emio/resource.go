@@ -10,8 +10,7 @@ package emio
 // a typed *ResourceError carrying the live usage — the same error shape a
 // real ENOSPC from the device is wrapped into, so callers handle "the model
 // says you're out of disk" and "the device says you're out of disk"
-// identically. The budget is shared between a parent Disk and its shard
-// sub-disks (the counters are atomic), like the cancel cell.
+// identically.
 
 import (
 	"errors"
@@ -49,8 +48,7 @@ func (e *ResourceError) Error() string {
 
 func (e *ResourceError) Unwrap() error { return e.Err }
 
-// diskBudget is the disk-byte accountant of one Disk (shared with its shard
-// sub-disks). With limit <= 0 it meters without enforcing, so DiskBytes and
+// diskBudget is the disk-byte accountant of one Disk. With limit <= 0 it meters without enforcing, so DiskBytes and
 // PeakDiskBytes report real footprints even on unbudgeted runs; the cost is
 // one atomic add per block append or release, next to a syscall.
 type diskBudget struct {
@@ -104,8 +102,7 @@ func (a *diskBudget) raisePeak(v int64) {
 
 // SetDiskBudget arms disk-byte quota enforcement at limit bytes (scratch and
 // backing alike, charged block-granular at B·16 bytes per block); limit <= 0
-// meters without enforcing. Configure before I/O starts — the limit is read
-// concurrently by shard workers.
+// meters without enforcing. Configure before I/O starts.
 func (d *Disk) SetDiskBudget(limit int64) {
 	if d.budget == nil {
 		return

@@ -105,8 +105,7 @@ func (r *retrier) stats() RetryStats {
 }
 
 // retryMetrics are the registry instruments of the retry layer. Handles are
-// shard-bound but safe from any goroutine; retries are rare events, so shard
-// contention is irrelevant.
+// safe from any goroutine, so transfer goroutines record retries directly.
 type retryMetrics struct {
 	retries   *metrics.CounterHandle
 	giveups   *metrics.CounterHandle

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -26,35 +25,19 @@ type blockStore interface {
 	append(f *File, payload []Elem) error
 	// release drops f's storage.
 	release(f *File)
+	// releaseRange drops the storage of f's blocks [lo, hi) while the rest
+	// of the file stays readable (see File.ReleasePrefix).
+	releaseRange(f *File, lo, hi int)
 	// close releases backend resources (no-op for memory).
 	close() error
 }
 
-// Optional store capabilities, discovered by interface assertion so that the
-// core blockStore contract stays minimal.
-type (
-	// fileSyncer is implemented by stores with deferred physical writes;
-	// syncFile blocks until every pending write of f has hit the backend and
-	// reports the first physical failure among them.
-	fileSyncer interface {
-		syncFile(f *File) error
-	}
-	// prefixReleaser is implemented by stores with block-granular storage
-	// reclamation; releaseRange drops the storage of f's blocks [lo, hi)
-	// while the rest of the file stays readable (see File.ReleasePrefix).
-	prefixReleaser interface {
-		releaseRange(f *File, lo, hi int)
-	}
-)
-
 // memStore keeps blocks as slices hanging off the File, recycling released
 // block slices through a bounded per-disk free list so that scratch-heavy
 // runs (merge passes, recursion) reuse memory instead of churning the GC.
-// The free list is mutex-guarded so shard sub-disks (see shard.go) can share
-// the store from worker goroutines; everything else the store touches hangs
-// off the File being operated on.
+// Like its Disk it serves one goroutine; everything else the store touches
+// hangs off the File being operated on.
 type memStore struct {
-	mu   sync.Mutex
 	free [][]Elem
 }
 
@@ -98,25 +81,20 @@ func (s *memStore) append(f *File, payload []Elem) error {
 // takeBlock pops a recycled block slice of sufficient capacity off the free
 // list, or allocates a fresh one.
 func (s *memStore) takeBlock(n, blockSize int) []Elem {
-	s.mu.Lock()
 	if k := len(s.free); k > 0 && cap(s.free[k-1]) >= n {
 		blk := s.free[k-1][:n]
 		s.free[k-1], s.free = nil, s.free[:k-1]
-		s.mu.Unlock()
 		return blk
 	}
-	s.mu.Unlock()
 	return make([]Elem, n, blockSize)
 }
 
 func (s *memStore) release(f *File) {
-	s.mu.Lock()
 	for _, blk := range f.mem {
 		if len(s.free) < maxMemFreeBlocks && cap(blk) > 0 {
 			s.free = append(s.free, blk)
 		}
 	}
-	s.mu.Unlock()
 	f.mem = nil
 }
 
@@ -124,14 +102,12 @@ func (s *memStore) release(f *File) {
 // readable (File.ReleasePrefix). Reclaimed entries are nilled; the final
 // release skips them via the cap check above.
 func (s *memStore) releaseRange(f *File, lo, hi int) {
-	s.mu.Lock()
 	for i := lo; i < hi; i++ {
 		if blk := f.mem[i]; cap(blk) > 0 && len(s.free) < maxMemFreeBlocks {
 			s.free = append(s.free, blk)
 		}
 		f.mem[i] = nil
 	}
-	s.mu.Unlock()
 }
 
 // corruptBlock flips one bit of the stored block image. The in-memory block
@@ -198,7 +174,7 @@ const elemBytes = 16
 // With pipe.Enabled the store's disk runs the I/O engine (see disk_io.go):
 // appends stage encoded blocks into batch writes and sequential reads are
 // served from coalesced read-ahead windows. Without it every block is one
-// positioned transfer on the calling goroutine (readShared, appendShared).
+// positioned transfer on the calling goroutine (readBlock, appendBlock).
 // All fields except the allocator's and the atomics are owned by the
 // goroutine driving the disk.
 type fileStore struct {
@@ -210,9 +186,8 @@ type fileStore struct {
 	size    int     // block size in elements
 	direct  bool    // O_DIRECT backing: transfers padded to directAlign
 
-	// Extent allocator, guarded by amu: shard sub-disks (see shard.go)
-	// allocate and free extents from worker goroutines. Uncontended in
-	// sequential runs.
+	// Extent allocator, guarded by amu so that BackingBytes and FreeExtents
+	// may be read from any goroutine. Uncontended otherwise.
 	amu    sync.Mutex
 	free   map[int]*extentQueue // released extents keyed by byte length
 	nfree  int64                // number of extents on the free list
@@ -266,7 +241,7 @@ func newFileStore(d *Disk, path string, pipe Pipeline, dep depths, keep bool) (*
 	}
 	s.scratch = alignedBytes(s.pad(s.size*elemBytes), direct)
 	if pipe.Enabled {
-		s.io = newDiskIO(s, d, false)
+		s.io = newDiskIO(s)
 	}
 	if pipe.Uring && UringSupported() {
 		// Ring creation failure degrades silently to the syscall paths,
@@ -336,53 +311,16 @@ func (s *fileStore) allocExtent(nbytes int) int64 {
 	return off
 }
 
-// allocRun reserves a contiguous run of up to want extents of nbytes each
-// and returns its first offset and its length (at least one). Released
-// extents are reused first: the run is the head of the size's FIFO queue
-// plus every following queued extent that continues it, so space freed by
-// one file is handed back as contiguous as it was released. Only when no
-// extent of the size is free does the run come off the append cursor, at
-// its full length.
-func (s *fileStore) allocRun(nbytes, want int) (int64, int) {
-	s.amu.Lock()
-	if q := s.free[nbytes]; q != nil {
-		if off, ok := q.pop(); ok {
-			n := 1
-			for n < want && q.head < len(q.offs) && q.offs[q.head] == off+int64(n*nbytes) {
-				q.pop()
-				n++
-			}
-			s.nfree -= int64(n)
-			s.amu.Unlock()
-			if sm := s.sm.Load(); sm != nil {
-				sm.extentReuses.Add(int64(n))
-			}
-			return off, n
-		}
-	}
-	off := s.end
-	s.end += int64(want * nbytes)
-	end := s.end
-	if s.direct && end > s.zeroed {
-		s.prewriteLocked(end)
-	}
-	s.amu.Unlock()
-	if sm := s.sm.Load(); sm != nil {
-		sm.backingBytes.Set(end)
-	}
-	return off, want
-}
-
 // prewriteChunk is how far the backing file is zero-filled ahead of the
 // allocation cursor in direct mode. ext4 serializes extending O_DIRECT
 // writes on the exclusive inode lock (they allocate blocks and move i_size),
 // while overwrites of already-written space take the lock shared and proceed
 // in parallel. Zeroing ahead of the cursor in bulk converts every subsequent
-// append into an overwrite, so P shard workers can drive the device
-// concurrently instead of convoying on the inode. 8 MiB keeps each stall to
-// a few milliseconds while amortizing to one prewrite per thousands of
-// blocks; extents are recycled, so the total zeroed region is bounded by the
-// job's peak backing footprint.
+// append into an overwrite, so the engine's overlapping batch writes and
+// read-ahead drive the device concurrently instead of convoying on the
+// inode. 8 MiB keeps each stall to a few milliseconds while amortizing to
+// one prewrite per thousands of blocks; extents are recycled, so the total
+// zeroed region is bounded by the job's peak backing footprint.
 const prewriteChunk = 8 << 20
 
 // prewriteLocked zero-fills the backing file from s.zeroed up to end rounded
@@ -404,10 +342,7 @@ func (s *fileStore) prewriteLocked(end int64) {
 }
 
 // freeBlocks returns the extents of f's blocks [lo, hi) to the free list
-// under one lock acquisition, marking them reclaimed. Freeing a file in one
-// critical section keeps its extents adjacent in the FIFO queue even while
-// other shards free theirs concurrently, so allocRun can hand them back as
-// one contiguous run.
+// in ascending order, marking them reclaimed.
 func (s *fileStore) freeBlocks(f *File, lo, hi int) {
 	var n int64
 	s.amu.Lock()
@@ -424,17 +359,14 @@ func (s *fileStore) freeBlocks(f *File, lo, hi int) {
 	}
 }
 
-// freeRun returns n adjacent extents of nbytes starting at off to the free
-// list, in ascending order: the unused rest of an allocRun reservation, or
-// the extent of a block whose write failed.
-func (s *fileStore) freeRun(off int64, nbytes, n int) {
+// freeExtent returns the extent of a block whose write failed to the free
+// list.
+func (s *fileStore) freeExtent(off int64, nbytes int) {
 	s.amu.Lock()
-	for k := 0; k < n; k++ {
-		s.pushFreeLocked(off+int64(k*nbytes), nbytes)
-	}
+	s.pushFreeLocked(off, nbytes)
 	s.amu.Unlock()
 	if sm := s.sm.Load(); sm != nil {
-		sm.extentFrees.Add(int64(n))
+		sm.extentFrees.Inc()
 	}
 }
 
@@ -446,23 +378,6 @@ func (s *fileStore) pushFreeLocked(off int64, nbytes int) {
 	}
 	q.push(off)
 	s.nfree++
-}
-
-// orderFree sorts every size's free queue by offset. The queues hold
-// extents in release order: files freed while shards were still writing
-// others come back cut at their reservation seams, and reservations drawn
-// from such a queue are shorter than the last, so without a reorder the
-// layout fragments a little more with every call. Sorted, the queue hands
-// out the longest runs the free space holds, in an order that does not
-// depend on how earlier calls interleaved.
-func (s *fileStore) orderFree() {
-	s.amu.Lock()
-	for _, q := range s.free {
-		q.offs = q.offs[:copy(q.offs, q.offs[q.head:])]
-		q.head = 0
-		slices.Sort(q.offs)
-	}
-	s.amu.Unlock()
 }
 
 func (s *fileStore) backingBytes() int64 {
@@ -487,16 +402,48 @@ func (s *fileStore) setMetrics(m *IOMetrics) {
 
 func (s *fileStore) read(f *File, i int, buf []Elem, seq bool) (int, error) {
 	if s.io != nil {
-		return s.io.read(f, f, i, i, buf, seq, s.scratch)
+		return s.io.read(f, i, buf, seq)
 	}
-	return s.readShared(s.disk, f, i, buf, s.scratch)
+	return s.readBlock(f, i, buf)
 }
 
 func (s *fileStore) append(f *File, payload []Elem) error {
 	if s.io != nil {
 		return s.io.append(f, payload)
 	}
-	return s.appendShared(s.disk, f, payload, s.scratch)
+	return s.appendBlock(f, payload)
+}
+
+// readBlock reads block i of f with one positioned transfer on the calling
+// goroutine: the path of unpipelined disks and of the engine's misses.
+func (s *fileStore) readBlock(f *File, i int, buf []Elem) (int, error) {
+	n := f.blockLen(i)
+	if cap(buf) < n {
+		return 0, fmt.Errorf("%w: buffer cap %d < block len %d", ErrBlockSize, cap(buf), n)
+	}
+	raw := s.scratch[:s.pad(n*elemBytes)]
+	if err := s.transfer(opRead, f.name, raw, f.extents[i], 1); err != nil {
+		return 0, storeReadError(f.name, f.extents[i], err)
+	}
+	decodeElems(buf[:n], raw[:n*elemBytes], true)
+	return n, nil
+}
+
+// appendBlock writes payload as the next block of f with one positioned
+// transfer on the calling goroutine: the path of unpipelined disks.
+func (s *fileStore) appendBlock(f *File, payload []Elem) error {
+	nbytes := len(payload) * elemBytes
+	pn := s.pad(nbytes)
+	off := s.allocExtent(pn)
+	raw := s.scratch[:pn]
+	encodeElems(raw[:nbytes], payload, true)
+	clear(raw[nbytes:])
+	if err := s.transfer(opWrite, f.name, raw, off, 1); err != nil {
+		s.freeExtent(off, pn)
+		return storeWriteError(s.disk, f.name, off, err)
+	}
+	f.extents = append(f.extents, off)
+	return nil
 }
 
 // preadRaw issues one raw positioned read over the active physical backend:
@@ -546,7 +493,8 @@ func (s *fileStore) release(f *File) {
 	if s.io != nil {
 		s.io.forget(f)
 	}
-	s.releaseShared(f)
+	s.freeBlocks(f, 0, len(f.extents))
+	f.extents = nil
 }
 
 // releaseRange frees the extents of blocks [lo, hi) while the tail stays

@@ -280,44 +280,6 @@ func (t *Tracer) Roots() []*Span { return t.roots }
 // only between top-level algorithm invocations.
 func (t *Tracer) Reset() { t.roots, t.cur = nil, nil }
 
-// Graft adopts the given span forest — typically the roots recorded by a
-// shard-local tracer — into this tracer, attaching the roots as children of
-// the currently open span (or as new top-level roots when none is open).
-// Every adopted span is renumbered with fresh Seq values in pre-order, with
-// siblings visited in their original start order, and re-homed onto this
-// tracer; because the coordinator grafts shard forests in shard order, the
-// resulting tree is identical for every worker count even though the shards
-// recorded their spans concurrently.
-func (t *Tracer) Graft(roots []*Span) {
-	roots = slices.Clone(roots)
-	slices.SortStableFunc(roots, func(a, b *Span) int { return cmp.Compare(a.Seq, b.Seq) })
-	var rec func(sp *Span, parent *Span, depth int)
-	rec = func(sp *Span, parent *Span, depth int) {
-		t.seq++
-		sp.Seq = t.seq
-		sp.Depth = depth
-		sp.parent = parent
-		sp.tracer = t
-		ch := sp.orderedChildren()
-		sp.Children = ch
-		for _, c := range ch {
-			rec(c, sp, depth+1)
-		}
-	}
-	for _, r := range roots {
-		depth := 0
-		if t.cur != nil {
-			depth = t.cur.Depth + 1
-		}
-		rec(r, t.cur, depth)
-		if t.cur != nil {
-			t.cur.Children = append(t.cur.Children, r)
-		} else {
-			t.roots = append(t.roots, r)
-		}
-	}
-}
-
 // Walk visits every recorded span in pre-order (parents before children).
 func (t *Tracer) Walk(fn func(*Span)) {
 	var rec func(*Span)

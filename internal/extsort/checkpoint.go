@@ -288,7 +288,7 @@ func SortCheckpointed(ctx *emio.Ctx, in *emio.File, ck *Checkpoint) (*emio.File,
 	if !ck.RunsDone {
 		b := int64(ctx.B())
 		startBlk := int((consumed + b - 1) / b)
-		more, err := formRuns(ctx, in, startBlk, nil, func(run *emio.File) error {
+		more, err := formRuns(ctx, in, startBlk, func(run *emio.File) error {
 			// Lazy record: Manifest drains the run's pending writes so the
 			// extents are final; any fsync pair is deferred to the runs-done
 			// barrier below (group commit).

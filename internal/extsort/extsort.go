@@ -34,29 +34,20 @@ func Sort(ctx *emio.Ctx, in *emio.File) (*emio.File, error) {
 	return MergeAll(ctx, runs)
 }
 
-// FormRuns splits in into sorted runs of up to (M/B - 1)*B elements each,
+// FormRuns splits in into sorted runs of up to (M/B - 2)*B elements each,
 // costing one full read scan plus one full write scan. The returned files are
-// owned by the caller (MergeAll consumes and releases them).
+// owned by the caller (MergeAll consumes and releases them). Each run is
+// sorted in memory on Config.Workers goroutines (inmem.ParallelSort), which
+// changes neither the runs nor their I/O.
 func FormRuns(ctx *emio.Ctx, in *emio.File) ([]*emio.File, error) {
-	return FormRunsObserved(ctx, in, nil)
-}
-
-// FormRunsObserved is FormRuns with a hook: when observe is non-nil it is
-// called with each sorted chunk just before the chunk is written out, at no
-// extra I/O. The parallel engine uses it to count, per run, how many
-// elements fall below each range splitter (one binary search per splitter on
-// the already-sorted chunk), which is what lets the later range merges read
-// exact sub-ranges of each run. The callback must not retain or mutate the
-// slice.
-func FormRunsObserved(ctx *emio.Ctx, in *emio.File, observe func(sorted []emio.Elem)) ([]*emio.File, error) {
-	return formRuns(ctx, in, 0, observe, nil)
+	return formRuns(ctx, in, 0, nil)
 }
 
 // formRuns is the run-formation engine behind FormRuns and the checkpointed
 // sort: it starts the input scan at block startBlk (resume skips the blocks
 // already consumed by journaled runs), and calls onRun after each run file is
 // fully written (the checkpoint layer journals a durable manifest there).
-func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, observe func(sorted []emio.Elem), onRun func(run *emio.File) error) (runs []*emio.File, err error) {
+func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, onRun func(run *emio.File) error) (runs []*emio.File, err error) {
 	sp := ctx.StartSpan("extsort/form-runs", emio.AttrInt("n", in.Len()))
 	defer func() {
 		sp.SetAttr("runs", int64(len(runs)))
@@ -91,10 +82,7 @@ func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, observe func(sorted []
 			return nil, err
 		}
 		chunk := buf[:fill]
-		inmem.Sort(chunk)
-		if observe != nil {
-			observe(chunk)
-		}
+		inmem.ParallelSort(chunk, ctx.Config().Workers)
 		run := ctx.Scratch("run")
 		w, err := emio.NewWriter(ctx, run)
 		if err != nil {

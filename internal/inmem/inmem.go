@@ -13,16 +13,96 @@ package inmem
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/emio"
 )
 
 // Sort sorts s in place by (Key, Aux). slices.SortFunc (pattern-defeating
 // quicksort on a concrete comparator) is markedly faster than a reflective
-// sort.Slice, which matters for run formation: on a single core the in-memory
-// sort of each run is serial work that caps the parallel engine's speedup.
+// sort.Slice, which matters for run formation, the largest in-memory sort of
+// every external one.
 func Sort(s []emio.Elem) {
 	slices.SortFunc(s, emio.Compare)
+}
+
+// parallelCutoff is the length below which ParallelSort sorts a slice, or a
+// side of a split, on one goroutine: shorter ones finish faster than a
+// goroutine starts.
+const parallelCutoff = 4096
+
+// sampleSize is the number of evenly spaced elements whose median becomes a
+// split's pivot.
+const sampleSize = 63
+
+// ParallelSort sorts s in place by (Key, Aux) on up to workers goroutines,
+// including the caller's. It partitions s in place around the median of a
+// fixed, evenly spaced sample, sorts the two sides on two goroutines, and
+// recurses until each goroutine holds one side; it starts at most workers−1
+// goroutines and joins them all before it returns. It allocates nothing
+// beyond their stacks and draws no randomness, and the sorted order of
+// distinct (Key, Aux) records is unique, so the result is the same as Sort's.
+//
+// It is Sort itself when workers < 2, when s is shorter than the cutoff, and
+// while a compare hook is armed, so the comparison transcript stays the
+// sequential one.
+func ParallelSort(s []emio.Elem, workers int) {
+	if workers < 2 || len(s) < parallelCutoff || emio.CompareHooked() {
+		Sort(s)
+		return
+	}
+	var wg sync.WaitGroup
+	sortOn(s, workers, &wg)
+	wg.Wait()
+}
+
+// sortOn sorts s on p goroutines: the caller's and p−1 it starts, each
+// registered on wg. Each split hands the left side and half the goroutines
+// to a new goroutine and keeps splitting the right side with the rest.
+func sortOn(s []emio.Elem, p int, wg *sync.WaitGroup) {
+	for p > 1 && len(s) >= parallelCutoff {
+		m := partition(s, samplePivot(s))
+		if m == len(s) {
+			break // every element sits left of the pivot: no split to share
+		}
+		wg.Add(1)
+		go func(left []emio.Elem, p int) {
+			defer wg.Done()
+			sortOn(left, p, wg)
+		}(s[:m], p/2)
+		s, p = s[m:], p-p/2
+	}
+	Sort(s)
+}
+
+// samplePivot returns the median of sampleSize elements of s at evenly
+// spaced positions, first and last included. len(s) >= sampleSize.
+func samplePivot(s []emio.Elem) emio.Elem {
+	var sample [sampleSize]emio.Elem
+	last := len(s) - 1
+	for i := range sample {
+		sample[i] = s[i*last/(sampleSize-1)]
+	}
+	Sort(sample[:])
+	return sample[sampleSize/2]
+}
+
+// partition reorders s around p, an element of s, by Hoare's scheme and
+// returns m with every element of s[:m] ≤ p ≤ every element of s[m:], and
+// 1 <= m <= len(s). Elements equal to p stop both scans and are swapped, so a
+// slice of identical elements splits in the middle.
+func partition(s []emio.Elem, p emio.Elem) int {
+	i, j := -1, len(s)
+	for {
+		for j--; emio.Compare(s[j], p) > 0; j-- {
+		}
+		for i++; emio.Compare(s[i], p) < 0; i++ {
+		}
+		if i >= j {
+			return j + 1
+		}
+		s[i], s[j] = s[j], s[i]
+	}
 }
 
 // IsSorted reports whether s is nondecreasing by (Key, Aux).

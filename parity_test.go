@@ -95,9 +95,10 @@ func parityDrivers(n int64) []parityDriver {
 
 // parityRun is one observation of a driver on one backend configuration.
 type parityRun struct {
-	output []byte
-	stats  Stats
-	trace  []byte
+	output  []byte
+	stats   Stats
+	peakMem int64
+	trace   []byte
 }
 
 func runParity(t *testing.T, d parityDriver, mk func(t *testing.T) *System, elems []Elem) parityRun {
@@ -115,7 +116,7 @@ func runParity(t *testing.T, d parityDriver, mk func(t *testing.T) *System, elem
 	if leaks := sys.LiveScratchFiles(); len(leaks) != 0 {
 		t.Fatalf("%s leaked scratch files: %v", d.name, leaks)
 	}
-	return parityRun{output: out, stats: sys.Stats(), trace: trace}
+	return parityRun{output: out, stats: sys.Stats(), peakMem: sys.PeakMemory(), trace: trace}
 }
 
 func TestPipelineParitySuite(t *testing.T) {

@@ -20,9 +20,10 @@ import (
 
 // JobConfig describes a crash-safe sort job.
 type JobConfig struct {
-	// Config is the machine configuration. Checkpointed jobs must be
-	// sequential (Workers == 0): the parallel engine's shard scratch is not
-	// journaled.
+	// Config is the machine configuration. Workers sorts each run in memory
+	// on that many goroutines, as in System.Sort; the runs, merge passes,
+	// journal records and output are the same at every worker count, so a
+	// job may resume with a different Workers than it started with.
 	Config Config
 	// Path is the backing file (required — manifests describe backing-file
 	// extents, so checkpointing needs a file-backed disk).
@@ -63,9 +64,6 @@ func OpenSortJob(jc JobConfig, load func() ([]Elem, error)) (*SortJob, error) {
 	}
 	if jc.Journal == "" {
 		return nil, fmt.Errorf("empart: sort job needs a journal path")
-	}
-	if jc.Config.Workers > 0 {
-		return nil, fmt.Errorf("empart: checkpointed sort jobs are sequential; Workers must be 0, got %d", jc.Config.Workers)
 	}
 	if jc.Resume {
 		return resumeSortJob(jc)

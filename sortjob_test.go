@@ -2,9 +2,11 @@ package empart
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/emio"
 	"repro/internal/workload"
 )
 
@@ -25,10 +27,26 @@ func TestOpenSortJobValidation(t *testing.T) {
 	if _, err := OpenSortJob(JobConfig{Config: cfg, Path: filepath.Join(dir, "b.dat")}, load); err == nil {
 		t.Error("job without a journal accepted")
 	}
-	par := cfg
-	par.Workers = 4
-	if _, err := OpenSortJob(JobConfig{Config: par, Path: filepath.Join(dir, "b.dat"), Journal: filepath.Join(dir, "j")}, load); err == nil {
-		t.Error("parallel checkpointed job accepted; shard scratch is not journaled")
+	// Workers sort each run in memory: a job with runs past the parallel
+	// cutoff runs and sorts like any other.
+	par := Config{M: 1 << 13, B: 1 << 5, Workers: 2}
+	elems := workload.Elems(workload.Uniform, 1<<14, par.B, 1)
+	job, err := OpenSortJob(JobConfig{Config: par, Path: filepath.Join(dir, "p.dat"), Journal: filepath.Join(dir, "p.journal")},
+		func() ([]Elem, error) { return elems, nil })
+	if err != nil {
+		t.Fatalf("job with Workers=2: %v", err)
+	}
+	out, err := job.Run()
+	if err != nil {
+		t.Fatalf("job with Workers=2: run: %v", err)
+	}
+	want := slices.Clone(elems)
+	slices.SortFunc(want, emio.Compare)
+	if got := job.System().Read(out); !slices.Equal(got, want) {
+		t.Error("job with Workers=2: output is not the sorted input")
+	}
+	if err := job.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := OpenSortJob(JobConfig{Config: cfg, Path: filepath.Join(dir, "no.dat"), Journal: filepath.Join(dir, "absent.journal"), Resume: true}, load); err == nil {
 		t.Error("resume from a journal with no staged input accepted")
