@@ -14,6 +14,7 @@ type Ctx struct {
 	mem    *Accountant
 	rng    *rand.Rand
 	tracer *Tracer // nil when tracing is disabled (the fast path)
+	open   *Span   // innermost open span; its parent links are the span stack
 
 	scratchSeq int64
 	blockBufs  [][]Elem // closed Readers' and Writers' block buffers, for reuse

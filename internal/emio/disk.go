@@ -23,7 +23,6 @@ type Disk struct {
 	blockSize int
 	store     blockStore
 	stats     Stats
-	prefetch  int // read-ahead window depth of a pipelined file disk (0 = none)
 
 	// Fault hooks. When non-nil they are consulted on every transfer; a
 	// non-nil return aborts the transfer with that error. The transfer is
@@ -58,16 +57,17 @@ type Disk struct {
 
 	// Structured event log (see eventlog.go); logger is nil when logging is
 	// disabled (one nil check per emission site). id names the disk in log
-	// records; elog is an owned EventLog closed with the disk. logStack and
-	// curSpan carry the live span context into records: the stack is mutated
-	// only on the algorithm goroutine, the pointer is read by transfer and
-	// retry goroutines. spanSeq numbers spans when no tracer supplies one.
-	id       string
-	logger   *slog.Logger
-	elog     *EventLog
-	logStack []spanRef
-	curSpan  atomic.Pointer[spanRef]
-	spanSeq  int64
+	// records; elog is an owned EventLog closed with the disk.
+	id     string
+	logger *slog.Logger
+	elog   *EventLog
+
+	// span is the innermost open span of the Ctx driving the disk, nil
+	// outside all spans: stored by the algorithm goroutine at every span
+	// boundary (enterSpan, exitSpan), read by transfer and retry goroutines.
+	// spanSeq numbers spans when no tracer supplies one.
+	span    atomic.Pointer[Span]
+	spanSeq int64
 
 	// Resilience layer (all opt-in, see EnableChecksums/SetRetry/
 	// SetInjector). checksum arms per-block CRC32C verification; retry is
@@ -140,9 +140,6 @@ func newFileBackedDisk(path string, blockSize int, p Pipeline, dep depths, keep 
 	}
 	d.store = st
 	d.id = fmt.Sprintf("file-%d", diskSeq.Add(1))
-	if p.Enabled {
-		d.prefetch = st.dep.prefetch
-	}
 	return d, nil
 }
 

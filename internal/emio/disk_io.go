@@ -558,14 +558,14 @@ func (s *fileStore) noteXfer(sm *storeMetrics, op ioOp, t0 time.Time, blocks int
 	ns := int64(time.Since(t0))
 	if op == opRead {
 		sm.physReads.Inc()
-		sm.physReadNS.ObserveEx(ns, sm.seq.Load())
+		sm.physReadNS.ObserveEx(ns, s.disk.exemplarSeq())
 		if err == nil && blocks > 1 {
 			sm.readRunBlocks.Observe(int64(blocks))
 		}
 		return
 	}
 	sm.physWrites.Inc()
-	sm.physWriteNS.ObserveEx(ns, sm.seq.Load())
+	sm.physWriteNS.ObserveEx(ns, s.disk.exemplarSeq())
 	if err == nil {
 		sm.writeRunBlocks.Observe(int64(blocks))
 	}

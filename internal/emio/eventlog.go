@@ -1,12 +1,14 @@
 package emio
 
-// The structured event log of the EM machine: the third leg of the telemetry
-// bus next to the tracer (post-hoc span tree) and the metrics registry (live
-// aggregates). Where those two condense, the event log narrates: every
-// noteworthy Disk, pipeline, retry and fault occurrence becomes one
-// log/slog record carrying the active span's phase path and sequence number,
-// so a retry storm or a checksum failure in a grepped log line points at the
-// exact phase of the exact run that caused it.
+// The structured event log of the EM machine, next to the tracer (post-hoc
+// span tree) and the metrics registry (live aggregates). Where those two
+// condense, the event log narrates: every noteworthy Disk, pipeline, retry
+// and fault occurrence becomes one log/slog record carrying the phase path
+// and sequence number of the innermost open span, so a retry storm or a
+// checksum failure in a grepped log line points at the exact phase of the
+// exact run that caused it. The span is the one the disk publishes at every
+// span boundary (Disk.enterSpan), so records follow the same stack of open
+// spans as the trace and the phase gauges.
 //
 // The determinism contract matches the tracer's and the registry's: emitting
 // an event performs no simulated I/O, no budgeted allocation and no random
@@ -272,15 +274,6 @@ func (el *EventLog) Close() error {
 	return nil
 }
 
-// spanRef is the published identity of the innermost open span: the
-// slash-joined phase path from the root and the span's sequence number.
-// Published atomically by the algorithm goroutine at every span boundary so
-// the spanHandler can read it from pipeline and retry goroutines.
-type spanRef struct {
-	path string
-	seq  int64
-}
-
 // spanHandler enriches every record passing through with the disk's live
 // span context (phase path + span seq) and the disk id, making each log
 // line attributable to the exact phase — and, with a tracer attached, the
@@ -295,8 +288,8 @@ func (h *spanHandler) Enabled(ctx context.Context, lvl slog.Level) bool {
 }
 
 func (h *spanHandler) Handle(ctx context.Context, r slog.Record) error {
-	if ref := h.disk.curSpan.Load(); ref != nil && ref.path != "" {
-		r.AddAttrs(slog.String("phase", ref.path), slog.Int64("span_seq", ref.seq))
+	if sp := h.disk.span.Load(); sp != nil {
+		r.AddAttrs(slog.String("phase", sp.path()), slog.Int64("span_seq", sp.Seq))
 	}
 	r.AddAttrs(slog.String("disk", h.disk.id))
 	return h.inner.Handle(ctx, r)
@@ -347,33 +340,4 @@ func (d *Disk) log(level slog.Level, msg string, attrs ...slog.Attr) {
 		return
 	}
 	d.logger.LogAttrs(context.Background(), level, msg, attrs...)
-}
-
-// pushLogSpan records a span start for log enrichment, returning the stack
-// depth to restore at span end.
-func (d *Disk) pushLogSpan(name string, seq int64) int {
-	depth := len(d.logStack)
-	path := name
-	if depth > 0 {
-		path = d.logStack[depth-1].path + "/" + name
-	}
-	d.logStack = append(d.logStack, spanRef{path: path, seq: seq})
-	ref := d.logStack[depth]
-	d.curSpan.Store(&ref)
-	return depth
-}
-
-// popLogSpanTo truncates the log span stack back to depth (span end,
-// including error unwinds past nested Ends) and republishes the top.
-func (d *Disk) popLogSpanTo(depth int) {
-	if depth < 0 || depth > len(d.logStack) {
-		return
-	}
-	d.logStack = d.logStack[:depth]
-	if depth == 0 {
-		d.curSpan.Store(&spanRef{})
-		return
-	}
-	ref := d.logStack[depth-1]
-	d.curSpan.Store(&ref)
 }

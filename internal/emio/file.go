@@ -87,9 +87,9 @@ func (f *File) Release() {
 // metadata work, like Release).
 //
 // The caller guarantees the reclaimed blocks are settled (no pending
-// write-behind) and strictly behind any live read-ahead window — the
-// consuming Reader enforces a lag of the disk's prefetch depth plus one.
-// No-op on released files.
+// write-behind) and that no read-ahead in flight covers them — the
+// consuming Reader reclaims only blocks more than ConsumeLag behind its
+// current one. No-op on released files.
 func (f *File) ReleasePrefix(upTo int) {
 	if f.released {
 		return
@@ -182,7 +182,7 @@ func (f *File) readBlockAhead(i int, buf []Elem, seq bool) (int, error) {
 	}
 	n, err := f.disk.store.read(f, i, buf, seq)
 	if m != nil {
-		m.logReadNS.ObserveEx(int64(time.Since(t0)), m.curSeq.Load())
+		m.logReadNS.ObserveEx(int64(time.Since(t0)), f.disk.exemplarSeq())
 	}
 	if err != nil {
 		return 0, &FaultError{Op: "read", File: f.name, Block: i, Off: f.blockOff(i), Err: err}
@@ -268,7 +268,7 @@ func (f *File) AppendBlock(payload []Elem) error {
 	}
 	err := f.disk.store.append(f, payload)
 	if m != nil {
-		m.logWriteNS.ObserveEx(int64(time.Since(t0)), m.curSeq.Load())
+		m.logWriteNS.ObserveEx(int64(time.Since(t0)), f.disk.exemplarSeq())
 	}
 	if err != nil {
 		// The block never landed; return its budget reservation.

@@ -4,7 +4,9 @@ package emio
 // the I/O hot paths record through: logical block reads/writes with
 // latencies, physical transfers with latencies and coalesced-run sizes,
 // pipeline queue depth, prefetch hits/misses, free-extent reuse, live
-// disk/scratch gauges, and the phase stack fed by span boundaries.
+// disk/scratch gauges, and the phase gauges, which the disk sets from the
+// innermost open span at every span boundary (Disk.enterSpan, exitSpan).
+// Latency observations carry that span's seq as their exemplar.
 //
 // The determinism contract matches the tracer's: recording reads the wall
 // clock and bumps atomics, but performs no simulated I/O, no budgeted
@@ -17,11 +19,7 @@ package emio
 // goroutine, physical transfers on whichever goroutine completes them), so
 // concurrent recording rarely contends on a cache line; see package metrics.
 
-import (
-	"sync/atomic"
-
-	"repro/internal/emio/metrics"
-)
+import "repro/internal/emio/metrics"
 
 // IOMetrics is the live instrument bundle of one Disk. Create it by calling
 // Disk.EnableMetrics with a registry; several Disks may share one registry
@@ -49,22 +47,11 @@ type IOMetrics struct {
 	queueDepth   *metrics.Gauge
 	backingBytes *metrics.Gauge
 
-	// Phase telemetry, fed by span boundaries (Ctx.StartSpan / Span.End)
-	// whether or not a tracer is attached. The stack itself is mutated only
-	// on the algorithm goroutine; observers read the atomic Info/Gauge.
-	// curSeq publishes the innermost span's sequence number so latency
-	// observations on any goroutine can carry it as an exemplar.
+	// Phase telemetry, set at span boundaries (Ctx.StartSpan / Span.End)
+	// whether or not a tracer is attached.
 	phaseInfo   *metrics.Info
-	phaseDepth  *metrics.Gauge
+	phaseLevel  *metrics.Gauge
 	phaseStarts *metrics.CounterVec
-	phaseStack  []phaseFrame
-	curSeq      atomic.Int64
-}
-
-// phaseFrame is one open span on the metrics phase stack.
-type phaseFrame struct {
-	name string
-	seq  int64
 }
 
 // newIOMetrics registers the disk-level instruments on reg and binds the
@@ -95,7 +82,7 @@ func newIOMetrics(reg *metrics.Registry) *IOMetrics {
 		"high-water byte size of the backing file (0 for memory disks)")
 	m.phaseInfo = reg.Info("empart_phase",
 		"innermost algorithm phase currently executing", "name")
-	m.phaseDepth = reg.Gauge("empart_phase_depth",
+	m.phaseLevel = reg.Gauge("empart_phase_depth",
 		"nesting depth of the live phase stack")
 	m.phaseStarts = reg.CounterVec("empart_phase_started_total",
 		"phase spans started, by phase name", "phase")
@@ -107,33 +94,6 @@ func (m *IOMetrics) Registry() *metrics.Registry { return m.reg }
 
 // Snapshot captures every metric on the registry.
 func (m *IOMetrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() }
-
-// pushPhase records a span start: returns the stack depth to restore at End.
-func (m *IOMetrics) pushPhase(name string, seq int64) int {
-	depth := len(m.phaseStack)
-	m.phaseStack = append(m.phaseStack, phaseFrame{name: name, seq: seq})
-	m.phaseInfo.Set(name)
-	m.phaseDepth.Set(int64(depth + 1))
-	m.curSeq.Store(seq)
-	m.phaseStarts.With(name).Inc()
-	return depth
-}
-
-// popPhaseTo truncates the phase stack back to depth (span end, including
-// error unwinds past nested Ends).
-func (m *IOMetrics) popPhaseTo(depth int) {
-	if depth < 0 || depth > len(m.phaseStack) {
-		return
-	}
-	m.phaseStack = m.phaseStack[:depth]
-	top, seq := "", int64(0)
-	if depth > 0 {
-		top, seq = m.phaseStack[depth-1].name, m.phaseStack[depth-1].seq
-	}
-	m.phaseInfo.Set(top)
-	m.phaseDepth.Set(int64(depth))
-	m.curSeq.Store(seq)
-}
 
 // storeMetrics binds the physical-layer handles of one fileStore, shared by
 // every disk over the store and by the goroutines completing its transfers.
@@ -158,10 +118,6 @@ type storeMetrics struct {
 
 	queueDepth   *metrics.Gauge
 	backingBytes *metrics.Gauge
-
-	// seq points at the owning IOMetrics' curSeq so transfer goroutines can
-	// stamp exemplars with the span that issued the work.
-	seq *atomic.Int64
 }
 
 // newStoreMetrics registers the physical-layer instruments and binds their
@@ -195,6 +151,5 @@ func newStoreMetrics(m *IOMetrics) *storeMetrics {
 			"block extents returned to the free list by releases").Handle(),
 		queueDepth:   m.queueDepth,
 		backingBytes: m.backingBytes,
-		seq:          &m.curSeq,
 	}
 }

@@ -193,3 +193,36 @@ func TestMetricsPhaseStackWithTracer(t *testing.T) {
 		t.Errorf("tracer tree malformed: %v", tr.Roots())
 	}
 }
+
+func TestEndUnwindsSpansOfATracerAttachedLater(t *testing.T) {
+	// One stack of open spans: ending a span started before the tracer was
+	// attached closes the traced child opened under it, so the tracer keeps
+	// no open span and the next span is a root at phase depth 1.
+	ctx := mustCtx(t, 64, 8)
+	reg := metrics.New()
+	ctx.Disk().EnableMetrics(reg)
+
+	outer := ctx.StartSpan("outer")
+	tr := NewTracer()
+	ctx.SetTracer(tr)
+	ctx.StartSpan("inner") // never ended: an error unwound past it
+	outer.End()
+	next := ctx.StartSpan("next")
+
+	tr.Walk(func(sp *Span) {
+		if sp != next && sp.Open() {
+			t.Errorf("tracer holds open span %q after outer.End", sp.Name)
+		}
+	})
+	if next.Depth != 0 {
+		t.Errorf("next.Depth = %d, want 0", next.Depth)
+	}
+	roots := tr.Roots()
+	if len(roots) != 2 || roots[1] != next {
+		t.Errorf("next is not a root: roots = %v", roots)
+	}
+	if got := reg.Snapshot().Gauge("empart_phase_depth"); got != 1 {
+		t.Errorf("phase depth with next open = %d, want 1", got)
+	}
+	next.End()
+}

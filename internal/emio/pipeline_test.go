@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/emio/metrics"
 )
 
 // shallow returns engine depths with a read-ahead window of prefetch blocks
@@ -231,6 +233,71 @@ func TestFreeExtentReuseKeepsDataIntact(t *testing.T) {
 			}
 		}
 		f.Release()
+	}
+}
+
+func TestConsumingReadExtentsReusedUnderReadAhead(t *testing.T) {
+	// A consuming read frees extents more than ConsumeLag blocks behind its
+	// cursor while its next read-ahead window is in flight, and the appends
+	// of a merge-like copy take those extents at once, staging writes to
+	// them. Neither the data read nor the data written may be damaged.
+	for _, dep := range []depths{shallow(2, 1), shallow(3, 2), shallow(4, 3)} {
+		ctx := pipelinedCtx(t, 128, 8, dep)
+		d := ctx.Disk()
+		reg := metrics.New()
+		d.EnableMetrics(reg)
+		const nb = 64
+		in := seqElems(nb * 8)
+		src, err := StoreAll(ctx, "src", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		out := ctx.Scratch("out")
+		w, err := NewWriter(ctx, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Consume()
+		for i := 0; ; i++ {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			if e != in[i] {
+				t.Fatalf("dep %+v: consuming read differs at %d: %v want %v", dep, i, e, in[i])
+			}
+			w.Append(Elem{Key: -e.Key, Aux: e.Aux})
+		}
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if snap.Counter("empart_prefetch_hits_total") == 0 || snap.Counter("empart_extent_reuses_total") == 0 {
+			t.Fatalf("dep %+v: read-ahead hits %d, extent reuses %d; the test needs both",
+				dep, snap.Counter("empart_prefetch_hits_total"), snap.Counter("empart_extent_reuses_total"))
+		}
+		if got, most := d.BackingBytes(), int64(nb+8)*8*elemBytes; got > most {
+			t.Errorf("dep %+v: backing file %d bytes, want <= %d (freed extents not reused)", dep, got, most)
+		}
+		got := out.Snapshot()
+		for i := range in {
+			if want := (Elem{Key: -in[i].Key, Aux: in[i].Aux}); got[i] != want {
+				t.Fatalf("dep %+v: output differs at %d: %v want %v", dep, i, got[i], want)
+			}
+		}
+		src.Release()
+		out.Release()
 	}
 }
 

@@ -18,7 +18,6 @@ type Reader struct {
 	err     error
 
 	consume bool // reclaim consumed blocks as the cursor advances
-	lag     int  // blocks kept behind the cursor before reclamation
 }
 
 // NewReader opens a sequential reader over f with one block buffer, charged
@@ -79,27 +78,23 @@ func (r *Reader) fetch() bool {
 	r.fill = n
 	r.fetched += int64(n)
 	if r.consume {
-		// Reclaim blocks strictly more than lag behind the current block
-		// (r.blk-1). lag exceeds the prefetch depth, so a live read-ahead
-		// window — which always contains the current block or later — can
-		// never cover a reclaimed extent.
-		if upTo := r.blk - 1 - r.lag; upTo > 0 {
+		// Reclaim blocks strictly more than ConsumeLag behind the current
+		// block (r.blk-1). No read in flight covers them: the I/O engine
+		// serves the current block from a read-ahead window it has already
+		// waited for, and its only window in flight starts after that one.
+		if upTo := r.blk - 1 - ConsumeLag; upTo > 0 {
 			r.f.ReleasePrefix(upTo)
 		}
 	}
 	return n > 0
 }
 
-// Consume arms consuming mode: the storage of blocks the reader has moved
-// past is reclaimed with ReleasePrefix, lagging the cursor by the disk's
-// prefetch depth plus one so in-flight read-ahead windows stay clear. This
-// is the disk-budget degradation primitive of merges — a run being merged is
-// read exactly once, so its consumed blocks can fund the merge output.
-// Use only on fully written (synced) files that nothing will read again.
-func (r *Reader) Consume() {
-	r.consume = true
-	r.lag = r.f.disk.prefetch + 1
-}
+// Consume arms consuming mode: the storage of a block the reader has moved
+// more than ConsumeLag blocks past is reclaimed with ReleasePrefix. This is
+// the disk-budget degradation primitive of merges — a run being merged is
+// read exactly once, so its consumed blocks can fund the merge output. Use
+// only on fully written (synced) files that nothing will read again.
+func (r *Reader) Consume() { r.consume = true }
 
 // Err returns the first I/O error encountered, or nil after a clean end of
 // stream.

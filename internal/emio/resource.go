@@ -149,11 +149,12 @@ func (d *Disk) blockBytes() int64 {
 // it, for callers sizing their transient footprint against DiskBudget.
 func (d *Disk) BlockBytes() int64 { return d.blockBytes() }
 
-// ConsumeLag returns how many blocks a consuming Reader keeps behind its
-// cursor before reclaiming them (the prefetch depth plus one). Algorithms
-// degrading under a disk budget use it to bound the transient footprint of a
-// consuming merge: fan-in f holds at most f·(lag+1) unreclaimed input blocks.
-func (d *Disk) ConsumeLag() int64 { return int64(d.prefetch) + 1 }
+// ConsumeLag is how many blocks a consuming Reader keeps behind its current
+// block before reclaiming them, on every disk, so a merge under a disk
+// budget does the same I/O on every backend. Algorithms degrading under a
+// disk budget use it to bound the transient footprint of a consuming merge:
+// fan-in f holds at most f·(ConsumeLag+1) unreclaimed input blocks.
+const ConsumeLag = 1
 
 // chargeAppend reserves one block against the disk budget on behalf of f,
 // bumping the quota-rejection telemetry on failure. Called by AppendBlock

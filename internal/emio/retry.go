@@ -224,11 +224,7 @@ func (d *Disk) runPhys(op ioOp, fname string, off int64, fn func() error) error 
 		r.backoffNS.Add(int64(sleep))
 		if m := r.m.Load(); m != nil {
 			m.retries.Inc()
-			var seq int64
-			if d.iom != nil {
-				seq = d.iom.curSeq.Load()
-			}
-			m.backoffNS.ObserveEx(int64(sleep), seq)
+			m.backoffNS.ObserveEx(int64(sleep), d.exemplarSeq())
 		}
 	}
 }

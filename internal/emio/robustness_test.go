@@ -214,7 +214,7 @@ func TestConsumingReaderReclaimsPrefix(t *testing.T) {
 	r.Close()
 	// A consuming read must have returned most of the file's blocks to the
 	// budget while still behind the cursor (the lag window stays charged).
-	lagged := (d.ConsumeLag() + 1) * d.BlockBytes()
+	lagged := (ConsumeLag + 1) * d.BlockBytes()
 	if got := d.DiskBytes(); got > lagged {
 		t.Errorf("DiskBytes after consuming read = %d, want <= %d (lag window); started at %d", got, lagged, before)
 	}

@@ -9,12 +9,18 @@ package emio
 // multi-selection recurses to depth O(lg_{M/B}(K/B))), so spans turn those
 // bounds into assertable facts instead of whole-algorithm aggregates.
 //
-// The tracer is strictly observational: starting and ending a span reads
-// counters that the disk and accountant already maintain and performs no
-// I/O, no random draws and no budgeted allocation, so a traced run's
-// Disk.Stats() are bit-identical to an untraced run's. With no tracer
-// attached, Ctx.StartSpan returns a nil *Span whose End is a no-op — the
-// untraced fast path is one nil check per phase boundary.
+// The Ctx holds the only stack of open spans (its innermost span and the
+// spans' parent links), and every observer follows it. The tracer records
+// the tree and its deltas; the disk publishes the innermost span (enterSpan,
+// exitSpan), which drives the metrics phase gauges, the seq that latency
+// and retry exemplars carry, and the phase path and seq of log records.
+//
+// Spans are strictly observational: starting and ending one reads counters
+// that the disk and accountant already maintain and performs no I/O, no
+// random draws and no budgeted allocation, so a traced run's Disk.Stats()
+// are bit-identical to an untraced run's. With no tracer, metrics registry
+// or event log attached, Ctx.StartSpan returns a nil *Span whose End is a
+// no-op — the unobserved fast path is one nil check per phase boundary.
 
 import (
 	"cmp"
@@ -63,32 +69,26 @@ type Span struct {
 	// the span: positive values are files the span handed to its caller —
 	// or leaked.
 	LiveFileDelta int64
-	// Depth is the nesting depth in the trace tree (roots are 0).
+	// Depth is the number of spans that were open around this one when it
+	// started (roots are 0): its depth in the trace tree when the tracer
+	// was attached throughout.
 	Depth int
 	// Retries counts the physical-transfer retry attempts the resilience
 	// layer performed during the span (inclusive of children, like IO).
 	// Zero — and omitted from trace JSON — unless a retry policy is armed
 	// and transient faults actually occurred.
 	Retries int64
-	// Seq is the span's start sequence number, assigned by the tracer in
-	// strictly increasing order of StartSpan calls. Children are exported
-	// sorted by Seq, so trace JSON and rendered trees are deterministic by
-	// construction rather than by scheduler accident.
+	// Seq is the span's start sequence number, assigned in strictly
+	// increasing order of StartSpan calls by the tracer, or by the disk when
+	// no tracer is attached. Children are exported sorted by Seq, so trace
+	// JSON and rendered trees are deterministic by construction rather than
+	// by scheduler accident.
 	Seq int64
 
-	tracer *Tracer
+	tracer *Tracer // records the span's deltas; nil when none was attached
 	ctx    *Ctx
-	parent *Span
+	parent *Span // the span open around this one at start, nil for a root
 	open   bool
-
-	// metricsOnly marks a span created with metrics or logging enabled but
-	// no tracer attached: it feeds the phase gauges and the log span context
-	// and records nothing else.
-	metricsOnly bool
-	phasePushed bool
-	phaseDepth  int
-	logPushed   bool
-	logDepth    int
 
 	// Wall-clock bounds, read by the OTLP exporter. Purely observational —
 	// they never appear in the deterministic trace JSON.
@@ -107,7 +107,6 @@ type Span struct {
 // safe for concurrent use, matching the sequential EM model.
 type Tracer struct {
 	roots []*Span
-	cur   *Span
 	seq   int64
 }
 
@@ -120,145 +119,149 @@ func (c *Ctx) SetTracer(t *Tracer) { c.tracer = t }
 // Tracer returns the attached tracer, nil when tracing is disabled.
 func (c *Ctx) Tracer() *Tracer { return c.tracer }
 
-// StartSpan opens a span as a child of the currently open span (or as a new
-// root). It returns nil when no tracer is attached and metrics and logging
-// are disabled; a nil *Span's methods are all no-ops, so instrumentation
-// sites need no tracing checks of their own. With metrics or logging enabled
-// but no tracer, the returned span records nothing in a trace tree — it only
-// drives the live phase gauges (empart_phase, empart_phase_depth) and the
-// event log's span context.
+// StartSpan opens a span as a child of the innermost open span (or as a new
+// root). It returns nil when no tracer, metrics registry or event log is
+// attached; a nil *Span's methods are all no-ops, so instrumentation sites
+// need no checks of their own. Without a tracer the span records no deltas:
+// it only drives the live phase gauges (empart_phase, empart_phase_depth)
+// and the event log's span context.
 func (c *Ctx) StartSpan(name string, attrs ...Attr) *Span {
-	if c.tracer == nil {
-		d := c.disk
-		m := d.iom
-		if m == nil && d.logger == nil {
-			return nil
-		}
+	d, t := c.disk, c.tracer
+	if t == nil && d.iom == nil && d.logger == nil {
+		return nil
+	}
+	sp := &Span{Name: name, Attrs: attrs, ctx: c, parent: c.open, open: true}
+	if sp.parent != nil {
+		sp.Depth = sp.parent.Depth + 1
+	}
+	if t == nil {
 		d.spanSeq++
-		sp := &Span{
-			Name:        name,
-			Seq:         d.spanSeq,
-			ctx:         c,
-			open:        true,
-			metricsOnly: true,
-		}
-		if m != nil {
-			sp.phasePushed = true
-			sp.phaseDepth = m.pushPhase(name, sp.Seq)
-		}
-		if d.logger != nil {
-			sp.logPushed = true
-			sp.logDepth = d.pushLogSpan(name, sp.Seq)
-			d.log(slog.LevelDebug, "phase started")
-		}
-		return sp
-	}
-	return c.tracer.start(c, name, attrs)
-}
-
-func (t *Tracer) start(c *Ctx, name string, attrs []Attr) *Span {
-	t.seq++
-	sp := &Span{
-		Name:          name,
-		Attrs:         attrs,
-		Seq:           t.seq,
-		tracer:        t,
-		ctx:           c,
-		parent:        t.cur,
-		open:          true,
-		startStats:    c.disk.stats,
-		startSeq:      c.scratchSeq,
-		startLive:     c.disk.liveScratch,
-		startRetries:  c.disk.retryCount(),
-		savedPeakMem:  c.mem.Peak(),
-		savedPeakDisk: c.disk.PeakLiveBlocks(),
-	}
-	sp.startWall = time.Now()
-	if m := c.disk.iom; m != nil {
-		sp.phasePushed = true
-		sp.phaseDepth = m.pushPhase(name, sp.Seq)
-	}
-	if c.disk.logger != nil {
-		sp.logPushed = true
-		sp.logDepth = c.disk.pushLogSpan(name, sp.Seq)
-		c.disk.log(slog.LevelDebug, "phase started")
-	}
-	if t.cur != nil {
-		sp.Depth = t.cur.Depth + 1
-		t.cur.Children = append(t.cur.Children, sp)
+		sp.Seq = d.spanSeq
 	} else {
-		t.roots = append(t.roots, sp)
+		t.seq++
+		sp.Seq = t.seq
+		t.start(sp)
 	}
-	t.cur = sp
-	// Scope the high-water marks to this span; End restores the enclosing
-	// span's view. Purely observational — never affects budget enforcement.
-	c.mem.ResetPeak()
-	c.disk.ResetPeakLive()
+	c.open = sp
+	d.enterSpan(sp)
 	return sp
 }
 
-// End closes the span, recording its resource deltas. Safe on a nil or
-// already-ended span. If descendants are still open (an error unwound past
-// their End calls), they are closed first so the tree stays well-formed.
+// start records the counters sp's deltas are taken against and links sp into
+// the tree: under the enclosing span when this tracer records that one too,
+// else as a root.
+func (t *Tracer) start(sp *Span) {
+	c := sp.ctx
+	sp.tracer = t
+	sp.startStats = c.disk.stats
+	sp.startSeq = c.scratchSeq
+	sp.startLive = c.disk.liveScratch
+	sp.startRetries = c.disk.retryCount()
+	sp.savedPeakMem = c.mem.Peak()
+	sp.savedPeakDisk = c.disk.PeakLiveBlocks()
+	sp.startWall = time.Now()
+	if p := sp.parent; p != nil && p.tracer == t {
+		p.Children = append(p.Children, sp)
+	} else {
+		t.roots = append(t.roots, sp)
+	}
+	// Scope the high-water marks to this span; finish restores the enclosing
+	// span's view. Purely observational — never affects budget enforcement.
+	c.mem.ResetPeak()
+	c.disk.ResetPeakLive()
+}
+
+// End closes the span, recording its resource deltas when traced. Safe on a
+// nil or already-ended span. If descendants are still open (an error unwound
+// past their End calls), they are closed first so the stack and the tree
+// stay well-formed.
 func (sp *Span) End() {
 	if sp == nil || !sp.open {
 		return
 	}
-	if sp.metricsOnly {
-		sp.open = false
-		if sp.logPushed {
-			sp.ctx.disk.log(slog.LevelDebug, "phase ended")
-		}
-		sp.popPhase()
-		sp.popLog()
-		return
-	}
-	t := sp.tracer
-	for t.cur != nil && t.cur != sp {
-		t.cur.finish()
+	c := sp.ctx
+	for c.open != sp {
+		c.open.finish()
 	}
 	sp.finish()
 }
 
-// popPhase restores the metrics phase stack to the depth captured at span
-// start. Truncation (rather than a single pop) keeps the stack consistent
-// when an error unwinds past nested End calls.
-func (sp *Span) popPhase() {
-	if !sp.phasePushed {
-		return
-	}
-	if m := sp.ctx.disk.iom; m != nil {
-		m.popPhaseTo(sp.phaseDepth)
-	}
-}
-
-// popLog is popPhase for the event log's span context.
-func (sp *Span) popLog() {
-	if !sp.logPushed {
-		return
-	}
-	sp.ctx.disk.popLogSpanTo(sp.logDepth)
-}
-
+// finish pops sp, the innermost open span, off its Ctx's stack.
 func (sp *Span) finish() {
 	c := sp.ctx
-	sp.endWall = time.Now()
-	sp.IO = c.disk.stats.Sub(sp.startStats)
-	sp.PeakMem = c.mem.Peak()
-	sp.PeakDisk = c.disk.PeakLiveBlocks()
-	sp.FilesCreated = c.scratchSeq - sp.startSeq
-	sp.LiveFileDelta = int64(c.disk.liveScratch - sp.startLive)
-	sp.Retries = c.disk.retryCount() - sp.startRetries
-	c.mem.RaisePeak(sp.savedPeakMem)
-	c.disk.RaisePeakLive(sp.savedPeakDisk)
-	sp.open = false
-	sp.tracer.cur = sp.parent
-	if sp.logPushed {
-		c.disk.log(slog.LevelDebug, "phase ended",
-			slog.Int64("reads", sp.IO.Reads), slog.Int64("writes", sp.IO.Writes))
+	if sp.tracer != nil {
+		sp.endWall = time.Now()
+		sp.IO = c.disk.stats.Sub(sp.startStats)
+		sp.PeakMem = c.mem.Peak()
+		sp.PeakDisk = c.disk.PeakLiveBlocks()
+		sp.FilesCreated = c.scratchSeq - sp.startSeq
+		sp.LiveFileDelta = int64(c.disk.liveScratch - sp.startLive)
+		sp.Retries = c.disk.retryCount() - sp.startRetries
+		c.mem.RaisePeak(sp.savedPeakMem)
+		c.disk.RaisePeakLive(sp.savedPeakDisk)
 	}
-	sp.popPhase()
-	sp.popLog()
+	sp.open = false
+	c.open = sp.parent
+	c.disk.exitSpan(sp)
+}
+
+// enterSpan publishes sp, just started, as the disk's innermost open span.
+func (d *Disk) enterSpan(sp *Span) {
+	d.publishSpan(sp)
+	if m := d.iom; m != nil {
+		m.phaseStarts.With(sp.Name).Inc()
+	}
+	d.log(slog.LevelDebug, "phase started")
+}
+
+// exitSpan narrates sp's end while it is still published, then publishes its
+// parent.
+func (d *Disk) exitSpan(sp *Span) {
+	if d.logger != nil {
+		if sp.tracer != nil {
+			d.log(slog.LevelDebug, "phase ended",
+				slog.Int64("reads", sp.IO.Reads), slog.Int64("writes", sp.IO.Writes))
+		} else {
+			d.log(slog.LevelDebug, "phase ended")
+		}
+	}
+	d.publishSpan(sp.parent)
+}
+
+// publishSpan stores sp as the disk's innermost open span (nil outside all
+// spans) and sets the phase gauges from it. The phase gauges, the seq that
+// latency and retry exemplars carry, and the phase path and seq of log
+// records all follow this one pointer, which transfer and retry goroutines
+// read.
+func (d *Disk) publishSpan(sp *Span) {
+	d.span.Store(sp)
+	if m := d.iom; m != nil {
+		name, depth := "", 0
+		if sp != nil {
+			name, depth = sp.Name, sp.Depth+1
+		}
+		m.phaseInfo.Set(name)
+		m.phaseLevel.Set(int64(depth))
+	}
+}
+
+// exemplarSeq returns the seq of the disk's innermost open span, 0 outside
+// all spans. Safe from any goroutine.
+func (d *Disk) exemplarSeq() int64 {
+	if sp := d.span.Load(); sp != nil {
+		return sp.Seq
+	}
+	return 0
+}
+
+// path returns the slash-joined names of the spans from the root to sp. It
+// reads only fields fixed before sp was published, so any goroutine may call
+// it on a span it loaded from the disk.
+func (sp *Span) path() string {
+	if sp.parent == nil {
+		return sp.Name
+	}
+	return sp.parent.path() + "/" + sp.Name
 }
 
 // SetAttr appends an attribute to the span after the fact (for values known
@@ -278,7 +281,7 @@ func (t *Tracer) Roots() []*Span { return t.roots }
 
 // Reset discards all recorded spans. Open spans are abandoned; callers reset
 // only between top-level algorithm invocations.
-func (t *Tracer) Reset() { t.roots, t.cur = nil, nil }
+func (t *Tracer) Reset() { t.roots = nil }
 
 // Walk visits every recorded span in pre-order (parents before children).
 func (t *Tracer) Walk(fn func(*Span)) {

@@ -166,16 +166,15 @@ func MergeAllWithFanIn(ctx *emio.Ctx, runs []*emio.File, maxFan int) (*emio.File
 }
 
 // degradeFanIn shrinks the merge fan-in until the transient footprint of a
-// consuming merge — fan·(lag+1) unreclaimed input blocks plus one output
-// buffer — fits the disk budget's remaining headroom, never below 2. If even
-// a binary merge does not fit, the merge runs anyway and surfaces the
-// budget's *ResourceError at the first rejected append: degradation is
+// consuming merge — fan·(ConsumeLag+1) unreclaimed input blocks plus one
+// output buffer — fits the disk budget's remaining headroom, never below 2.
+// If even a binary merge does not fit, the merge runs anyway and surfaces
+// the budget's *ResourceError at the first rejected append: degradation is
 // best-effort, the quota is the authority.
 func degradeFanIn(d *emio.Disk, fan int) int {
 	headroom := d.DiskBudget() - d.DiskBytes()
-	lag := d.ConsumeLag()
 	bb := d.BlockBytes()
-	for fan > 2 && (int64(fan)*(lag+1)+1)*bb > headroom {
+	for fan > 2 && (int64(fan)*(emio.ConsumeLag+1)+1)*bb > headroom {
 		fan--
 	}
 	return fan

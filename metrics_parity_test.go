@@ -16,14 +16,8 @@ import (
 // suite runs under -race (metrics recording crosses the pipeline's worker
 // and prefetch goroutines) and again pinned to GOMAXPROCS=1.
 
-func metricsParityBackends(cfg Config) []struct {
-	name string
-	mk   func(t *testing.T) *System
-} {
-	return []struct {
-		name string
-		mk   func(t *testing.T) *System
-	}{
+func metricsParityBackends(cfg Config) []parityBackend {
+	return []parityBackend{
 		{"mem", func(t *testing.T) *System {
 			sys, err := New(cfg)
 			if err != nil {

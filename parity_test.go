@@ -119,14 +119,16 @@ func runParity(t *testing.T, d parityDriver, mk func(t *testing.T) *System, elem
 	return parityRun{output: out, stats: sys.Stats(), peakMem: sys.PeakMemory(), trace: trace}
 }
 
-func TestPipelineParitySuite(t *testing.T) {
-	const n = 1 << 12
-	cfg := Config{M: 1 << 10, B: 1 << 5}
-	elems := workload.Elems(workload.Uniform, n, cfg.B, 0xa11)
-	backends := []struct {
-		name string
-		mk   func(t *testing.T) *System
-	}{
+// parityBackend names one way to build a System for the parity suites.
+type parityBackend struct {
+	name string
+	mk   func(t *testing.T) *System
+}
+
+// pipelineParityBackends lists every backend the pipeline parity suite
+// compares on machine cfg, the memory baseline first.
+func pipelineParityBackends(t *testing.T, cfg Config) []parityBackend {
+	backends := []parityBackend{
 		{"mem", func(t *testing.T) *System {
 			sys, err := New(cfg)
 			if err != nil {
@@ -216,14 +218,8 @@ func TestPipelineParitySuite(t *testing.T) {
 			}
 		}
 		backends = append(backends,
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-direct", mkDirect(Pipeline{Direct: true})},
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-direct-pipeline", mkDirect(Pipeline{Enabled: true, Direct: true})},
+			parityBackend{"file-direct", mkDirect(Pipeline{Direct: true})},
+			parityBackend{"file-direct-pipeline", mkDirect(Pipeline{Enabled: true, Direct: true})},
 		)
 	}
 	if emio.UringSupported() {
@@ -243,39 +239,58 @@ func TestPipelineParitySuite(t *testing.T) {
 			}
 		}
 		backends = append(backends,
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring", mkUring(Pipeline{Uring: true})},
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring-pipeline", mkUring(Pipeline{Enabled: true, Uring: true})},
+			parityBackend{"file-uring", mkUring(Pipeline{Uring: true})},
+			parityBackend{"file-uring-pipeline", mkUring(Pipeline{Enabled: true, Uring: true})},
 		)
 		if emio.DirectIOSupported(t.TempDir()) {
-			backends = append(backends, struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring-direct", mkUring(Pipeline{Enabled: true, Uring: true, Direct: true})})
+			backends = append(backends,
+				parityBackend{"file-uring-direct", mkUring(Pipeline{Enabled: true, Uring: true, Direct: true})})
 		}
 	}
-	for _, d := range parityDrivers(n) {
-		t.Run(d.name, func(t *testing.T) {
-			base := runParity(t, d, backends[0].mk, elems)
-			for _, be := range backends[1:] {
-				got := runParity(t, d, be.mk, elems)
-				if !bytes.Equal(got.output, base.output) {
-					t.Errorf("%s: output differs from mem baseline", be.name)
-				}
-				if got.stats != base.stats {
-					t.Errorf("%s: stats %v != baseline %v", be.name, got.stats, base.stats)
-				}
-				if !bytes.Equal(got.trace, base.trace) {
-					t.Errorf("%s: trace span tree differs from baseline", be.name)
-				}
-			}
-		})
+	return backends
+}
+
+// checkPipelineParity runs d on every backend and compares each run's
+// output, Stats and trace with the first backend's.
+func checkPipelineParity(t *testing.T, d parityDriver, backends []parityBackend, elems []Elem) {
+	t.Helper()
+	base := runParity(t, d, backends[0].mk, elems)
+	for _, be := range backends[1:] {
+		got := runParity(t, d, be.mk, elems)
+		if !bytes.Equal(got.output, base.output) {
+			t.Errorf("%s: output differs from mem baseline", be.name)
+		}
+		if got.stats != base.stats {
+			t.Errorf("%s: stats %v != baseline %v", be.name, got.stats, base.stats)
+		}
+		if !bytes.Equal(got.trace, base.trace) {
+			t.Errorf("%s: trace span tree differs from baseline", be.name)
+		}
 	}
+}
+
+func TestPipelineParitySuite(t *testing.T) {
+	const n = 1 << 12
+	cfg := Config{M: 1 << 10, B: 1 << 5}
+	elems := workload.Elems(workload.Uniform, n, cfg.B, 0xa11)
+	backends := pipelineParityBackends(t, cfg)
+	for _, d := range parityDrivers(n) {
+		t.Run(d.name, func(t *testing.T) { checkPipelineParity(t, d, backends, elems) })
+	}
+
+	// Under a disk budget the sort merges through consuming readers and
+	// narrows its fan-in to the headroom they leave. The input and the
+	// formed runs take 1,024 of the 1,177 blocks, which leaves room for
+	// the full fan of 26 runs, so every backend merges the 18 runs in one
+	// pass.
+	t.Run("sort-disk-budget", func(t *testing.T) {
+		const n = 1 << 14
+		c := cfg
+		c.DiskBudget = 1177 * int64(c.B) * 16
+		elems := workload.Elems(workload.Uniform, n, c.B, 0xa11)
+		sort := parityDrivers(n)[0]
+		checkPipelineParity(t, sort, pipelineParityBackends(t, c), elems)
+	})
 }
 
 // TestPipelineFaultParity proves an injected write fault during write-behind

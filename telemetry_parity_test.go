@@ -61,6 +61,23 @@ func spanSeqs(sys *System) map[int64]bool {
 	return seqs
 }
 
+// spanPaths maps every recorded span's seq to the slash-joined names of the
+// spans from its root to it.
+func spanPaths(sys *System) map[int64]string {
+	paths := make(map[int64]string)
+	var rec func(sp *Span, path string)
+	rec = func(sp *Span, path string) {
+		paths[sp.Seq] = path
+		for _, ch := range sp.Children {
+			rec(ch, path+"/"+ch.Name)
+		}
+	}
+	for _, r := range sys.Tracer().Roots() {
+		rec(r, r.Name)
+	}
+	return paths
+}
+
 func telemetryParitySuite(t *testing.T) {
 	const n = 1 << 12
 	cfg := Config{M: 1 << 10, B: 1 << 5}
@@ -81,13 +98,14 @@ func telemetryParitySuite(t *testing.T) {
 				}
 
 				// The run must actually have been narrated: phase boundaries
-				// land in the ring at debug level, and every event's span_seq
-				// resolves to a real span of the recorded trace.
+				// land in the ring at debug level, every event's span_seq
+				// resolves to a real span of the recorded trace, and its
+				// phase is that span's path in the trace.
 				events := sys.EventLog().Events()
 				if len(events) == 0 {
 					t.Fatalf("%s: telemetry-on run logged no events", be.name)
 				}
-				seqs := spanSeqs(sys)
+				paths := spanPaths(sys)
 				sawPhase := false
 				for _, ev := range events {
 					if ev.Attrs["disk"] == nil {
@@ -98,11 +116,13 @@ func telemetryParitySuite(t *testing.T) {
 						continue
 					}
 					sawPhase = true
-					if !seqs[seq] {
+					want, ok := paths[seq]
+					if !ok {
 						t.Errorf("%s: event %q carries span_seq=%d, not a recorded span", be.name, ev.Msg, seq)
+						continue
 					}
-					if phase, _ := ev.Attrs["phase"].(string); phase == "" {
-						t.Errorf("%s: event %q has span_seq but empty phase path", be.name, ev.Msg)
+					if phase, _ := ev.Attrs["phase"].(string); phase != want {
+						t.Errorf("%s: event %q has phase %q, want its span's path %q", be.name, ev.Msg, phase, want)
 					}
 				}
 				if !sawPhase {
