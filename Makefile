@@ -62,7 +62,7 @@ parity:
 	$(GO) test -race -count=1 -run 'WorkersParity|ShardFault|ParallelSort' . ./internal/inmem
 
 # The fault matrix under the race detector: injected transient/permanent
-# faults and bit-flip corruption across {mem, file, file+pipeline}, retry
+# faults and bit-flip corruption across {mem, file, file+uring}, retry
 # on/off, plus the per-algorithm fault sweep and its goroutine-leak checks,
 # and the I/O engine's deferred-error and one-transfer-per-block injector
 # tests.

@@ -18,8 +18,7 @@ import (
 //
 // "Mid-run" is made deterministic with a retry storm: a scripted transient
 // read fault with an effectively unbounded repeat count parks the algorithm
-// (or its pipeline worker) in the bounded-backoff retry loop at a known
-// logical point. The test cancels the context once RetryStats shows the
+// in the bounded-backoff retry loop at a known logical point. The test cancels the context once RetryStats shows the
 // storm has started; the retry loop checks the cancel flag before every
 // attempt, so the job must unwind within about one backoff period.
 
@@ -35,6 +34,8 @@ func cancelMatrixModes() []struct {
 	}{
 		{"mem", false, Pipeline{}},
 		{"file", true, Pipeline{}},
+		// Pipeline.Enabled is ignored (every file disk runs the I/O engine);
+		// this cell checks that it changes nothing, and goes with the field.
 		{"file-pipeline", true, Pipeline{Enabled: true}},
 	}
 	if emio.UringSupported() {
@@ -42,7 +43,7 @@ func cancelMatrixModes() []struct {
 			name   string
 			backed bool
 			pipe   Pipeline
-		}{"uring", true, Pipeline{Enabled: true, Uring: true}})
+		}{"uring", true, Pipeline{Uring: true}})
 	}
 	return modes
 }
@@ -160,7 +161,7 @@ func runCancelCase(t *testing.T, a cancelAlgo, backed bool, pipe Pipeline, worke
 	}
 
 	// Teardown: no scratch survives a cancelled job, and closing the system
-	// reaps every pipeline goroutine.
+	// leaves no goroutine behind.
 	emio.RequireNoLeaks(t, sys.Ctx())
 	if err := sys.Close(); err != nil {
 		t.Errorf("close after cancel: %v", err)
@@ -201,14 +202,13 @@ func TestCancellationWorkers(t *testing.T) {
 	}
 }
 
-// TestCancellationSingleProc repeats one pipelined cell at GOMAXPROCS=1: the
-// canceller, the algorithm and the pipeline workers share one P, so any
-// busy-wait in the cancel path would livelock here.
+// TestCancellationSingleProc repeats one file cell at GOMAXPROCS=1: the
+// canceller and the algorithm share one P, so any busy-wait in the cancel
+// path would livelock here.
 func TestCancellationSingleProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	runCancelCase(t, cancelAlgos()[0], true,
-		Pipeline{Enabled: true}, 0)
+	runCancelCase(t, cancelAlgos()[0], true, Pipeline{}, 0)
 }
 
 // TestBindContextLifecycle exercises the context watcher's lifecycle: binding

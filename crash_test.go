@@ -82,22 +82,36 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// Crash points spanning every phase: mid formation, formation's final
-	// block, early pass 0, late pass 0, and mid pass 1 (the final pass). The
-	// sequential points run at the top level; the same points run again with
-	// two workers sorting each run, which must change neither the output nor
-	// the work a resume redoes.
-	crashPoints(t, bin, baseArgs, want)
+	// block, early pass 0, late pass 0, and mid pass 1 (the final pass).
+	// Exactly the unfinished work is redone, never a completed phase. Crash
+	// at op 100 loses 7 durable runs' worth of scan (98 blocks), so resume
+	// writes 527 formation + 1250 merge blocks; at op 620 only the 9-block
+	// tail run is unformed; anywhere inside pass 0 the whole 1250-write
+	// merge reruns (the pass had not committed); mid pass 1 only the final
+	// 625-write pass reruns.
+	crashOps := []int64{100, 620, 700, 1200, 1700}
+	wantWrites := []int64{1777, 1259, 1250, 1250, 625}
+	// The sequential points run at the top level; the same points run again
+	// with two workers sorting each run, which must change neither the
+	// output nor the work a resume redoes. One point runs again in the
+	// power-loss grade (-full-sync on the crashed run and on its resume),
+	// which fsyncs the backing file and the journal at the formation barrier
+	// before the crash and must change neither either.
+	crashPoints(t, bin, baseArgs, want, crashOps, wantWrites)
 	t.Run("workers-2", func(t *testing.T) {
-		crashPoints(t, bin, append(append([]string{}, baseArgs...), "-workers", "2"), want)
+		crashPoints(t, bin, append(append([]string{}, baseArgs...), "-workers", "2"), want, crashOps, wantWrites)
+	})
+	t.Run("full-sync", func(t *testing.T) {
+		crashPoints(t, bin, append(append([]string{}, baseArgs...), "-full-sync"), want, crashOps[2:3], wantWrites[2:3])
 	})
 }
 
 // crashPoints SIGKILLs the journaled emsort job of args at each scripted
-// write, resumes it, and requires the reference output want and exactly the
-// unfinished work redone.
-func crashPoints(t *testing.T, bin string, baseArgs []string, want []byte) {
+// write of crashOps, resumes it, and requires the reference output want and
+// exactly the unfinished work redone: wantWrites[i] blocks after the crash
+// at crashOps[i].
+func crashPoints(t *testing.T, bin string, baseArgs []string, want []byte, crashOps, wantWrites []int64) {
 	t.Helper()
-	crashOps := []int64{100, 620, 700, 1200, 1700}
 	var resumedWrites []int64
 	lastPassSeen := int64(-2)
 
@@ -168,13 +182,6 @@ func crashPoints(t *testing.T, bin string, baseArgs []string, want []byte) {
 		})
 	}
 
-	// Exactly the unfinished work is redone, never a completed phase. Crash
-	// at op 100 loses 7 durable runs' worth of scan (98 blocks), so resume
-	// writes 527 formation + 1250 merge blocks; at op 620 only the 9-block
-	// tail run is unformed; anywhere inside pass 0 the whole 1250-write
-	// merge reruns (the pass had not committed); mid pass 1 only the final
-	// 625-write pass reruns.
-	wantWrites := []int64{1777, 1259, 1250, 1250, 625}
 	if len(resumedWrites) == len(crashOps) {
 		for i, w := range resumedWrites {
 			if w != wantWrites[i] {

@@ -185,15 +185,16 @@ func New(cfg Config) (*System, error) {
 }
 
 // NewFileBacked creates a System whose simulated disk is backed by a real
-// file at path (created or truncated): every counted block transfer is an
+// file at path (created or truncated): every counted block moves through an
 // actual positioned read or write. Call Close when done.
 //
-// Setting cfg.Pipeline.Enabled turns on the asynchronous I/O engine for the
-// backing file: appends are staged into batches, each written with one
-// positioned write while the next batch fills, and sequential scans trigger
-// coalesced read-ahead, overlapping physical I/O with computation. The
-// engine affects wall-clock speed only — Stats, trace spans, fault-hook
-// order and all outputs are bit-identical with it on or off.
+// The backing file runs the I/O engine: appends are staged into batches,
+// each written with one positioned write per run of adjacent blocks, and
+// sequential scans read ahead with coalesced positioned reads. Transfers run
+// on the goroutine driving the System, or through an io_uring when
+// cfg.Pipeline.Uring is set, which lets them overlap computation. The engine
+// affects physical transfers and wall-clock speed only — Stats, trace spans,
+// fault-hook order and all outputs are the same as on the memory backend.
 func NewFileBacked(cfg Config, path string) (*System, error) {
 	d, err := emio.NewFileBackedDiskPipeline(path, cfg.B, cfg.Pipeline)
 	return open(cfg, d, err)
@@ -231,9 +232,10 @@ func (s *System) Close() error { return s.ctx.Disk().Close() }
 
 // Cancel requests cooperative cancellation of whatever operation is running
 // (or runs next) on this System, recording cause. The first block transfer
-// to observe the flag — on the algorithm goroutine or an I/O engine
-// transfer — abandons the operation, which returns a *CancelledError
-// wrapping cause within about one block-transfer latency.
+// to observe the flag — a logical transfer or a physical retry attempt,
+// both on the goroutine running the operation — abandons the operation,
+// which returns a *CancelledError wrapping cause within about one
+// block-transfer latency.
 // Safe to call from any goroutine, including signal handlers; the first
 // cause wins and later calls are no-ops. The System stays cancelled (every
 // subsequent operation fails immediately) until ClearCancel.

@@ -16,8 +16,8 @@ import (
 // when bounded retry is enabled, with the retries visible in RetryStats and
 // the metrics registry, and (b) fail with a typed *TransientError when it is
 // not; and a flipped bit in any stored block must surface as a typed
-// *CorruptionError — never as silently wrong output — with the write-behind
-// pipeline on and off.
+// *CorruptionError — never as silently wrong output — on the file store,
+// with and without the io_uring.
 
 func faultMatrixModes() []struct {
 	name string
@@ -28,14 +28,17 @@ func faultMatrixModes() []struct {
 		pipe Pipeline
 	}{
 		{"sync", Pipeline{}},
+		// The -pipeline rows set Pipeline.Enabled, which every file disk
+		// ignores (each runs the I/O engine); they check that it changes
+		// nothing, and go with the field.
 		{"pipeline", Pipeline{Enabled: true}},
 	}
 	if emio.UringSupported() {
-		// With an injector or retry policy armed the ring falls back to one
+		// With an injector or retry policy armed the ring carries one
 		// submission per runPhys attempt, so scripted per-kind fault schedules
 		// keep their deterministic ordering; these rows prove the ring
-		// composes with the whole resilience layer (and that the completion
-		// reaper shuts down leak-free after induced failures, via the
+		// composes with the whole resilience layer (and that its teardown
+		// after induced failures leaves no goroutine behind, via the
 		// RequireNoGoroutineLeaks checks the matrix tests already carry).
 		modes = append(modes,
 			struct {
@@ -53,8 +56,8 @@ func faultMatrixModes() []struct {
 
 // transientSchedule arms inj with the matrix's fail-once fault points. Op
 // indices count from injector attach, per I/O kind, so the schedule is
-// meaningful in both pipeline modes (both perform well past four physical
-// transfers of each kind on this workload).
+// meaningful in every mode (each performs well past four physical transfers
+// of each kind on this workload).
 func transientSchedule(inj *Injector) {
 	inj.FailWrite(0, 1)
 	inj.FailWrite(3, 1)
@@ -150,7 +153,7 @@ func TestFaultMatrixTransientWithoutRetryFails(t *testing.T) {
 			out, err := sys.Sort(f)
 			if err == nil {
 				out.Release()
-				// A pipelined write failure may still be parked as sticky
+				// A staged write's failure may still be parked as sticky
 				// state; it must surface at Close at the latest.
 				err = sys.Close()
 			} else {

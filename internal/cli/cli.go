@@ -58,7 +58,7 @@ func Register(fs *flag.FlagSet, backend bool) *Flags {
 	}
 	fs.IntVar(&f.Workers, "workers", 0, "goroutines that sort each in-memory run of a sort (0 or 1 = one; output, I/O counts and trace are the same at every worker count)")
 	fs.StringVar(&f.Backing, "backing", "", "path for a real backing file for the simulated disk (default: in-memory)")
-	fs.BoolVar(&f.Uring, "uring", false, "submit physical I/O through an io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
+	fs.BoolVar(&f.Uring, "uring", false, "submit physical I/O through an io_uring (needs -backing; degrades silently to positioned syscalls where unsupported)")
 	fs.BoolVar(&f.Checksum, "checksum", false, "CRC32C-checksum every stored block and fail on corruption at read time")
 	fs.IntVar(&f.Retry, "retry", 0, "retry transient backing-I/O faults up to this many attempts (0 or 1 = off)")
 	fs.StringVar(&f.Log, "log", "", "append structured JSON-lines event log to this file")
@@ -69,18 +69,15 @@ func Register(fs *flag.FlagSet, backend bool) *Flags {
 
 // Config is the machine the flags describe.
 func (f *Flags) Config() empart.Config {
-	cfg := empart.Config{
+	return empart.Config{
 		M: f.M, B: f.B,
 		Workers:    f.Workers,
 		Checksum:   f.Checksum,
 		Retry:      empart.Retry{MaxAttempts: f.Retry},
 		Log:        empart.LogConfig{Level: slog.LevelDebug, Path: f.Log},
 		DiskBudget: f.DiskBudget,
+		Pipeline:   empart.Pipeline{Uring: f.Uring},
 	}
-	if f.Uring {
-		cfg.Pipeline = empart.Pipeline{Enabled: true, Uring: true}
-	}
-	return cfg
 }
 
 // Open creates the System the flags describe: file-backed at -backing, in

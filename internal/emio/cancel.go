@@ -13,9 +13,9 @@ package emio
 // transfer in flight when the flag flips.
 //
 // Cancellation is a property of the job, not the device: a cancelled disk
-// performs no further logical I/O, but teardown (Release, Close, draining
-// the write-behind queue) proceeds normally so no scratch space or goroutine
-// outlives the job.
+// performs no further logical I/O, but teardown (Release, Close, writing out
+// the engine's staged blocks) proceeds normally so no scratch space or
+// in-flight transfer outlives the job.
 
 import (
 	"errors"

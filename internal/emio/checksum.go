@@ -9,10 +9,10 @@ package emio
 // because all of them funnel through File.readBlockAhead before the payload
 // reaches an algorithm.
 //
-// Verification happens on the algorithm goroutine rather than inside the
-// transfer goroutines: the sidecar grows on the algorithm goroutine with each
+// Verification happens at the logical read rather than when a physical
+// transfer completes: the sidecar grows on the algorithm goroutine with each
 // append, and the determinism contract wants corruption to surface at the
-// logical read that consumes the block, identically under pipeline on/off.
+// logical read that consumes the block, identically on every backend.
 
 import (
 	"encoding/binary"

@@ -10,9 +10,9 @@ import (
 // M is the internal memory capacity and B the block size, both in elements.
 // The model requires M >= 2B (the machine must at least hold two blocks).
 //
-// Pipeline configures the asynchronous I/O pipeline of file-backed disks; it
-// affects only physical transfers and wall-clock speed, never the logical
-// I/O counters, and is ignored by memory-backed disks.
+// Pipeline configures the physical layer of file-backed disks; it affects
+// only physical transfers and wall-clock speed, never the logical I/O
+// counters, and is ignored by memory-backed disks.
 //
 // Checksum and Retry arm the opt-in resilience layer: per-block CRC32C
 // verification on every read, and bounded retry of transient physical-I/O
@@ -34,7 +34,7 @@ type Config struct {
 
 	Workers int // goroutines for the sorts' in-memory sorting; 0 = the caller's only
 
-	Pipeline Pipeline // async physical-I/O pipeline (file-backed disks)
+	Pipeline Pipeline // physical-I/O backend of file-backed disks
 
 	Checksum bool  // verify per-block CRC32C checksums on every read
 	Retry    Retry // bounded retry of transient physical-transfer failures
@@ -49,18 +49,23 @@ type Config struct {
 	Log LogConfig // structured event log (ring + JSON-lines + extra handler)
 }
 
-// Pipeline configures the asynchronous I/O engine of a file-backed disk.
-// When Enabled, block appends are staged into batches of queueDepth blocks,
-// each written with one positioned write while the next batch stages, and
-// sequential readers trigger coalesced read-ahead of up to prefetchDepth
-// contiguous blocks in one positioned read. The engine moves only physical
-// transfers: logical I/O accounting, fault-hook firing and trace spans happen
-// when the algorithm issues the block, so Stats and outputs are bit-identical
-// with the pipeline on or off.
-// Direct is independent of Enabled: it opens the backing file with O_DIRECT
-// (on platforms that support it), bypassing the OS page cache so every
-// physical transfer pays real device latency — the cost regime the EM model
-// assumes. It composes with the pipeline in either state.
+// Pipeline configures the physical layer of a file-backed disk. Every
+// file-backed disk runs the I/O engine: block appends are staged into
+// batches of queueDepth blocks, each written with one positioned write per
+// run of adjacent blocks, and sequential readers trigger coalesced
+// read-ahead of up to prefetchDepth contiguous blocks in one positioned
+// read. The engine moves only physical transfers: logical I/O accounting,
+// fault-hook firing and trace spans happen when the algorithm issues the
+// block, so Stats and outputs are bit-identical to the memory backend's.
+//
+// Enabled is ignored: every file-backed disk runs the engine. The field
+// stays only because the benchmark still sets it.
+//
+// Direct opens the backing file with O_DIRECT (on platforms that support
+// it), bypassing the OS page cache so every physical transfer pays real
+// device latency — the cost regime the EM model assumes. Without Uring the
+// engine's transfers run in place, so the disk's writes and reads do not
+// overlap computation.
 // Direct I/O constrains physical transfers to 512-byte-aligned offsets,
 // lengths and buffers; the store pads partial blocks to honor this, which can
 // grow the backing file's byte footprint (never the logical I/O counts).
@@ -69,8 +74,9 @@ type Config struct {
 // Uring routes physical transfers through a Linux io_uring of uringDepth
 // entries: each transfer is submitted as an SQE instead of a blocking
 // pread/pwrite syscall, with the store's long-lived buffers registered as
-// fixed buffers and completions drained by whichever goroutine is waiting on
-// one. Like Direct it is independent of Enabled and composes with it (an
+// fixed buffers and completions reaped by the goroutine driving the disk
+// when it waits on one. The engine's batch writes and read-ahead then stay
+// in flight while the algorithm computes. It composes with Direct (an
 // O_DIRECT backing driven through the ring is the closest-to-device
 // configuration), and like Direct it degrades silently — to the syscall
 // paths — where UringSupported reports false. The ring changes only how raw
@@ -79,7 +85,7 @@ type Config struct {
 // syscall returns, so outputs, Stats and trace JSON are bit-identical across
 // {buffered, direct, uring}.
 type Pipeline struct {
-	Enabled bool
+	Enabled bool // ignored (see above)
 	Direct  bool // open the backing file with O_DIRECT (see above)
 	Uring   bool // submit physical transfers through an io_uring (see above)
 }

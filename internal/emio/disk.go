@@ -64,19 +64,19 @@ type Disk struct {
 
 	// span is the innermost open span of the Ctx driving the disk, nil
 	// outside all spans: stored by the algorithm goroutine at every span
-	// boundary (enterSpan, exitSpan), read by transfer and retry goroutines.
-	// spanSeq numbers spans when no tracer supplies one.
+	// boundary (enterSpan, exitSpan), read when a transfer records an
+	// exemplar and by the event log's handler, which may run on any
+	// goroutine. spanSeq numbers spans when no tracer supplies one.
 	span    atomic.Pointer[Span]
 	spanSeq int64
 
 	// Resilience layer (all opt-in, see EnableChecksums/SetRetry/
 	// SetInjector). checksum arms per-block CRC32C verification; retry is
 	// the bounded-retry policy applied to physical transfers; inj is the
-	// physical fault injector consulted below the retry layer. retry is
-	// read by transfer goroutines — configure it before I/O starts, so the
-	// goroutine starts order the write. inj is atomic because fault
-	// harnesses legitimately attach and detach it mid-run, concurrently
-	// with in-flight transfers.
+	// physical fault injector consulted below the retry layer. Both are read
+	// on the goroutine driving the disk; configure retry before I/O starts.
+	// inj is atomic because fault harnesses legitimately attach and detach
+	// it from another goroutine mid-run.
 	checksum bool
 	retry    *retrier
 	inj      atomic.Pointer[Injector]
@@ -106,16 +106,17 @@ func NewDisk(blockSize int) *Disk {
 }
 
 // NewFileBackedDisk creates a disk whose blocks live in a real file at path
-// (created or truncated), so every counted block transfer is an actual
-// positioned read or write of 16-byte records. Close the disk when done.
+// (created or truncated), so every counted block moves through an actual
+// positioned read or write of 16-byte records, staged and coalesced by the
+// I/O engine. Close the disk when done.
 func NewFileBackedDisk(path string, blockSize int) (*Disk, error) {
 	return NewFileBackedDiskPipeline(path, blockSize, Pipeline{})
 }
 
-// NewFileBackedDiskPipeline is NewFileBackedDisk with the asynchronous
-// prefetch/write-behind pipeline configured by p. The pipeline changes only
-// physical I/O scheduling (wall-clock speed); logical I/O counters, fault
-// hooks, tracing and outputs are bit-identical with the pipeline on or off.
+// NewFileBackedDiskPipeline is NewFileBackedDisk with the physical layer
+// configured by p (O_DIRECT, io_uring). p changes only how physical
+// transfers reach the device (wall-clock speed); logical I/O counters, fault
+// hooks, tracing and outputs are bit-identical to the memory backend's.
 func NewFileBackedDiskPipeline(path string, blockSize int, p Pipeline) (*Disk, error) {
 	return newFileBackedDisk(path, blockSize, p, engineDepths, false)
 }
@@ -163,9 +164,10 @@ func (d *Disk) FreeExtents() int64 {
 }
 
 // PhysStats returns the cumulative count of physical transfers (positioned
-// read/write syscalls) issued to the backing file; zero for memory-backed
-// disks. Logical Stats never change with the pipeline, but PhysStats drops by
-// the coalescing factor when it is on.
+// reads and writes, by syscall or io_uring) issued to the backing file; zero
+// for memory-backed disks. Logical Stats count every block; PhysStats counts
+// the engine's coalesced transfers, so it is lower by the coalescing factor,
+// except under a fault injector, which gets one transfer per block.
 func (d *Disk) PhysStats() Stats {
 	if s, ok := d.store.(*fileStore); ok {
 		return Stats{Reads: s.physR.Load(), Writes: s.physW.Load()}
@@ -362,14 +364,18 @@ type blockCorrupter interface {
 // at-rest corruption (bit rot, a torn sector). bit indexes the block's
 // on-disk little-endian image, so bit 0 is the lowest bit of the first
 // element's Key. Harness-side like BuildFile: the flip bypasses I/O
-// accounting, fault hooks and the injector. On pipelined stores pending
-// writes of f are drained first (their sticky error, if any, is returned).
+// accounting, fault hooks and the injector. On file stores the staged
+// writes of f are written out first (their sticky error, if any, is
+// returned). A block reclaimed by ReleasePrefix fails with ErrReleased.
 func (d *Disk) CorruptBlock(f *File, i, bit int) error {
 	if f.released {
 		return fmt.Errorf("%w (%s)", ErrReleased, f.name)
 	}
 	if i < 0 || i >= f.nblocks {
 		return fmt.Errorf("%w: block %d of %d in %s", ErrBlockRange, i, f.nblocks, f.name)
+	}
+	if i < f.freed {
+		return fmt.Errorf("%w: block %d of %s consumed by ReleasePrefix", ErrReleased, i, f.name)
 	}
 	if nbits := f.blockLen(i) * elemBytes * 8; bit < 0 || bit >= nbits {
 		return fmt.Errorf("emio: corrupt %s block %d: bit %d out of range [0,%d)", f.name, i, bit, nbits)

@@ -9,22 +9,24 @@ import (
 	"time"
 )
 
-// The I/O engine of a pipelined file store.
+// The I/O engine of a file store.
 //
-// The disk over a pipelined file store runs one diskIO, driven by the
-// algorithm goroutine:
+// The disk over a file store runs one diskIO, driven by the algorithm
+// goroutine:
 //
 //   - Extents: each block takes one extent from the allocator (allocExtent),
 //     so free-extent reuse keeps the backing file at the live footprint.
 //   - Staged writes: appends are encoded into a staging batch of up to
 //     queueDepth blocks. A full batch goes out as one positioned write per
-//     run of adjacent extents, usually one. Up to writeSlack batch writes
-//     run while the next batch stages. A file's staged and in-flight blocks
-//     are written out before it is read, synced or released.
+//     run of adjacent extents, usually one. On the ring, up to writeSlack
+//     batch writes stay in flight while the next batch stages. A file's
+//     staged and in-flight blocks are written out before it is read, synced
+//     or released.
 //   - Read-ahead: a sequential read (Reader, ReadBlockSequential) fills a
 //     per-file window with up to prefetchDepth contiguous blocks in one
-//     positioned read, and the following window is read while the current
-//     one is consumed.
+//     positioned read, and starts the following window when it first reads
+//     from the current one; on the ring that read is in flight while the
+//     current window is consumed.
 //   - Errors: a failed write is recorded against every file in its batch and
 //     reported once: by the next operation on such a file (an append, a
 //     read, Sync, Writer.Close), else by Disk.Close.
@@ -35,7 +37,9 @@ import (
 //     transfer per block in a deterministic order.
 //
 // Transfers go through the io_uring when one is armed and the disk's fault
-// layer is idle, else they run on a goroutine (startXfer, awaitXfer).
+// layer is idle, and complete when the engine next waits on them
+// (startXfer, awaitXfer). Otherwise they run in place, on the goroutine
+// driving the disk, so nothing else touches the store or the ring.
 // Logical accounting does not change: Disk and File count every block before
 // the store sees it, so Stats, traces and outputs are the same as with one
 // transfer per block.
@@ -67,8 +71,8 @@ type writeRun struct {
 	x   *xfer
 }
 
-// diskIO is the engine state of the disk of a pipelined file store, used by
-// the goroutine driving the disk.
+// diskIO is the engine state of the disk of a file store, used by the
+// goroutine driving the disk.
 type diskIO struct {
 	fs         *fileStore
 	d          *Disk
@@ -189,7 +193,7 @@ func (io *diskIO) flush() {
 		return
 	}
 	if len(io.flying) == writeSlack {
-		io.retire()
+		io.completeOldest()
 	}
 	var xs []*xfer
 	pos := 0
@@ -210,8 +214,8 @@ func (io *diskIO) flush() {
 	io.stage = io.takeSpare()
 }
 
-// retire completes the oldest batch write in flight.
-func (io *diskIO) retire() {
+// completeOldest completes the oldest batch write in flight.
+func (io *diskIO) completeOldest() {
 	b := io.flying[0]
 	io.flying = append(io.flying[:0], io.flying[1:]...)
 	start := 0
@@ -226,7 +230,7 @@ func (io *diskIO) retire() {
 // waitAll completes every batch write in flight.
 func (io *diskIO) waitAll() {
 	for len(io.flying) > 0 {
-		io.retire()
+		io.completeOldest()
 	}
 }
 
@@ -269,7 +273,7 @@ func (io *diskIO) drain(f *File) {
 		}
 	}
 	for range n {
-		io.retire()
+		io.completeOldest()
 	}
 }
 
@@ -434,43 +438,37 @@ type xfer struct {
 	buf    []byte
 	off    int64
 	blocks int
-	done   chan struct{}
-	ring   bool // completed by a ring callback, so the waiter drives the CQ
+	done   bool // set once err holds the result; a ring callback sets it late
 	redo   bool // the ring moved only part of buf; awaitXfer repeats it
 	err    error
 }
 
 func newXfer(op ioOp, fname string, buf []byte, off int64, blocks int) *xfer {
-	return &xfer{op: op, fname: fname, buf: buf, off: off, blocks: blocks, done: make(chan struct{})}
+	return &xfer{op: op, fname: fname, buf: buf, off: off, blocks: blocks}
 }
 
-// startXfer issues the transfers xs and returns without waiting. With an
-// io_uring armed and the disk's fault layer idle (its per-attempt schedules
-// need the synchronous path) each is its own ring submission. Otherwise one
-// goroutine runs them in order, so a batch of scattered runs costs one
-// goroutine, not one per run.
+// startXfer issues the transfers xs. With an io_uring armed and the disk's
+// fault layer idle (its per-attempt schedules need the synchronous path)
+// each is its own ring submission, and startXfer returns without waiting.
+// Otherwise it runs them here, in order.
 func (s *fileStore) startXfer(xs ...*xfer) {
-	if r := s.ring; r != nil && s.disk.Injector() == nil && s.disk.retry == nil && s.testWriteErr == nil {
-		for _, x := range xs {
-			s.submit(r, x)
-		}
-		return
-	}
-	go func() {
-		for _, x := range xs {
+	ring := s.ring != nil && s.disk.Injector() == nil && s.disk.retry == nil && s.testWriteErr == nil
+	for _, x := range xs {
+		if ring {
+			s.submit(x)
+		} else {
 			x.err = s.transfer(x.op, x.fname, x.buf, x.off, x.blocks)
-			close(x.done)
+			x.done = true
 		}
-	}()
+	}
 }
 
 // submit hands x to the ring. Its completion callback records the result;
 // if the submission fails, the callback never runs and x fails here.
-func (s *fileStore) submit(r *uring, x *xfer) {
+func (s *fileStore) submit(x *xfer) {
 	sm := s.sm.Load()
 	t0 := clock(sm)
-	x.ring = true
-	err := r.submitCallback(x.op, x.buf, x.off, func(res int32) {
+	err := s.ring.submitCallback(x.op, x.buf, x.off, func(res int32) {
 		switch e := syscall.Errno(-res); {
 		case res >= 0 && int(res) != len(x.buf), e == syscall.EINTR, e == syscall.EAGAIN:
 			x.redo = true
@@ -478,22 +476,18 @@ func (s *fileStore) submit(r *uring, x *xfer) {
 			x.err = e
 		}
 		s.noteXfer(sm, x.op, t0, x.blocks, x.err)
-		close(x.done)
+		x.done = true
 	})
 	if err != nil {
-		x.ring = false
-		x.err = err
-		close(x.done)
+		x.err, x.done = err, true
 	}
 }
 
-// awaitXfer waits for x to complete and returns its error. A transfer the
-// ring left partial is repeated synchronously, whole.
+// awaitXfer reaps ring completions until x is done and returns its error. A
+// transfer the ring left partial is repeated synchronously, whole.
 func (s *fileStore) awaitXfer(x *xfer) error {
-	if x.ring {
-		s.ring.waitDone(x.done)
-	} else {
-		<-x.done
+	if !x.done {
+		s.ring.waitFor(&x.done)
 	}
 	if x.redo {
 		x.redo = false

@@ -12,7 +12,7 @@ func TestShardIOBypassedUnderInjector(t *testing.T) {
 	const b, nblk = 8, 16
 	t.Run("parent", func(t *testing.T) {
 		d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "s.dat"), b,
-			Pipeline{Enabled: true}, shallow(4, 4), false)
+			Pipeline{}, shallow(4, 4), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestShardIOStagedWriteFailure(t *testing.T) {
 	errDevice := errors.New("device error")
 	t.Run("writer-close", func(t *testing.T) {
 		d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "e.dat"), 8,
-			Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
+			Pipeline{}, shallow(prefetchDepth, 2), false)
 		if err != nil {
 			t.Fatal(err)
 		}

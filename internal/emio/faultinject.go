@@ -36,9 +36,9 @@ import (
 var ErrInjected = errors.New("emio: injected fault")
 
 // Injector is a deterministic schedule of physical-transfer faults. Safe for
-// concurrent use (pipeline workers and the algorithm goroutine consult it
-// concurrently); scheduling calls (FailRead/FailWrite/Probabilistic) should
-// happen before I/O starts.
+// concurrent use (several disks, or a harness and a running job, may share
+// one); scheduling calls (FailRead/FailWrite/Probabilistic) should happen
+// before I/O starts.
 type Injector struct {
 	mu    sync.Mutex
 	rng   *rand.Rand

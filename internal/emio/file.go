@@ -135,18 +135,18 @@ func (f *File) ReadBlock(i int, buf []Elem) (int, error) {
 }
 
 // ReadBlockSequential is ReadBlock for callers scanning the file in block
-// order: a pipelined file-backed store may read the following contiguous
-// blocks ahead, up to the disk's configured depth, with one coalesced
-// physical read. Logical cost is identical to ReadBlock (exactly one read
-// I/O for block i); on non-pipelined disks the two are the same operation.
-// The streaming Reader uses this path internally.
+// order: a file-backed store may read the following contiguous blocks
+// ahead, up to the engine's read-ahead depth, with one coalesced physical
+// read. Logical cost is identical to ReadBlock (exactly one read I/O for
+// block i); on memory-backed disks the two are the same operation. The
+// streaming Reader uses this path internally.
 func (f *File) ReadBlockSequential(i int, buf []Elem) (int, error) {
 	return f.readBlockAhead(i, buf, true)
 }
 
-// readBlockAhead is ReadBlock plus a sequential-intent hint (seq): a
-// pipelined store may read ahead the following contiguous blocks with one
-// coalesced physical read. The hint never changes logical accounting —
+// readBlockAhead is ReadBlock plus a sequential-intent hint (seq): a file
+// store may read ahead the following contiguous blocks with one coalesced
+// physical read. The hint never changes logical accounting —
 // exactly one read I/O is charged for block i, here, on the caller's
 // goroutine, before any physical transfer.
 func (f *File) readBlockAhead(i int, buf []Elem, seq bool) (int, error) {
@@ -208,15 +208,15 @@ func (f *File) readBlockAhead(i int, buf []Elem, seq bool) (int, error) {
 	return n, nil
 }
 
-// Sync blocks until every write-behind block of the file has reached the
-// backing store and reports the first physical write failure among them.
-// A no-op (nil) for memory-backed disks and non-pipelined file stores.
+// Sync writes out every staged block of the file to the backing store,
+// waiting for any still in flight, and reports the first physical write
+// failure among them. A no-op (nil) for memory-backed disks.
 func (f *File) Sync() error {
 	if f.released {
 		return nil
 	}
 	if s, ok := f.disk.store.(*fileStore); ok {
-		return s.syncFile(f)
+		return s.sync(f)
 	}
 	return nil
 }
@@ -255,7 +255,7 @@ func (f *File) AppendBlock(payload []Elem) error {
 	}
 	// Checksum before the store may stage the payload for a later batch
 	// write: the sum captures what the algorithm wrote, on the algorithm
-	// goroutine, identically under pipeline on/off.
+	// goroutine, identically on every backend.
 	var sum uint32
 	if f.disk.checksum {
 		sum = checksumElems(payload)

@@ -95,8 +95,8 @@ func (m *IOMetrics) Registry() *metrics.Registry { return m.reg }
 // Snapshot captures every metric on the registry.
 func (m *IOMetrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() }
 
-// storeMetrics binds the physical-layer handles of one fileStore, shared by
-// every disk over the store and by the goroutines completing its transfers.
+// storeMetrics binds the physical-layer handles of one fileStore, recorded
+// by the goroutine driving its disk as transfers complete.
 type storeMetrics struct {
 	physReads   *metrics.CounterHandle
 	physWrites  *metrics.CounterHandle

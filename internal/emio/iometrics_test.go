@@ -51,18 +51,14 @@ func TestMetricsCountLogicalTransfers(t *testing.T) {
 }
 
 func TestMetricsPhysicalLayerFileBacked(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "sync"
-		if pipelined {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			var ctx *Ctx
-			if pipelined {
-				ctx = pipelinedCtx(t, 1024, 8, engineDepths)
-			} else {
-				ctx = fileBackedCtx(t, 1024, 8)
-			}
+	// The file store at engine depths, and at shallow ones (named after the
+	// engine's former opt-in).
+	for _, tc := range []struct {
+		name string
+		dep  depths
+	}{{"sync", engineDepths}, {"pipelined", shallow(4, 4)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := engineCtx(t, 1024, 8, tc.dep)
 			reg := metrics.New()
 			ctx.Disk().EnableMetrics(reg)
 
@@ -90,32 +86,30 @@ func TestMetricsPhysicalLayerFileBacked(t *testing.T) {
 			if wr := snap.Histograms["empart_phys_write_run_blocks"]; wr.Count == 0 {
 				t.Error("no coalesced-write-run observations")
 			}
-			if pipelined {
-				if hits := snap.Counter("empart_prefetch_hits_total"); hits == 0 {
-					t.Error("pipelined sequential scan recorded no prefetch hits")
-				}
-				if wr := snap.Histograms["empart_phys_write_run_blocks"]; wr.Max < 2 {
-					t.Errorf("pipelined write-run max = %d, want coalescing >= 2", wr.Max)
-				}
-				// The queue-depth gauge counts blocks staged or in flight:
-				// unsynced appends raise it, and Sync drains it to zero.
-				g := ctx.Scratch("gauge")
-				for i := 0; i < 3; i++ {
-					if err := g.AppendBlock(seqElems(8)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if q := reg.Snapshot().Gauge("empart_write_queue_depth"); q <= 0 {
-					t.Errorf("write-queue depth after unsynced appends = %d, want > 0", q)
-				}
-				if err := g.Sync(); err != nil {
+			if hits := snap.Counter("empart_prefetch_hits_total"); hits == 0 {
+				t.Error("sequential scan recorded no prefetch hits")
+			}
+			if wr := snap.Histograms["empart_phys_write_run_blocks"]; wr.Max < 2 {
+				t.Errorf("write-run max = %d, want coalescing >= 2", wr.Max)
+			}
+			// The queue-depth gauge counts blocks staged or in flight:
+			// unsynced appends raise it, and Sync drains it to zero.
+			g := ctx.Scratch("gauge")
+			for i := 0; i < 3; i++ {
+				if err := g.AppendBlock(seqElems(8)); err != nil {
 					t.Fatal(err)
 				}
-				if q := reg.Snapshot().Gauge("empart_write_queue_depth"); q != 0 {
-					t.Errorf("write-queue depth after Sync = %d, want 0", q)
-				}
-				g.Release()
 			}
+			if q := reg.Snapshot().Gauge("empart_write_queue_depth"); q <= 0 {
+				t.Errorf("write-queue depth after unsynced appends = %d, want > 0", q)
+			}
+			if err := g.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if q := reg.Snapshot().Gauge("empart_write_queue_depth"); q != 0 {
+				t.Errorf("write-queue depth after Sync = %d, want 0", q)
+			}
+			g.Release()
 			if got := snap.Counter("empart_extent_frees_total"); got == 0 {
 				t.Error("release recorded no extent frees")
 			}

@@ -34,15 +34,15 @@ func RequireNoLeaks(t TestingT, c *Ctx) {
 }
 
 // NumGoroutines returns the current goroutine count, for use with
-// RequireNoGoroutineLeaks: capture it before creating a pipelined system,
-// verify after closing it.
+// RequireNoGoroutineLeaks: capture it before creating a system, verify
+// after closing it.
 func NumGoroutines() int { return runtime.NumGoroutine() }
 
 // RequireNoGoroutineLeaks fails the test when the goroutine count has not
-// returned to the baseline captured with NumGoroutines. The I/O engine's
-// transfer goroutines must all have exited once their Disk is
-// closed — including after injected failures mid-run, the case this check
-// guards. Freshly exited goroutines may need a moment to be reaped, so the
+// returned to the baseline captured with NumGoroutines. Every goroutine a
+// job starts (context watchers, the backing-file flusher, parallel sorting)
+// must have exited once its Disk is closed — including after injected
+// failures mid-run, the case this check guards. Freshly exited goroutines may need a moment to be reaped, so the
 // check polls briefly before failing; on failure it dumps all stacks.
 func RequireNoGoroutineLeaks(t TestingT, base int) {
 	t.Helper()

@@ -17,11 +17,10 @@ func shallow(prefetch, queue int) depths {
 	return depths{prefetch: prefetch, queue: queue, uring: uringDepth}
 }
 
-// pipelinedCtx builds a Ctx over a pipelined file-backed disk with engine
-// depths dep.
-func pipelinedCtx(t *testing.T, m, b int, dep depths) *Ctx {
+// engineCtx builds a Ctx over a file-backed disk with engine depths dep.
+func engineCtx(t *testing.T, m, b int, dep depths) *Ctx {
 	t.Helper()
-	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "pipe.dat"), b, Pipeline{Enabled: true}, dep, false)
+	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "pipe.dat"), b, Pipeline{}, dep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func pipelinedCtx(t *testing.T, m, b int, dep depths) *Ctx {
 func TestPipelineRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 100, 1000, 4096} {
 		for _, p := range []depths{engineDepths, shallow(1, queueDepth), shallow(4, 2)} {
-			ctx := pipelinedCtx(t, 64, 8, p)
+			ctx := engineCtx(t, 64, 8, p)
 			in := seqElems(n)
 			f, err := StoreAll(ctx, "rt", in)
 			if err != nil {
@@ -75,7 +74,7 @@ func TestPipelineRoundTrip(t *testing.T) {
 
 func TestPipelineRandomAccessFallsBack(t *testing.T) {
 	// Random block reads must bypass the staging window and stay correct.
-	ctx := pipelinedCtx(t, 64, 8, shallow(4, queueDepth))
+	ctx := engineCtx(t, 64, 8, shallow(4, queueDepth))
 	in := seqElems(256)
 	f, err := StoreAll(ctx, "rnd", in)
 	if err != nil {
@@ -105,7 +104,7 @@ func TestPipelineRandomAccessFallsBack(t *testing.T) {
 func TestPipelineInterleavedReadWrite(t *testing.T) {
 	// A merge-like pattern: read one file while write-behind is filling
 	// another, then read back the freshly written file (forcing a drain).
-	ctx := pipelinedCtx(t, 128, 8, shallow(4, 4))
+	ctx := engineCtx(t, 128, 8, shallow(4, 4))
 	in := seqElems(512)
 	src, err := StoreAll(ctx, "src", in)
 	if err != nil {
@@ -150,11 +149,11 @@ func TestBulkCodecMatchesPortable(t *testing.T) {
 }
 
 func TestForcePortableCodecRoundTrip(t *testing.T) {
-	// A pipelined store forced onto the portable codec must still round-trip:
+	// A file store forced onto the portable codec must still round-trip:
 	// the fallback path is live, not dead code.
 	forcePortableCodec = true
 	defer func() { forcePortableCodec = false }()
-	ctx := pipelinedCtx(t, 64, 8, engineDepths)
+	ctx := engineCtx(t, 64, 8, engineDepths)
 	in := seqElems(300)
 	f, err := StoreAll(ctx, "portable", in)
 	if err != nil {
@@ -171,41 +170,38 @@ func TestForcePortableCodecRoundTrip(t *testing.T) {
 func TestFreeExtentReuseCapsBackingFile(t *testing.T) {
 	// Scratch-heavy create/release cycles must not grow the backing file
 	// beyond the peak live footprint (the old store leaked extents forever).
-	for _, pipe := range []bool{false, true} {
-		d, err := NewFileBackedDiskPipeline(
-			filepath.Join(t.TempDir(), "cap.dat"), 8, Pipeline{Enabled: pipe})
+	d, err := NewFileBackedDisk(filepath.Join(t.TempDir(), "cap.dat"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewCtxWithDisk(Config{M: 64, B: 8}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 400 // 50 blocks per cycle
+	for cycle := 0; cycle < 20; cycle++ {
+		f, err := StoreAll(ctx, fmt.Sprintf("c%d", cycle), seqElems(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, err := NewCtxWithDisk(Config{M: 64, B: 8}, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 400 // 50 blocks per cycle
-		for cycle := 0; cycle < 20; cycle++ {
-			f, err := StoreAll(ctx, fmt.Sprintf("c%d", cycle), seqElems(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.Release()
-		}
-		want := int64(n * elemBytes) // one cycle's worth
-		if got := d.BackingBytes(); got != want {
-			t.Errorf("pipeline=%v: backing file high-water %d bytes, want %d (extents not reused)", pipe, got, want)
-		}
-		if got := d.FreeExtents(); got != 50 {
-			t.Errorf("pipeline=%v: %d free extents, want 50", pipe, got)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
+		f.Release()
+	}
+	want := int64(n * elemBytes) // one cycle's worth
+	if got := d.BackingBytes(); got != want {
+		t.Errorf("backing file high-water %d bytes, want %d (extents not reused)", got, want)
+	}
+	if got := d.FreeExtents(); got != 50 {
+		t.Errorf("%d free extents, want 50", got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestFreeExtentReuseKeepsDataIntact(t *testing.T) {
 	// Interleave live files with release/reuse cycles: reused extents must
 	// never clobber live data (the write-behind drain on release guards this).
-	ctx := pipelinedCtx(t, 128, 8, shallow(prefetchDepth, 2))
+	ctx := engineCtx(t, 128, 8, shallow(prefetchDepth, 2))
 	keep := make([]*File, 0, 8)
 	want := make([][]Elem, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -242,7 +238,7 @@ func TestConsumingReadExtentsReusedUnderReadAhead(t *testing.T) {
 	// of a merge-like copy take those extents at once, staging writes to
 	// them. Neither the data read nor the data written may be damaged.
 	for _, dep := range []depths{shallow(2, 1), shallow(3, 2), shallow(4, 3)} {
-		ctx := pipelinedCtx(t, 128, 8, dep)
+		ctx := engineCtx(t, 128, 8, dep)
 		d := ctx.Disk()
 		reg := metrics.New()
 		d.EnableMetrics(reg)
@@ -313,7 +309,7 @@ func TestDirectIORoundTrip(t *testing.T) {
 			dep depths
 		}{
 			{Pipeline{Direct: true}, engineDepths},
-			{Pipeline{Enabled: true, Direct: true}, shallow(4, 2)},
+			{Pipeline{Direct: true}, shallow(4, 2)},
 		} {
 			p := tc.p
 			d, err := newFileBackedDisk(
@@ -369,7 +365,7 @@ func TestAsyncWriteErrorSurfacesAtNextOpAndClose(t *testing.T) {
 	errDevice := errors.New("device error")
 	newFaulty := func(failFrom int64) (*Disk, *Ctx) {
 		d, err := newFileBackedDisk(
-			filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
+			filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{}, shallow(prefetchDepth, 2), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +444,7 @@ func TestAsyncWriteErrorNamesFileAndOffset(t *testing.T) {
 	// therefore name the failing file and its backing byte offset.
 	errDevice := errors.New("device error")
 	d, err := newFileBackedDisk(
-		filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
+		filepath.Join(t.TempDir(), "err.dat"), 8, Pipeline{}, shallow(prefetchDepth, 2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,8 +502,8 @@ func TestAsyncWriteErrorNamesFileAndOffset(t *testing.T) {
 }
 
 func TestPipelineStatsMatchSynchronous(t *testing.T) {
-	// The same operation sequence must produce bit-identical Stats with the
-	// pipeline on, off, and on the memory backend.
+	// The same operation sequence must produce bit-identical Stats on the
+	// file store, at engine and shallow depths, and on the memory backend.
 	run := func(ctx *Ctx) Stats {
 		in := seqElems(500)
 		f := BuildFile(ctx.Disk(), "x", in)
@@ -526,10 +522,10 @@ func TestPipelineStatsMatchSynchronous(t *testing.T) {
 	}
 	base := run(mustCtx(t, 1024, 8))
 	if got := run(fileBackedCtx(t, 1024, 8)); got != base {
-		t.Errorf("sync file backend %v != memory %v", got, base)
+		t.Errorf("file backend %v != memory %v", got, base)
 	}
-	if got := run(pipelinedCtx(t, 1024, 8, engineDepths)); got != base {
-		t.Errorf("pipelined file backend %v != memory %v", got, base)
+	if got := run(engineCtx(t, 1024, 8, shallow(4, 2))); got != base {
+		t.Errorf("file backend at shallow depths %v != memory %v", got, base)
 	}
 }
 

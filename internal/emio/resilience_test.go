@@ -17,19 +17,20 @@ func fastRetry(attempts int) Retry {
 }
 
 // resilienceBackends enumerates the backend matrix every resilience property
-// is checked under: memory, synchronous file, and pipelined file.
+// is checked under: memory, and the file store at engine depths and at
+// shallow ones (named file-pipeline, after the engine's former opt-in), so a
+// few blocks cross batch and window seams.
 type backendCase struct {
 	name string
-	pipe Pipeline
-	dep  depths // engine depths of a pipelined backend
+	dep  depths // engine depths of a file backend
 	mem  bool
 }
 
 func resilienceBackends() []backendCase {
 	return []backendCase{
 		{name: "mem", mem: true},
-		{name: "file", pipe: Pipeline{}},
-		{name: "file-pipeline", pipe: Pipeline{Enabled: true}, dep: shallow(4, 4)},
+		{name: "file", dep: engineDepths},
+		{name: "file-pipeline", dep: shallow(4, 4)},
 	}
 }
 
@@ -45,7 +46,7 @@ func newBackendCtx(t *testing.T, bc backendCase, cfg Config) *Ctx {
 		}
 		return ctx
 	}
-	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "resil.dat"), cfg.B, bc.pipe, bc.dep, false)
+	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "resil.dat"), cfg.B, Pipeline{}, bc.dep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +137,37 @@ func TestCorruptionDetectedEveryBackend(t *testing.T) {
 	}
 }
 
+func TestCorruptBlockRejectsReclaimedBlock(t *testing.T) {
+	// A block ReleasePrefix reclaimed has no storage to flip: CorruptBlock
+	// must refuse it with ErrReleased, as a read of it does, on every
+	// backend, and the blocks still held must stay intact.
+	for _, bc := range resilienceBackends() {
+		t.Run(bc.name, func(t *testing.T) {
+			ctx := newBackendCtx(t, bc, Config{M: 64, B: 8, Checksum: true})
+			in := seqElems(64)
+			f := BuildFile(ctx.Disk(), "consumed", in)
+			f.ReleasePrefix(2)
+			for _, blk := range []int{0, 1} {
+				if err := ctx.Disk().CorruptBlock(f, blk, 3); !errors.Is(err, ErrReleased) {
+					t.Errorf("CorruptBlock of reclaimed block %d = %v, want ErrReleased", blk, err)
+				}
+			}
+			buf := make([]Elem, 8)
+			for blk := 2; blk < f.NumBlocks(); blk++ {
+				n, err := f.ReadBlock(blk, buf)
+				if err != nil {
+					t.Fatalf("block %d: %v", blk, err)
+				}
+				for j, e := range buf[:n] {
+					if e != in[blk*8+j] {
+						t.Fatalf("block %d elem %d = %v, want %v", blk, j, e, in[blk*8+j])
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestCorruptionWithoutChecksumsGoesUndetected(t *testing.T) {
 	// The negative control: with checksums off, the same flip reads back
 	// without error (silently wrong) — which is exactly why Checksum exists.
@@ -212,7 +244,7 @@ func TestRetryDisabledSurfacesTransientError(t *testing.T) {
 			d.SetInjector(inj)
 			_, err := Copy(ctx, staged)
 			if err == nil {
-				// Pipelined writes may park the failure as sticky state
+				// Staged writes may park the failure as sticky state
 				// until the next sync point.
 				err = d.Close()
 			}
@@ -236,7 +268,7 @@ func TestRetryDisabledSurfacesTransientError(t *testing.T) {
 func TestRetryGiveupAfterBudget(t *testing.T) {
 	// A fault outlasting the attempt budget surfaces as *TransientError with
 	// the full attempt count, and counts as a giveup.
-	ctx := newBackendCtx(t, backendCase{name: "file"}, Config{M: 64, B: 8, Retry: fastRetry(3)})
+	ctx := newBackendCtx(t, backendCase{name: "file", dep: engineDepths}, Config{M: 64, B: 8, Retry: fastRetry(3)})
 	d := ctx.Disk()
 	f := BuildFile(d, "in", seqElems(16))
 	inj := NewInjector(1)
@@ -259,7 +291,7 @@ func TestRetryGiveupAfterBudget(t *testing.T) {
 func TestPermanentFaultNotRetried(t *testing.T) {
 	// A permanent (non-transient) fault must fail fast — no retry attempts —
 	// and surface as a *FaultError wrapping ErrInjected.
-	ctx := newBackendCtx(t, backendCase{name: "file"}, Config{M: 64, B: 8, Retry: fastRetry(5)})
+	ctx := newBackendCtx(t, backendCase{name: "file", dep: engineDepths}, Config{M: 64, B: 8, Retry: fastRetry(5)})
 	d := ctx.Disk()
 	f := BuildFile(d, "in", seqElems(16))
 	inj := NewInjector(1)
@@ -318,7 +350,7 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 
 func TestRetryMetricsRecorded(t *testing.T) {
 	// Retries, giveups and backoff must land in the metrics registry.
-	ctx := newBackendCtx(t, backendCase{name: "file"}, Config{M: 64, B: 8, Retry: fastRetry(3)})
+	ctx := newBackendCtx(t, backendCase{name: "file", dep: engineDepths}, Config{M: 64, B: 8, Retry: fastRetry(3)})
 	d := ctx.Disk()
 	reg := metrics.New()
 	d.EnableMetrics(reg)
@@ -364,7 +396,7 @@ func TestTraceSpansCarryRetries(t *testing.T) {
 	// Retried attempts during a span must appear on the span; clean spans
 	// must omit the field from JSON so resilience-on traces stay
 	// bit-identical to resilience-off ones.
-	ctx := newBackendCtx(t, backendCase{name: "file"}, Config{M: 64, B: 8, Retry: fastRetry(4)})
+	ctx := newBackendCtx(t, backendCase{name: "file", dep: engineDepths}, Config{M: 64, B: 8, Retry: fastRetry(4)})
 	d := ctx.Disk()
 	f := BuildFile(d, "in", seqElems(16))
 	tr := NewTracer()
@@ -412,7 +444,7 @@ func TestStickyErrorReportedOnce(t *testing.T) {
 	// delivered must still reach Disk.Close.
 	newPipeCtx := func(t *testing.T) (*Ctx, *Disk, *Injector) {
 		d, err := newFileBackedDisk(
-			filepath.Join(t.TempDir(), "sticky.dat"), 8, Pipeline{Enabled: true}, shallow(prefetchDepth, 2), false)
+			filepath.Join(t.TempDir(), "sticky.dat"), 8, Pipeline{}, shallow(prefetchDepth, 2), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +506,7 @@ func TestResilienceUnderDirectIO(t *testing.T) {
 		dep  depths
 	}{
 		{"sync", Pipeline{Direct: true}, engineDepths},
-		{"pipeline", Pipeline{Enabled: true, Direct: true}, shallow(4, 4)},
+		{"pipeline", Pipeline{Direct: true}, shallow(4, 4)},
 	} {
 		name := tc.name
 		t.Run(name, func(t *testing.T) {
@@ -523,13 +555,13 @@ func TestResilienceUnderDirectIO(t *testing.T) {
 }
 
 func TestPipelineFaultGoroutineCleanup(t *testing.T) {
-	// Pipeline goroutines must all exit after a run aborted by injected
-	// faults, whichever side (read or write) failed.
+	// No goroutine may outlive a run aborted by injected faults, whichever
+	// side (read or write) failed.
 	for _, kind := range []string{"write", "read"} {
 		t.Run(kind, func(t *testing.T) {
 			base := NumGoroutines()
 			d, err := newFileBackedDisk(
-				filepath.Join(t.TempDir(), "leak.dat"), 8, Pipeline{Enabled: true}, shallow(4, 2), false)
+				filepath.Join(t.TempDir(), "leak.dat"), 8, Pipeline{}, shallow(4, 2), false)
 			if err != nil {
 				t.Fatal(err)
 			}

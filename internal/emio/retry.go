@@ -1,16 +1,16 @@
 package emio
 
 // Bounded retry of transient physical-I/O failures. The policy lives in
-// Config.Retry and applies to every positioned ReadAt/WriteAt — on the
-// goroutine driving the disk for one-block transfers, on transfer goroutines
-// for the I/O engine's batch writes and read-ahead. Retry never changes logical
-// accounting: a retried transfer is still one logical I/O, one physical op in
-// PhysStats, and the extra attempts are visible only in RetryStats, the
-// metrics registry and trace spans.
+// Config.Retry and applies to every positioned ReadAt/WriteAt, on the
+// goroutine driving the disk: with a retry policy armed the I/O engine runs
+// its batch writes and read-ahead in place rather than on the io_uring.
+// Retry never changes logical accounting: a retried transfer is still one
+// logical I/O, one physical op in PhysStats, and the extra attempts are
+// visible only in RetryStats, the metrics registry and trace spans.
 //
 // Backoff is exponential with deterministic jitter: the sleep before attempt
 // k is (base << (k-1)) scaled into [0.5x, 1.5x) by a splitmix64 hash of
-// (seed, offset, k). No shared random state, so concurrent pipeline workers
+// (seed, offset, k). No shared random state, so disks retrying side by side
 // never contend and a given (seed, offset, attempt) always backs off the
 // same amount.
 
@@ -87,8 +87,8 @@ type retrier struct {
 	backoffNS atomic.Int64
 
 	// m holds the registry instruments, nil until metrics are enabled. An
-	// atomic pointer because transfer goroutines record through it while
-	// EnableMetrics stores it from the algorithm goroutine.
+	// atomic pointer because EnableMetrics may store it from a goroutine
+	// other than the one retrying.
 	m atomic.Pointer[retryMetrics]
 }
 
@@ -105,7 +105,7 @@ func (r *retrier) stats() RetryStats {
 }
 
 // retryMetrics are the registry instruments of the retry layer. Handles are
-// safe from any goroutine, so transfer goroutines record retries directly.
+// safe from any goroutine, so the retry loop records into them directly.
 type retryMetrics struct {
 	retries   *metrics.CounterHandle
 	giveups   *metrics.CounterHandle

@@ -493,13 +493,18 @@ func TestInjectedENOSPCBecomesResourceError(t *testing.T) {
 	f := ctx.Scratch("doomed")
 	buf, _ := ctx.AllocElems(8)
 	defer ctx.FreeElems(buf)
-	err = f.AppendBlock(buf)
+	// The engine stages the block; its write, and the failure, happen when
+	// Sync writes it out.
+	if err := f.AppendBlock(buf); err != nil {
+		t.Fatal(err)
+	}
+	err = f.Sync()
 	if err == nil {
-		t.Fatal("append on a full device succeeded")
+		t.Fatal("sync on a full device succeeded")
 	}
 	var re *ResourceError
 	if !errors.As(err, &re) {
-		t.Fatalf("ENOSPC append: got %T (%v), want *ResourceError", err, err)
+		t.Fatalf("ENOSPC sync: got %T (%v), want *ResourceError", err, err)
 	}
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Errorf("ResourceError does not unwrap to ENOSPC: %v", err)
@@ -521,7 +526,7 @@ func TestWriterCloseJoinsFlushAndSyncErrors(t *testing.T) {
 	// surfaces at Sync. Arrange both and require both in the joined error.
 	dir := t.TempDir()
 	d, err := newFileBackedDisk(filepath.Join(dir, "w.dat"), 8,
-		Pipeline{Enabled: true}, shallow(prefetchDepth, 4), false)
+		Pipeline{}, shallow(prefetchDepth, 4), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // stays in Disk/File.
 type blockStore interface {
 	// read copies block i of f into buf, returning the element count. seq
-	// marks a sequential scan, which a pipelined store may serve from a
+	// marks a sequential scan, which the file store may serve from a
 	// read-ahead window.
 	read(f *File, i int, buf []Elem, seq bool) (int, error)
 	// append stores a new block holding payload at index f.numBlocks.
@@ -171,20 +171,19 @@ const elemBytes = 16
 // backing file at the peak live footprint rather than the cumulative write
 // volume.
 //
-// With pipe.Enabled the store's disk runs the I/O engine (see disk_io.go):
+// The store's disk runs the I/O engine (see disk_io.go), embedded here:
 // appends stage encoded blocks into batch writes and sequential reads are
-// served from coalesced read-ahead windows. Without it every block is one
-// positioned transfer on the calling goroutine (readBlock, appendBlock).
-// All fields except the allocator's and the atomics are owned by the
-// goroutine driving the disk.
+// served from coalesced read-ahead windows; a block no window holds is one
+// positioned read (readBlock). All fields except the allocator's and the
+// atomics are owned by the goroutine driving the disk.
 type fileStore struct {
+	*diskIO // the disk's I/O engine: read, append, sync and the write-behind state
 	fd      *os.File
-	disk    *Disk   // back-pointer for the resilience layer (retry + injection)
-	io      *diskIO // the disk's I/O engine, nil when the pipeline is off
-	end     int64   // append cursor: high-water byte offset of the backing file
-	scratch []byte  // synchronous encode/decode scratch, one (padded) block
-	size    int     // block size in elements
-	direct  bool    // O_DIRECT backing: transfers padded to directAlign
+	disk    *Disk  // back-pointer for the resilience layer (retry + injection)
+	end     int64  // append cursor: high-water byte offset of the backing file
+	scratch []byte // synchronous decode scratch, one (padded) block
+	size    int    // block size in elements
+	direct  bool   // O_DIRECT backing: transfers padded to directAlign
 
 	// Extent allocator, guarded by amu so that BackingBytes and FreeExtents
 	// may be read from any goroutine. Uncontended otherwise.
@@ -193,8 +192,8 @@ type fileStore struct {
 	nfree  int64                // number of extents on the free list
 	zeroed int64                // bytes of backing file physically zero-filled (direct mode)
 	zbuf   []byte               // aligned zero buffer for prewriting, amu-guarded
-	physR  atomic.Int64         // positioned reads issued (incl. transfer goroutines)
-	physW  atomic.Int64         // positioned writes issued (incl. transfer goroutines)
+	physR  atomic.Int64         // positioned reads issued, for PhysStats from any goroutine
+	physW  atomic.Int64         // positioned writes issued, likewise
 	dep    depths               // engine depths (engineDepths outside tests)
 	// ring is the io_uring physical backend, nil when Pipeline.Uring is off or
 	// unsupported; raw transfers then fall back to pread/pwrite syscalls. The
@@ -202,10 +201,10 @@ type fileStore struct {
 	// completions exactly as it wraps syscall returns.
 	ring *uring
 	// sm holds the physical-layer telemetry handles, nil when metrics are
-	// disabled. An atomic pointer because transfer goroutines and ring
-	// callbacks read it while EnableMetrics may store it from the algorithm
-	// goroutine; recordings racing the attach itself may be missed, which is
-	// fine — metrics are strictly observational.
+	// disabled. An atomic pointer because EnableMetrics may store it from a
+	// goroutine other than the one driving the disk; recordings racing the
+	// attach itself may be missed, which is fine — metrics are strictly
+	// observational.
 	sm atomic.Pointer[storeMetrics]
 	// testWriteErr, when set (tests only, before any I/O), injects a failure
 	// into the physical write path below the staged writes.
@@ -240,20 +239,14 @@ func newFileStore(d *Disk, path string, pipe Pipeline, dep depths, keep bool) (*
 		dep:    dep,
 	}
 	s.scratch = alignedBytes(s.pad(s.size*elemBytes), direct)
-	if pipe.Enabled {
-		s.io = newDiskIO(s)
-	}
+	s.diskIO = newDiskIO(s)
 	if pipe.Uring && UringSupported() {
 		// Ring creation failure degrades silently to the syscall paths,
 		// mirroring how Pipeline.Direct degrades without O_DIRECT support.
 		if r, err := newUring(fd, dep.uring); err == nil {
 			s.ring = r
 			r.sm = &s.sm
-			fixed := [][]byte{s.scratch}
-			if s.io != nil {
-				fixed = append(fixed, s.io.pinned()...)
-			}
-			r.registerBuffers(fixed)
+			r.registerBuffers(append([][]byte{s.scratch}, s.pinned()...))
 		}
 	}
 	return s, nil
@@ -347,37 +340,25 @@ func (s *fileStore) freeBlocks(f *File, lo, hi int) {
 	var n int64
 	s.amu.Lock()
 	for i := lo; i < hi; i++ {
-		if off := f.extents[i]; off >= 0 {
-			s.pushFreeLocked(off, s.extentBytes(f, i))
-			f.extents[i] = -1
-			n++
+		off := f.extents[i]
+		if off < 0 {
+			continue
 		}
+		nbytes := s.extentBytes(f, i)
+		q := s.free[nbytes]
+		if q == nil {
+			q = &extentQueue{}
+			s.free[nbytes] = q
+		}
+		q.push(off)
+		s.nfree++
+		f.extents[i] = -1
+		n++
 	}
 	s.amu.Unlock()
 	if sm := s.sm.Load(); sm != nil && n > 0 {
 		sm.extentFrees.Add(n)
 	}
-}
-
-// freeExtent returns the extent of a block whose write failed to the free
-// list.
-func (s *fileStore) freeExtent(off int64, nbytes int) {
-	s.amu.Lock()
-	s.pushFreeLocked(off, nbytes)
-	s.amu.Unlock()
-	if sm := s.sm.Load(); sm != nil {
-		sm.extentFrees.Inc()
-	}
-}
-
-func (s *fileStore) pushFreeLocked(off int64, nbytes int) {
-	q := s.free[nbytes]
-	if q == nil {
-		q = &extentQueue{}
-		s.free[nbytes] = q
-	}
-	q.push(off)
-	s.nfree++
 }
 
 func (s *fileStore) backingBytes() int64 {
@@ -400,22 +381,8 @@ func (s *fileStore) setMetrics(m *IOMetrics) {
 	s.sm.Store(newStoreMetrics(m))
 }
 
-func (s *fileStore) read(f *File, i int, buf []Elem, seq bool) (int, error) {
-	if s.io != nil {
-		return s.io.read(f, i, buf, seq)
-	}
-	return s.readBlock(f, i, buf)
-}
-
-func (s *fileStore) append(f *File, payload []Elem) error {
-	if s.io != nil {
-		return s.io.append(f, payload)
-	}
-	return s.appendBlock(f, payload)
-}
-
 // readBlock reads block i of f with one positioned transfer on the calling
-// goroutine: the path of unpipelined disks and of the engine's misses.
+// goroutine: the engine's path for a block no read-ahead window holds.
 func (s *fileStore) readBlock(f *File, i int, buf []Elem) (int, error) {
 	n := f.blockLen(i)
 	if cap(buf) < n {
@@ -427,23 +394,6 @@ func (s *fileStore) readBlock(f *File, i int, buf []Elem) (int, error) {
 	}
 	decodeElems(buf[:n], raw[:n*elemBytes], true)
 	return n, nil
-}
-
-// appendBlock writes payload as the next block of f with one positioned
-// transfer on the calling goroutine: the path of unpipelined disks.
-func (s *fileStore) appendBlock(f *File, payload []Elem) error {
-	nbytes := len(payload) * elemBytes
-	pn := s.pad(nbytes)
-	off := s.allocExtent(pn)
-	raw := s.scratch[:pn]
-	encodeElems(raw[:nbytes], payload, true)
-	clear(raw[nbytes:])
-	if err := s.transfer(opWrite, f.name, raw, off, 1); err != nil {
-		s.freeExtent(off, pn)
-		return storeWriteError(s.disk, f.name, off, err)
-	}
-	f.extents = append(f.extents, off)
-	return nil
 }
 
 // preadRaw issues one raw positioned read over the active physical backend:
@@ -468,16 +418,14 @@ func (s *fileStore) pwriteRaw(raw []byte, off int64) error {
 
 // corruptBlock flips one bit of the stored image of block i of f by a raw
 // read-modify-write of its extent, bypassing counters, injection and retry
-// (harness-side at-rest corruption). Pending pipeline writes of f are
-// drained first and its read-ahead discarded, so the flip lands on settled
-// bytes and is not masked by a stale staging buffer.
+// (harness-side at-rest corruption). Staged writes of f are written out
+// first and its read-ahead discarded, so the flip lands on settled bytes and
+// is not masked by a stale staging buffer.
 func (s *fileStore) corruptBlock(f *File, i, bit int) error {
-	if s.io != nil {
-		if err := s.io.sync(f); err != nil {
-			return err
-		}
-		s.io.dropWindows(f)
+	if err := s.sync(f); err != nil {
+		return err
 	}
+	s.dropWindows(f)
 	raw := s.scratch[:s.pad(f.blockLen(i)*elemBytes)]
 	if _, err := s.fd.ReadAt(raw, f.extents[i]); err != nil {
 		return fmt.Errorf("emio: corrupt %s block %d: %w", f.name, i, err)
@@ -490,9 +438,7 @@ func (s *fileStore) corruptBlock(f *File, i, bit int) error {
 }
 
 func (s *fileStore) release(f *File) {
-	if s.io != nil {
-		s.io.forget(f)
-	}
+	s.forget(f)
 	s.freeBlocks(f, 0, len(f.extents))
 	f.extents = nil
 }
@@ -518,21 +464,12 @@ func (s *fileStore) adoptFloor(end int64) {
 	s.amu.Unlock()
 }
 
-func (s *fileStore) syncFile(f *File) error {
-	if s.io == nil {
-		return nil
-	}
-	return s.io.sync(f)
-}
-
 // syncBacking writes out every staged block of the disk and fsyncs the
 // backing file: the checkpoint layer's durability barrier (Disk.SyncBacking).
 // Called on the algorithm goroutine.
 func (s *fileStore) syncBacking() error {
-	if s.io != nil {
-		s.io.flush()
-		s.io.waitAll()
-	}
+	s.flush()
+	s.waitAll()
 	if err := s.fd.Sync(); err != nil {
 		return fmt.Errorf("emio: fsync backing file: %w", err)
 	}
@@ -555,11 +492,9 @@ func (s *fileStore) close() error {
 	// Teardown failures are joined, never masked: an undelivered sticky
 	// write-behind error and a close failure of the ring or fd are distinct
 	// problems, and reporting the first must not swallow the others.
-	var err error
-	if s.io != nil {
-		if err = s.io.settle(); err != nil {
-			s.disk.log(slog.LevelError, "unreported write-behind failure surfaced at close")
-		}
+	err := s.settle()
+	if err != nil {
+		s.disk.log(slog.LevelError, "unreported write-behind failure surfaced at close")
 	}
 	if s.ring != nil {
 		err = joinErr(err, s.ring.close())

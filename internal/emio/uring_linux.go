@@ -15,28 +15,27 @@ package emio
 // so outputs, Stats and trace JSON are bit-identical across {buffered,
 // direct, uring}.
 //
-// Concurrency model: many goroutines submit (the goroutine driving each
-// disk, transfer goroutines), and whichever goroutine is blocked on the ring
-// drives the completion queue itself. Every submission is one SQE with a
-// completion callback (submitCallback): the submitter takes a slot from a
-// bounded free list — the slot index is the SQE's user_data — preps the SQE
-// under a mutex and flushes it with one enter. A single drive token (a
-// one-slot channel) is the license to consume the CQ: a goroutine that needs
-// a completion or a free slot either parks on its own channel or wins the
-// token, drains every available CQE — running each slot's callback — and
-// blocks in enter(GETEVENTS) for the next one. There is no standing reaper
-// goroutine: the first design had one, and the two thread wakeups it added
-// per I/O cost ~100x the blocking syscall it replaced on fast devices. With
-// the waiter driving, a synchronous transfer is two thin syscalls and zero
-// scheduler round-trips. The free list doubles as backpressure: in-flight
-// submissions never exceed the SQ size, so the CQ (twice the SQ by default)
-// cannot overflow. The store closes the ring only after its disks' transfers
-// have completed; close still drives the CQ until every slot has retired, so
-// late completions land before the mappings are released.
+// Single owner: every ring call runs on the goroutine that drives the disk
+// (the I/O engine's submissions and waits, its synchronous transfers — a
+// block no read-ahead window holds, each attempt under the retry and fault
+// layers — and close), so the ring takes no lock. Every submission is one
+// SQE with a completion callback (submitCallback): it takes a slot from the
+// free list — the slot index is the SQE's user_data — preps the SQE and
+// hands it to the kernel with one enter. Completions are reaped only when
+// the owner needs one: a submission that finds no free slot, a wait for one
+// transfer (waitFor) and close drain every available CQE, running each
+// slot's callback, and otherwise block in enter(GETEVENTS) for the next.
+// Each of them waits only while a slot is in flight, so a CQE is always
+// coming. There is no reaper goroutine: the first design had one, and the
+// two thread wakeups it added per I/O cost ~100x the blocking syscall it
+// replaced on fast devices. The slot count bounds the submissions in flight
+// by the SQ size, so the CQ (twice the SQ by default) cannot overflow. An
+// enter failure kills the ring: every pending callback fails with EIO and
+// later submissions fail at once.
 //
 // Registered resources: the backing file is registered once (fixed-file index
-// 0) and the store's long-lived transfer buffers — the parent disk's batch
-// and window buffers and the scratch block — are registered as fixed
+// 0) and the store's long-lived transfer buffers — the engine's batch and
+// window buffers and the scratch block — are registered as fixed
 // buffers, so transfers through them submit READ_FIXED/WRITE_FIXED opcodes
 // that skip per-I/O pinning. Registration failures (e.g. RLIMIT_MEMLOCK)
 // degrade to the plain READ/WRITE opcodes.
@@ -149,28 +148,11 @@ type uring struct {
 	fileFD    int32 // raw backing fd, used when !regFile
 	fixedBufs [][]byte
 
-	mu          sync.Mutex // serializes SQE prep + flush
-	unsubmitted uint32     // prepped SQEs the kernel has not consumed
-
-	// cbs holds each in-flight slot's completion callback, set and cleared
-	// under mu; whoever drains the slot's CQE runs it and recycles the slot.
-	cbs       []func(res int32)
-	freeSlots chan uint32
-	// retired counts slots permanently withdrawn after submission errors (a
-	// late completion could race their reuse); close() accounts for them.
-	retired atomic.Uint32
-	// slotWaiters counts goroutines committed to a blocking enter(GETEVENTS)
-	// while waiting for a free slot. Slot release is channel-side — no CQE
-	// backs it — so release() must poke the ring with a NOP when such a waiter
-	// exists, or a slot freed after the waiter's last re-check could leave it
-	// blocked in the kernel with no completion ever coming.
-	slotWaiters atomic.Int32
-
-	// drive is the CQ-ownership token: holding it licenses drain/enter on
-	// the completion side. dead is closed when the ring fails hard; every
-	// waiter selects on it so nothing hangs on a broken ring.
-	drive    chan struct{}
-	dead     chan struct{}
+	// cbs holds each in-flight slot's completion callback; the reap that
+	// drains the slot's CQE runs it and puts the slot back on free.
+	cbs      []func(res int32)
+	free     []uint32
+	broken   bool // an enter failed; every submission now fails with EIO
 	closed   bool
 	closeErr error
 
@@ -187,7 +169,7 @@ func newUring(f *os.File, depth int) (*uring, error) {
 		return nil, err
 	}
 	u.fileFD = int32(f.Fd())
-	u.regFile = u.registerFileLocked(u.fileFD)
+	u.regFile = u.registerFile(u.fileFD)
 	return u, nil
 }
 
@@ -210,13 +192,9 @@ func setupRing(entries uint32) (*uring, error) {
 		u.sqArray[i] = uint32(i)
 	}
 	u.cbs = make([]func(int32), p.sqEntries)
-	u.freeSlots = make(chan uint32, p.sqEntries)
-	for i := uint32(0); i < p.sqEntries; i++ {
-		u.freeSlots <- i
+	for i := range p.sqEntries {
+		u.free = append(u.free, i)
 	}
-	u.drive = make(chan struct{}, 1)
-	u.drive <- struct{}{}
-	u.dead = make(chan struct{})
 	return u, nil
 }
 
@@ -312,8 +290,8 @@ func (u *uring) register(op uintptr, arg unsafe.Pointer, n uintptr) error {
 	return nil
 }
 
-// registerFileLocked registers fd as fixed file 0; reports success.
-func (u *uring) registerFileLocked(fd int32) bool {
+// registerFile registers fd as fixed file 0; reports success.
+func (u *uring) registerFile(fd int32) bool {
 	fds := [1]int32{fd}
 	return u.register(uringRegisterFiles, unsafe.Pointer(&fds[0]), 1) == nil
 }
@@ -363,99 +341,9 @@ func (u *uring) storeMetrics() *storeMetrics {
 
 // --- submission -----------------------------------------------------------
 
-// acquire takes a free slot, driving the completion queue if none is free
-// (a slot can only come back by retiring a completion, and there may be no
-// other goroutine around to do it). Fails only when the ring has died.
-func (u *uring) acquire() (uint32, bool) {
-	return await(u, u.freeSlots, true)
-}
-
-// release returns a slot to the free list. The release is channel-side — no
-// CQE announces it — so when a driver has committed to a blocking
-// enter(GETEVENTS) waiting for exactly this event, a NOP is submitted to
-// manufacture the completion that wakes it.
-func (u *uring) release(slot uint32) {
-	u.freeSlots <- slot
-	if u.slotWaiters.Load() > 0 {
-		u.poke()
-	}
-}
-
-// waitDone blocks until done is closed. Callers use it to wait on
-// transfers whose callback only runs when somebody drains the CQE — with no
-// standing reaper, that somebody must be the waiter itself. done MUST belong
-// to a ring-driven completion (or already be closed): the blocking
-// enter(GETEVENTS) inside relies on a CQE being in flight. It also returns
-// when the ring dies, after abort has run every pending callback.
-func (u *uring) waitDone(done <-chan struct{}) {
-	await(u, done, false)
-}
-
-// await parks on ready until a value (or close) arrives, while competing for
-// the drive token; the winner drains the completion queue and blocks in
-// enter(GETEVENTS) for more, dispatching everyone's completions on the way.
-// Returns ok=false when the ring is dead.
-//
-// slotWait marks a waiter whose ready channel is the free-slot list. Every
-// other ready event is CQE-backed — the blocking enter is woken by the very
-// completion being awaited — but a slot release is a plain channel send, so
-// the waiter must register in slotWaiters before committing to the kernel and
-// re-check afterwards: either the final re-check sees the released slot, or
-// the releaser sees the registration and pokes a NOP completion through the
-// ring to wake the enter. (Both sides use sequentially consistent atomics, so
-// missing both is impossible.)
-func await[T any](u *uring, ready <-chan T, slotWait bool) (T, bool) {
-	var zero T
-	for {
-		select {
-		case v := <-ready:
-			return v, true
-		case <-u.dead:
-			return zero, false
-		case <-u.drive:
-			u.drain()
-			// Re-check before blocking in the kernel: the drain may have
-			// dispatched the very completion we are waiting on.
-			select {
-			case v := <-ready:
-				u.drive <- struct{}{}
-				return v, true
-			case <-u.dead:
-				u.drive <- struct{}{}
-				return zero, false
-			default:
-			}
-			if slotWait {
-				u.slotWaiters.Add(1)
-				// Final re-check, after the registration is visible: a slot
-				// released before it missed both the drain and the poke.
-				select {
-				case v := <-ready:
-					u.slotWaiters.Add(-1)
-					u.drive <- struct{}{}
-					return v, true
-				default:
-				}
-			}
-			_, err := u.enter(0, 1, uringEnterGetEvents)
-			if slotWait {
-				u.slotWaiters.Add(-1)
-			}
-			if err == nil {
-				u.drain()
-			}
-			u.drive <- struct{}{}
-			if err != nil {
-				u.abort()
-			}
-		}
-	}
-}
-
-// prepLocked writes one SQE and advances the submission tail. The queue is
-// never full here: every flush hands the kernel all prepped SQEs before
-// releasing the mutex.
-func (u *uring) prepLocked(op ioOp, buf []byte, off int64, userData uint64) {
+// prep writes one SQE and advances the submission tail. The queue is never
+// full here: every flush hands the kernel all prepped SQEs.
+func (u *uring) prep(op ioOp, buf []byte, off int64, userData uint64) {
 	tail := atomic.LoadUint32(u.sqTail)
 	sqe := &u.sqes[tail&u.sqMask]
 	*sqe = uringSQE{userData: userData}
@@ -486,93 +374,54 @@ func (u *uring) prepLocked(op ioOp, buf []byte, off int64, userData uint64) {
 	atomic.StoreUint32(u.sqTail, tail+1)
 }
 
-// prepNopLocked queues a NOP (shutdown poison, probe round-trips).
-func (u *uring) prepNopLocked(userData uint64) {
+// prepNop queues a NOP (the probe's round-trip).
+func (u *uring) prepNop() {
 	tail := atomic.LoadUint32(u.sqTail)
-	u.sqes[tail&u.sqMask] = uringSQE{opcode: uringOpNop, fd: -1, userData: userData}
+	u.sqes[tail&u.sqMask] = uringSQE{opcode: uringOpNop, fd: -1}
 	atomic.StoreUint32(u.sqTail, tail+1)
 }
 
-// flushLocked hands n freshly prepped SQEs to the kernel with one
-// io_uring_enter.
-func (u *uring) flushLocked(n uint32) error {
+// flush hands n freshly prepped SQEs to the kernel with one io_uring_enter.
+func (u *uring) flush(n uint32) error {
 	if sm := u.storeMetrics(); sm != nil {
 		sm.uringSQEBatch.Observe(int64(n))
-		sm.uringInflight.Observe(int64(len(u.cbs) - len(u.freeSlots)))
+		sm.uringInflight.Observe(int64(len(u.cbs) - len(u.free)))
 	}
-	return u.flushRawLocked(n)
-}
-
-// flushRawLocked is flushLocked without the telemetry: pokes go through here
-// so wakeup NOPs do not pollute the SQE-batch and queue-depth histograms.
-func (u *uring) flushRawLocked(n uint32) error {
-	u.unsubmitted += n
-	for u.unsubmitted > 0 {
-		done, err := u.enter(u.unsubmitted, 0, 0)
+	for n > 0 {
+		done, err := u.enter(n, 0, 0)
 		if err != nil {
 			return err
 		}
-		u.unsubmitted -= done
+		n -= done
 	}
 	return nil
 }
 
-// pokeData is the reserved user_data of wakeup NOPs; it can never collide
-// with a slot index, and dispatch drops its CQEs on the floor.
-const pokeData = ^uint64(0)
-
-// poke submits a NOP whose completion wakes a driver blocked in
-// enter(GETEVENTS) — the manufactured CQE for events (slot releases) that the
-// kernel cannot see. Rare by construction: only taken when slotWaiters
-// reports a waiter committed to the kernel, i.e. the ring was saturated.
-func (u *uring) poke() {
-	u.mu.Lock()
-	select {
-	case <-u.dead:
-		u.mu.Unlock()
-		return
-	default:
-	}
-	u.prepNopLocked(pokeData)
-	err := u.flushRawLocked(1)
-	u.mu.Unlock()
-	if err != nil {
-		u.abort()
-	}
-}
-
 // submitCallback preps one transfer whose completion is dispatched to cb
-// with the raw CQE result by whichever goroutine drains it; the slot is
-// recycled after cb returns. cb runs on an arbitrary driving goroutine and
-// must not block on ring completions. On error cb is guaranteed not to run,
-// so the caller can fall back synchronously. A flush failure is an
-// io_uring_enter hard error, so it also kills the ring — better every waiter
-// fails fast than some hang on completions that will never be produced.
+// with the raw CQE result by whichever reap drains it; the slot is recycled
+// after cb returns. With no slot free it reaps until one is. On error cb is
+// guaranteed not to run, so the caller can fall back synchronously. A flush
+// failure is an io_uring_enter hard error, so it also kills the ring: better
+// every pending transfer fails fast than some wait on completions that will
+// never be produced. The failed submission's slot stays withdrawn, since its
+// SQE may still sit in the ring.
 func (u *uring) submitCallback(op ioOp, buf []byte, off int64, cb func(res int32)) error {
-	slot, ok := u.acquire()
-	if !ok {
+	for len(u.free) == 0 && !u.broken {
+		u.reap()
+	}
+	if u.broken {
 		return syscall.EIO
 	}
-	u.mu.Lock()
-	select {
-	case <-u.dead:
-		u.mu.Unlock()
-		u.release(slot)
-		return syscall.EIO
-	default:
-	}
+	slot := u.free[len(u.free)-1]
+	u.free = u.free[:len(u.free)-1]
 	u.cbs[slot] = cb
-	u.prepLocked(op, buf, off, uint64(slot))
-	err := u.flushLocked(1)
-	if err != nil {
+	u.prep(op, buf, off, uint64(slot))
+	if err := u.flush(1); err != nil {
 		u.cbs[slot] = nil
-	}
-	u.mu.Unlock()
-	if err != nil {
-		u.retire()
 		u.abort()
+		return err
 	}
-	return err
+	return nil
 }
 
 // rw runs one synchronous positioned transfer through the ring: submit one
@@ -581,15 +430,12 @@ func (u *uring) submitCallback(op ioOp, buf []byte, off int64, cb func(res int32
 // ReadAt/WriteAt.
 func (u *uring) rw(op ioOp, buf []byte, off int64) error {
 	for {
-		done := make(chan struct{})
 		var res int32
-		if err := u.submitCallback(op, buf, off, func(r int32) {
-			res = r
-			close(done)
-		}); err != nil {
+		done := false
+		if err := u.submitCallback(op, buf, off, func(r int32) { res, done = r, true }); err != nil {
 			return err
 		}
-		u.waitDone(done)
+		u.waitFor(&done)
 		if res >= 0 {
 			if int(res) == len(buf) {
 				return nil
@@ -614,100 +460,76 @@ func (u *uring) pwrite(buf []byte, off int64) error { return u.rw(opWrite, buf, 
 
 // --- completion -----------------------------------------------------------
 
-// drain consumes every available CQE and dispatches it. The caller holds the
-// drive token — the sole license to advance the CQ head.
-func (u *uring) drain() {
+// waitFor reaps completions until *done is set by the callback of a
+// submission in flight. A broken ring has already run every pending callback,
+// so it returns at once.
+func (u *uring) waitFor(done *bool) {
+	for !*done {
+		u.reap()
+	}
+}
+
+// reap runs the callbacks of every available CQE and, when there are none,
+// blocks in enter(GETEVENTS) for the next one. Callers reap only while a
+// slot is in flight, so a completion is always coming. An enter failure
+// kills the ring instead.
+func (u *uring) reap() {
+	if u.drain() {
+		return
+	}
+	if _, err := u.enter(0, 1, uringEnterGetEvents); err != nil {
+		u.abort()
+		return
+	}
+	u.drain()
+}
+
+// drain consumes every available CQE, runs its slot's callback and frees
+// the slot. It reports whether there was any.
+func (u *uring) drain() bool {
+	got := false
 	for {
 		head := atomic.LoadUint32(u.cqHead)
 		if head == atomic.LoadUint32(u.cqTail) {
-			return
+			return got
 		}
 		cqe := u.cqes[head&u.cqMask]
 		atomic.StoreUint32(u.cqHead, head+1)
-		u.dispatch(cqe)
+		slot := uint32(cqe.userData)
+		if cb := u.cbs[slot]; cb != nil {
+			u.cbs[slot] = nil
+			cb(cqe.res)
+			u.free = append(u.free, slot)
+		}
+		got = true
 	}
 }
 
-// dispatch runs one CQE's callback inline, on whichever goroutine is
-// driving, and recycles its slot. Wakeup NOPs carry no slot — their only job
-// was returning the enter that drained them.
-func (u *uring) dispatch(cqe uringCQE) {
-	if cqe.userData == pokeData {
-		return
-	}
-	slot := uint32(cqe.userData)
-	u.mu.Lock()
-	cb := u.cbs[slot]
-	u.cbs[slot] = nil
-	u.mu.Unlock()
-	if cb != nil {
-		cb(cqe.res)
-		u.release(slot)
-	}
-}
-
-// abort marks the ring dead and fails every pending callback so waiters
-// unblock with EIO instead of hanging. Only reachable when io_uring_enter
-// itself fails hard, which a healthy ring never does. Idempotent: concurrent
-// aborters race benignly on the dead check.
+// abort marks the ring broken and fails every pending callback with EIO, so
+// no wait hangs. Only reachable when io_uring_enter itself fails hard, which
+// a healthy ring never does.
 func (u *uring) abort() {
-	u.mu.Lock()
-	select {
-	case <-u.dead:
-		u.mu.Unlock()
-		return
-	default:
-	}
+	u.broken = true
 	for i, cb := range u.cbs {
 		if cb != nil {
 			u.cbs[i] = nil
 			cb(-int32(syscall.EIO))
 		}
 	}
-	close(u.dead)
-	u.mu.Unlock()
 }
 
-// retire permanently withdraws a slot after a submission error: its SQE may
-// sit unconsumed in the ring, and a late completion must not race the slot's
-// reuse. close() counts retired slots as settled.
-func (u *uring) retire() { u.retired.Add(1) }
-
-// close shuts the ring down. The store calls this only after its disks'
-// transfers have completed, but close still drives the CQ until every slot
-// is back on the free list (or permanently retired) before releasing the
-// mappings and the ring fd.
+// close shuts the ring down. The store calls this only after its disk's
+// transfers have completed, but close still reaps until every slot is free
+// (or the ring is broken) before releasing the mappings and the ring fd, so
+// no late completion lands in unmapped memory.
 func (u *uring) close() error {
 	if u.closed {
 		return u.closeErr
 	}
 	u.closed = true
-	for uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.cbs)) {
-		select {
-		case <-u.dead:
-			goto teardown
-		case <-u.drive:
-			u.drain()
-			var err error
-			if uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.cbs)) {
-				// Like acquire, this waits for a channel-side event (slots
-				// coming home), so register for release()'s poke before
-				// committing to the kernel.
-				u.slotWaiters.Add(1)
-				if uint32(len(u.freeSlots))+u.retired.Load() < uint32(len(u.cbs)) {
-					if _, err = u.enter(0, 1, uringEnterGetEvents); err == nil {
-						u.drain()
-					}
-				}
-				u.slotWaiters.Add(-1)
-			}
-			u.drive <- struct{}{}
-			if err != nil {
-				u.abort()
-			}
-		}
+	for !u.broken && len(u.free) < len(u.cbs) {
+		u.reap()
 	}
-teardown:
 	u.munmapAll()
 	u.closeErr = syscall.Close(u.ringFD)
 	return u.closeErr
@@ -735,7 +557,7 @@ func probeUring() bool {
 		return false
 	}
 	defer u.destroy()
-	u.prepNopLocked(0)
+	u.prepNop()
 	if _, err := u.enter(1, 1, uringEnterGetEvents); err != nil {
 		return false
 	}

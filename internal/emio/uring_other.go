@@ -20,8 +20,8 @@ func UringSupported() bool { return false }
 var errNoUring = errors.New("emio: io_uring unavailable on this platform")
 
 // uring is never constructed on this platform (newFileStore consults
-// UringSupported first); the type and methods exist so the store compiles
-// unchanged.
+// UringSupported first), so the engine always runs its transfers in place;
+// the type and methods exist so the store compiles unchanged.
 type uring struct {
 	sm *atomic.Pointer[storeMetrics]
 }
@@ -30,7 +30,7 @@ func newUring(*os.File, int) (*uring, error) { return nil, errNoUring }
 
 func (*uring) pread([]byte, int64) error                             { return errNoUring }
 func (*uring) pwrite([]byte, int64) error                            { return errNoUring }
-func (*uring) waitDone(<-chan struct{})                              {}
+func (*uring) waitFor(*bool)                                         {}
 func (*uring) submitCallback(ioOp, []byte, int64, func(int32)) error { return errNoUring }
 func (*uring) registerBuffers([][]byte)                              {}
 func (*uring) close() error                                          { return nil }

@@ -1,10 +1,7 @@
 package emio
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/emio/metrics"
@@ -21,9 +18,9 @@ type uringConfig struct {
 	dep  depths
 }
 
-// uringConfigs spans the ring's composition space: bare ring, ring under the
-// async pipeline (shallow batches and windows, then a four-entry ring), and
-// ring over O_DIRECT.
+// uringConfigs spans the ring's composition space: the engine at its own
+// depths, at shallow batches and windows, on a four-entry ring, and over
+// O_DIRECT.
 func uringConfigs(t *testing.T) []uringConfig {
 	t.Helper()
 	if !UringSupported() {
@@ -31,11 +28,11 @@ func uringConfigs(t *testing.T) []uringConfig {
 	}
 	ps := []uringConfig{
 		{Pipeline{Uring: true}, engineDepths},
-		{Pipeline{Enabled: true, Uring: true}, shallow(4, 2)},
-		{Pipeline{Enabled: true, Uring: true}, depths{prefetch: prefetchDepth, queue: queueDepth, uring: 4}},
+		{Pipeline{Uring: true}, shallow(4, 2)},
+		{Pipeline{Uring: true}, depths{prefetch: prefetchDepth, queue: queueDepth, uring: 4}},
 	}
 	if DirectIOSupported(t.TempDir()) {
-		ps = append(ps, uringConfig{Pipeline{Enabled: true, Uring: true, Direct: true}, engineDepths})
+		ps = append(ps, uringConfig{Pipeline{Uring: true, Direct: true}, engineDepths})
 	}
 	return ps
 }
@@ -102,71 +99,15 @@ func TestUringRoundTrip(t *testing.T) {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// The completion reaper (and the pipeline workers) must be gone.
+			// The ring is reaped by its owner: no goroutine outlives the disk.
 			RequireNoGoroutineLeaks(t, base)
 		}
 	}
 }
 
-// TestUringSlotContention hammers a depth-2 ring from many goroutines so
-// acquirers routinely commit to a blocking enter(GETEVENTS) while the slot
-// they need comes back channel-side through release. This is the liveness
-// race the slotWaiters/poke protocol closes: a driver that re-checked the
-// free list just before a release would otherwise park in the kernel with no
-// completion ever coming. The test completing (under the suite timeout) is
-// the assertion; -race additionally checks the registration ordering.
-func TestUringSlotContention(t *testing.T) {
-	if !UringSupported() {
-		t.Skip("io_uring not supported on this kernel/platform")
-	}
-	f, err := os.Create(filepath.Join(t.TempDir(), "ring.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	u, err := newUring(f, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, iters, sz = 8, 200, 512
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := bytes.Repeat([]byte{byte(w + 1)}, sz)
-			got := make([]byte, sz)
-			for i := 0; i < iters; i++ {
-				off := int64(w*iters+i) * sz
-				if err := u.pwrite(buf, off); err != nil {
-					errs <- err
-					return
-				}
-				if err := u.pread(got, off); err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(got, buf) {
-					t.Errorf("worker %d iter %d: read back wrong data", w, i)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := u.close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestUringStatsMatchSynchronous proves the determinism contract across the
 // physical backends: logical Stats must be bit-identical whether transfers go
-// through blocking syscalls or the ring, pipelined or not.
+// through blocking syscalls or the ring.
 func TestUringStatsMatchSynchronous(t *testing.T) {
 	if !UringSupported() {
 		t.Skip("io_uring not supported on this kernel/platform")
@@ -199,26 +140,20 @@ func TestUringStatsMatchSynchronous(t *testing.T) {
 		dup.Release()
 		return d.Stats()
 	}
-	sync := run(Pipeline{})
-	for _, p := range []Pipeline{
-		{Uring: true},
-		{Enabled: true, Uring: true},
-	} {
-		if got := run(p); got != sync {
-			t.Errorf("p=%+v: Stats %v != synchronous %v", p, got, sync)
-		}
+	if got, sync := run(Pipeline{Uring: true}), run(Pipeline{}); got != sync {
+		t.Errorf("ring Stats %v != syscall %v", got, sync)
 	}
 }
 
 // TestUringMetricsHistograms checks the ring records its submission
 // telemetry: the SQE-batch and queue-depth histograms must have samples after
-// a pipelined run through the ring.
+// a run through the ring.
 func TestUringMetricsHistograms(t *testing.T) {
 	if !UringSupported() {
 		t.Skip("io_uring not supported on this kernel/platform")
 	}
 	d, err := newFileBackedDisk(filepath.Join(t.TempDir(), "m.dat"), 8,
-		Pipeline{Enabled: true, Uring: true}, shallow(4, 4), false)
+		Pipeline{Uring: true}, shallow(4, 4), false)
 	if err != nil {
 		t.Fatal(err)
 	}

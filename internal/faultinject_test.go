@@ -24,10 +24,9 @@ import (
 var errInjected = errors.New("injected fault")
 
 // backend constructs a Ctx on one storage backend. The fault sweep runs under
-// all three: the error paths of the pipelined store (worker shutdown, sticky
-// error delivery, prefetch abort) are disjoint from the synchronous ones, and
-// the memory backend is the reference. close must be called before the
-// goroutine-leak check.
+// each: the file store's error paths (sticky error delivery, read-ahead
+// abort) are disjoint from the memory backend's, which is the reference.
+// close must be called before the goroutine-leak check.
 type backend struct {
 	name string
 	mk   func(t *testing.T) (ctx *emio.Ctx, close func() error)
@@ -54,6 +53,8 @@ func backendMatrix() []backend {
 			}
 			return ctx, d.Close
 		}},
+		// Pipeline.Enabled is ignored (every file disk runs the I/O engine);
+		// this cell checks that it changes nothing, and goes with the field.
 		{"file-pipeline", func(t *testing.T) (*emio.Ctx, func() error) {
 			d, err := emio.NewFileBackedDiskPipeline(filepath.Join(t.TempDir(), "p.dat"), cfg.B,
 				emio.Pipeline{Enabled: true})

@@ -13,8 +13,8 @@ import (
 // For every facade driver and every backend configuration, a run with a
 // metrics registry attached must produce byte-equal outputs, equal logical
 // Stats, and bit-identical trace JSON compared to a metrics-off run. The
-// suite runs under -race (metrics recording crosses the pipeline's worker
-// and prefetch goroutines) and again pinned to GOMAXPROCS=1.
+// suite runs under -race (a scrape may read the registry while the
+// algorithm records) and again pinned to GOMAXPROCS=1.
 
 func metricsParityBackends(cfg Config) []parityBackend {
 	return []parityBackend{
@@ -27,16 +27,6 @@ func metricsParityBackends(cfg Config) []parityBackend {
 		}},
 		{"file", func(t *testing.T) *System {
 			sys, err := NewFileBacked(cfg, filepath.Join(t.TempDir(), "m.dat"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { sys.Close() })
-			return sys
-		}},
-		{"file-pipeline", func(t *testing.T) *System {
-			c := cfg
-			c.Pipeline = Pipeline{Enabled: true}
-			sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "mp.dat"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,8 +95,7 @@ func TestMetricsParitySuite(t *testing.T) { metricsParitySuite(t) }
 
 func TestMetricsParitySuiteSingleProc(t *testing.T) {
 	// GOMAXPROCS=1 forces the tightest interleaving of the algorithm
-	// goroutine with the pipeline worker and prefetch goroutines; parity must
-	// hold there too.
+	// goroutine with the runtime's own; parity must hold there too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	metricsParitySuite(t)
 }

@@ -11,10 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
-// The pipeline parity suite: for every facade driver, the asynchronous
-// prefetch/write-behind pipeline must be invisible to everything but the
+// The pipeline parity suite: for every facade driver, the physical layer —
+// the file store's I/O engine with its staged writes and read-ahead,
+// O_DIRECT and the io_uring — must be invisible to everything but the
 // clock. Outputs, Stats, the tracer's span-tree I/O deltas and the leak
-// detector must be bit-identical across {memory, file}×{pipeline on, off}.
+// detector must be bit-identical across memory and every file backend.
 
 // parityDriver runs one algorithm and returns a canonical byte description
 // of its outputs (elements, sizes, buckets — whatever the driver produces).
@@ -144,16 +145,6 @@ func pipelineParityBackends(t *testing.T, cfg Config) []parityBackend {
 			t.Cleanup(func() { sys.Close() })
 			return sys
 		}},
-		{"file-pipeline", func(t *testing.T) *System {
-			c := cfg
-			c.Pipeline = Pipeline{Enabled: true}
-			sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "p.dat"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { sys.Close() })
-			return sys
-		}},
 		{"mem-pipeline-flag", func(t *testing.T) *System {
 			// The pipeline knob is documented as a no-op for memory disks;
 			// prove it by running with it set.
@@ -189,43 +180,25 @@ func pipelineParityBackends(t *testing.T, cfg Config) []parityBackend {
 			t.Cleanup(func() { sys.Close() })
 			return sys
 		}},
-		{"file-pipeline-resilient", func(t *testing.T) *System {
+	}
+	if emio.DirectIOSupported(t.TempDir()) {
+		// O_DIRECT pads physical transfers to 512-byte granules; logical
+		// behaviour must stay bit-identical.
+		backends = append(backends, parityBackend{"file-direct", func(t *testing.T) *System {
 			c := cfg
-			c.Checksum = true
-			c.Retry = Retry{MaxAttempts: 3}
-			c.Pipeline = Pipeline{Enabled: true}
-			sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "rp.dat"))
+			c.Pipeline = Pipeline{Direct: true}
+			sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "dd.dat"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { sys.Close() })
 			return sys
-		}},
-	}
-	if emio.DirectIOSupported(t.TempDir()) {
-		// O_DIRECT pads physical transfers to 512-byte granules; logical
-		// behaviour must stay bit-identical, with the pipeline on or off.
-		mkDirect := func(p Pipeline) func(t *testing.T) *System {
-			return func(t *testing.T) *System {
-				c := cfg
-				c.Pipeline = p
-				sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "dd.dat"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sys.Close() })
-				return sys
-			}
-		}
-		backends = append(backends,
-			parityBackend{"file-direct", mkDirect(Pipeline{Direct: true})},
-			parityBackend{"file-direct-pipeline", mkDirect(Pipeline{Enabled: true, Direct: true})},
-		)
+		}})
 	}
 	if emio.UringSupported() {
 		// The io_uring backend swaps blocking pread/pwrite for ring
 		// submissions; logical outputs, Stats and traces must not move,
-		// pipelined or not.
+		// on a buffered or an O_DIRECT backing file.
 		mkUring := func(p Pipeline) func(t *testing.T) *System {
 			return func(t *testing.T) *System {
 				c := cfg
@@ -238,13 +211,10 @@ func pipelineParityBackends(t *testing.T, cfg Config) []parityBackend {
 				return sys
 			}
 		}
-		backends = append(backends,
-			parityBackend{"file-uring", mkUring(Pipeline{Uring: true})},
-			parityBackend{"file-uring-pipeline", mkUring(Pipeline{Enabled: true, Uring: true})},
-		)
+		backends = append(backends, parityBackend{"file-uring", mkUring(Pipeline{Uring: true})})
 		if emio.DirectIOSupported(t.TempDir()) {
 			backends = append(backends,
-				parityBackend{"file-uring-direct", mkUring(Pipeline{Enabled: true, Uring: true, Direct: true})})
+				parityBackend{"file-uring-direct", mkUring(Pipeline{Uring: true, Direct: true})})
 		}
 	}
 	return backends
@@ -293,11 +263,11 @@ func TestPipelineParitySuite(t *testing.T) {
 	})
 }
 
-// TestPipelineFaultParity proves an injected write fault during write-behind
-// is reported at the same logical operation — same error chain, same I/O
-// counters at failure time — as in fully synchronous mode. (Fault hooks fire
-// at enqueue time on the algorithm goroutine, so the pipeline cannot shift
-// them.)
+// TestPipelineFaultParity proves an injected fault on a file store, whose
+// writes the I/O engine stages behind the algorithm, is reported at the same
+// logical operation — same error chain, same I/O counters at failure time —
+// as on the memory backend, which has no write-behind. (Fault hooks fire at
+// enqueue time on the algorithm goroutine, so the engine cannot shift them.)
 func TestPipelineFaultParity(t *testing.T) {
 	errInjected := errors.New("injected fault")
 	const n = 1 << 12
@@ -308,12 +278,14 @@ func TestPipelineFaultParity(t *testing.T) {
 		err   error
 		stats Stats
 	}
-	observe := func(t *testing.T, pipelined bool, failAt int64, read bool) observation {
-		c := cfg
-		if pipelined {
-			c.Pipeline = Pipeline{Enabled: true}
+	observe := func(t *testing.T, file bool, failAt int64, read bool) observation {
+		var sys *System
+		var err error
+		if file {
+			sys, err = NewFileBacked(cfg, filepath.Join(t.TempDir(), "f.dat"))
+		} else {
+			sys, err = New(cfg)
 		}
-		sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "f.dat"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,19 +322,19 @@ func TestPipelineFaultParity(t *testing.T) {
 	} {
 		t.Run(fault.name, func(t *testing.T) {
 			for _, p := range fault.points {
-				sync := observe(t, false, p, fault.read)
-				pipe := observe(t, true, p, fault.read)
-				if sync.err == nil || pipe.err == nil {
-					t.Fatalf("fault at %s %d: sync err=%v pipe err=%v, both must fail", fault.name, p, sync.err, pipe.err)
+				mem := observe(t, false, p, fault.read)
+				file := observe(t, true, p, fault.read)
+				if mem.err == nil || file.err == nil {
+					t.Fatalf("fault at %s %d: mem err=%v file err=%v, both must fail", fault.name, p, mem.err, file.err)
 				}
-				if !errors.Is(sync.err, errInjected) || !errors.Is(pipe.err, errInjected) {
-					t.Fatalf("fault at %s %d: errors do not wrap the injection: sync=%v pipe=%v", fault.name, p, sync.err, pipe.err)
+				if !errors.Is(mem.err, errInjected) || !errors.Is(file.err, errInjected) {
+					t.Fatalf("fault at %s %d: errors do not wrap the injection: mem=%v file=%v", fault.name, p, mem.err, file.err)
 				}
-				if sync.err.Error() != pipe.err.Error() {
-					t.Errorf("fault at %s %d: error text differs:\n sync: %v\n pipe: %v", fault.name, p, sync.err, pipe.err)
+				if mem.err.Error() != file.err.Error() {
+					t.Errorf("fault at %s %d: error text differs:\n mem:  %v\n file: %v", fault.name, p, mem.err, file.err)
 				}
-				if sync.stats != pipe.stats {
-					t.Errorf("fault at %s %d: stats at failure differ: sync %v pipe %v", fault.name, p, sync.stats, pipe.stats)
+				if mem.stats != file.stats {
+					t.Errorf("fault at %s %d: stats at failure differ: mem %v file %v", fault.name, p, mem.stats, file.stats)
 				}
 			}
 		})

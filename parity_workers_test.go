@@ -45,8 +45,10 @@ type workersBackend struct {
 	mk   func(t *testing.T, cfg Config) *System
 }
 
-// workersBackends are the memory store and the file stores: plain,
-// pipelined, and O_DIRECT through the ring where the host supports it.
+// workersBackends are the memory store and the file stores: buffered, and
+// O_DIRECT through the ring where the host supports it. file-pipeline sets
+// Pipeline.Enabled, which every file disk ignores; the cell checks that it
+// changes nothing, and goes with the field.
 func workersBackends(t *testing.T) []workersBackend {
 	file := func(p Pipeline) func(t *testing.T, cfg Config) *System {
 		return func(t *testing.T, cfg Config) *System {
@@ -71,7 +73,7 @@ func workersBackends(t *testing.T) []workersBackend {
 		{"file-pipeline", file(Pipeline{Enabled: true})},
 	}
 	if emio.DirectIOSupported(t.TempDir()) {
-		out = append(out, workersBackend{"file-direct-uring", file(Pipeline{Enabled: true, Direct: true, Uring: true})})
+		out = append(out, workersBackend{"file-direct-uring", file(Pipeline{Direct: true, Uring: true})})
 	}
 	return out
 }

@@ -2,11 +2,13 @@ package empart
 
 import (
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/emio"
+	"repro/internal/extsort"
 	"repro/internal/workload"
 )
 
@@ -107,5 +109,60 @@ func TestSortJobRunAndResumeShapeCheck(t *testing.T) {
 	}
 	if out2.Len() != int64(len(elems)) {
 		t.Errorf("resumed output length %d, want %d", out2.Len(), len(elems))
+	}
+}
+
+// TestSortJobFullSync runs one job in each durability grade. The power-loss
+// grade fsyncs at every barrier and runs the backing-file flusher, and must
+// change nothing else: the same output, the same logical Stats, the same
+// journaled phases, and no goroutine left once the job is closed.
+func TestSortJobFullSync(t *testing.T) {
+	cfg := Config{M: 1 << 10, B: 1 << 5}
+	elems := workload.Elems(workload.Uniform, 1<<13, cfg.B, 0xf5)
+	type result struct {
+		out   []Elem
+		stats Stats
+		ck    *extsort.Checkpoint
+	}
+	run := func(fullSync bool) result {
+		dir := t.TempDir()
+		jc := JobConfig{Config: cfg, Path: filepath.Join(dir, "b.dat"), Journal: filepath.Join(dir, "j.journal"), FullSync: fullSync}
+		job, err := OpenSortJob(jc, func() ([]Elem, error) { return elems, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := job.Run()
+		if err != nil {
+			t.Fatalf("FullSync=%v: run: %v", fullSync, err)
+		}
+		r := result{out: job.System().Read(out), stats: job.System().Stats()}
+		if err := job.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r.ck, err = extsort.OpenCheckpoint(jc.Journal); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.ck.Close() })
+		return r
+	}
+	def := run(false)
+	base := emio.NumGoroutines()
+	full := run(true)
+	emio.RequireNoGoroutineLeaks(t, base)
+
+	if !slices.Equal(full.out, def.out) {
+		t.Error("output differs from the default grade's")
+	}
+	if full.stats != def.stats {
+		t.Errorf("Stats %v, want the default grade's %v", full.stats, def.stats)
+	}
+	if len(def.ck.Runs) < 2 || def.ck.Done == nil {
+		t.Fatalf("default journal has %d runs, done=%v; the test needs a multi-run job that finished", len(def.ck.Runs), def.ck.Done != nil)
+	}
+	if !reflect.DeepEqual(full.ck.Runs, def.ck.Runs) || full.ck.RunsDone != def.ck.RunsDone ||
+		full.ck.LastPass != def.ck.LastPass || !reflect.DeepEqual(full.ck.Done, def.ck.Done) {
+		t.Errorf("journal: runs %d, runs-done %v, last pass %d, done %v; want the default grade's %d, %v, %d, %v",
+			len(full.ck.Runs), full.ck.RunsDone, full.ck.LastPass, full.ck.Done != nil,
+			len(def.ck.Runs), def.ck.RunsDone, def.ck.LastPass, def.ck.Done != nil)
 	}
 }

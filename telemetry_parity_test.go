@@ -20,8 +20,8 @@ import (
 // backend, a fully-instrumented run must produce byte-equal outputs, equal
 // logical Stats, and bit-identical trace JSON compared to a telemetry-off
 // run (tracer only, which both sides need for the trace comparison). The
-// suite runs under -race (log emission crosses the pipeline's worker and
-// prefetch goroutines) and again pinned to GOMAXPROCS=1.
+// suite runs under -race (the event log's sinks are shared state) and again
+// pinned to GOMAXPROCS=1.
 
 // runTelemetryParity is runParity with, optionally, the whole telemetry
 // stack armed: metrics registry plus a debug-level event log writing
