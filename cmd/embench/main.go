@@ -114,6 +114,9 @@ func table1(w io.Writer, o options) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	if o.n < 0 {
+		return fmt.Errorf("-n %d: the input size must be nonnegative", o.n)
+	}
 	kind, err := workload.KindByName(o.dist)
 	if err != nil {
 		return err

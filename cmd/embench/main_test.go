@@ -60,3 +60,14 @@ func TestTable1Quick(t *testing.T) {
 		t.Errorf("-json output has sections %v, want the %d of %v before IM-PARITY", seen, len(sectionIDs)-1, sectionIDs)
 	}
 }
+
+// TestTable1RejectsNegativeN: a negative input size is a parameter error,
+// not a panic in the workload generator.
+func TestTable1RejectsNegativeN(t *testing.T) {
+	o := flagOptions()
+	o.n = -5
+	var md bytes.Buffer
+	if err := table1(&md, o); err == nil || !strings.Contains(err.Error(), "-n -5") {
+		t.Errorf("table1 with n = -5: err = %v, want a -n rejection", err)
+	}
+}

@@ -75,6 +75,12 @@ func main() {
 
 // execute runs one algorithm with verification and returns the report text.
 func execute(o options) (report string, err error) {
+	if o.n < 0 {
+		return "", fmt.Errorf("-n %d: the input size must be nonnegative", o.n)
+	}
+	if o.k < 1 && (o.algo == "multiselect" || o.algo == "multipartition") {
+		return "", fmt.Errorf("-k %d: %s needs K >= 1", o.k, o.algo)
+	}
 	var sb strings.Builder
 	tel := o.progressOut
 	if tel == nil {

@@ -77,6 +77,24 @@ func TestExecuteRejections(t *testing.T) {
 	if _, err := execute(o); err == nil {
 		t.Error("invalid K accepted")
 	}
+	// Sizes that would size a slice negatively are rejected, not panicked on.
+	for _, c := range []struct {
+		algo string
+		n    int
+		k    int64
+	}{
+		{"multiselect", 1 << 13, 0},
+		{"multiselect", 1 << 13, -1},
+		{"multipartition", 1 << 13, -1},
+		{"splitters", -5, 8},
+		{"sort", -5, 8},
+	} {
+		o = base()
+		o.algo, o.n, o.k = c.algo, c.n, c.k
+		if _, err := execute(o); err == nil {
+			t.Errorf("%s with n=%d k=%d accepted", c.algo, c.n, c.k)
+		}
+	}
 }
 
 func TestExecuteWithTelemetry(t *testing.T) {

@@ -55,9 +55,11 @@ type (
 	// Config fixes the EM machine: M elements of memory, blocks of B
 	// elements, M >= 2B.
 	Config = emio.Config
-	// Pipeline configures the asynchronous prefetch/write-behind physical-I/O
-	// pipeline of file-backed systems (Config.Pipeline). It never changes
-	// logical I/O counts.
+	// Pipeline selects the physical path of file-backed systems
+	// (Config.Pipeline): O_DIRECT and the io_uring. Every backing file runs
+	// the I/O engine (batched writes, read-ahead), whose transfers run in
+	// place unless an io_uring is armed; Enabled is ignored. It never
+	// changes logical I/O counts.
 	Pipeline = emio.Pipeline
 	// Retry configures bounded retry of transient physical-I/O failures
 	// (Config.Retry): attempts, exponential backoff, deterministic jitter.

@@ -9,14 +9,18 @@ import (
 	"repro/internal/workload"
 )
 
-// The golden-output suite pins, for seeded calls of the algorithms whose
-// inner loops classify elements against sorted splitters (mpart's scatter,
-// approxsplit's bucket count, msel's base case, distsort's scatter and the
-// splitter padding scan), the exact outputs, logical Stats, peak memory
-// charge and trace JSON. The values were recorded with the reference
-// classifier (sort.Search over emio.Less). Any CPU-side change to those
-// loops must reproduce them bit for bit: the EM model prices classification
-// at zero, so a faster kernel may change wall time and nothing else.
+// The golden-output suite pins, for seeded facade calls, the exact outputs,
+// logical Stats, peak memory charge and trace JSON. The calls cover the
+// scans every algorithm is built from: the classify loops (the
+// distributions into buckets, the bucket counts, msel's base case and the
+// splitter padding scan), the copies that concatenate pieces (the §3
+// re-chunking, the right-grounded partition's tail, multi-partition's
+// boundary-free buckets) and the merge passes of Sort, with and without a
+// disk budget. The classify records were taken with the reference
+// classifier (sort.Search over emio.Less), the others before those scans
+// moved into package emio. Any CPU-side change to these loops must
+// reproduce them bit for bit: the EM model prices in-memory work at zero, so
+// a faster loop may change wall time and nothing else.
 
 type goldenCase struct {
 	name string
@@ -88,6 +92,47 @@ func goldenCases() []goldenCase {
 				out, err := sys.DistributionSort(f)
 				return readOut(t, sys, out, err), nil
 			}},
+		// 147 runs of 224 elements merge in three passes of fan 11.
+		{"sort-uniform", workload.Uniform, 1 << 15, Config{M: 1 << 8, B: 1 << 4},
+			func(t *testing.T, sys *System, f *File) ([]Elem, []int64) {
+				out, err := sys.Sort(f)
+				return readOut(t, sys, out, err), nil
+			}},
+		// A budget of 1,041 blocks narrows the consuming merge's fan from 26,
+		// and 18 runs still merge in two passes.
+		{"sort-disk-budget", workload.Uniform, 1 << 14, Config{M: 1 << 10, B: 1 << 5, DiskBudget: 1041 * 32 * 16},
+			func(t *testing.T, sys *System, f *File) ([]Elem, []int64) {
+				out, err := sys.Sort(f)
+				return readOut(t, sys, out, err), nil
+			}},
+		// The bucket uppers as elements and the counts as sizes.
+		{"histogram-zipf", workload.ZipfLike, 1 << 15, Config{M: 1 << 10, B: 1 << 4},
+			func(t *testing.T, sys *System, f *File) ([]Elem, []int64) {
+				hist, err := sys.EquiDepthHistogram(f, 16, 0.5, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				uppers, counts := make([]Elem, len(hist)), make([]int64, len(hist))
+				for i, b := range hist {
+					uppers[i], counts[i] = b.Upper, b.Count
+				}
+				return uppers, counts
+			}},
+		// The §3 reduction: approximate partitioning, then the re-chunking
+		// pass.
+		{"precise-uniform", workload.Uniform, 1 << 15, Config{M: 1 << 10, B: 1 << 4},
+			func(t *testing.T, sys *System, f *File) ([]Elem, []int64) {
+				out, err := sys.PrecisePartition(f, 1000)
+				return readOut(t, sys, out, err), nil
+			}},
+		{"partition-right", workload.Uniform, 1 << 15, Config{M: 1 << 10, B: 1 << 4},
+			func(t *testing.T, sys *System, f *File) ([]Elem, []int64) {
+				res, err := sys.Partition(f, Params{K: 64, A: 256, B: f.Len()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return readOut(t, sys, res.Data, nil), res.Sizes
+			}},
 	}
 }
 
@@ -98,6 +143,11 @@ var goldenWant = map[string]goldenRecord{
 	"splitters-right":       {out: 0x2ed4deaa261684c8, trace: 0x6295d6e5366bdf67, reads: 1562, writes: 1069, peak: 1019},
 	"splitters-left-padded": {out: 0xd59cfb5d109488b4, trace: 0x8bbe2bfc8fc2515b, reads: 21211, writes: 10848, peak: 1024},
 	"distsort-uniform":      {out: 0x32cec8843b912e3f, trace: 0x7e6d3a979eb538b9, reads: 19551, writes: 11350, peak: 1024},
+	"sort-uniform":          {out: 0x32cec8843b912e3f, trace: 0x6c6a29a5bd10a9bb, reads: 8192, writes: 8192, peak: 240},
+	"sort-disk-budget":      {out: 0x1747ed6a8800c6ca, trace: 0x3090506577e4c827, reads: 1536, writes: 1536, peak: 992},
+	"histogram-zipf":        {out: 0x355bc8c918617a4a, trace: 0xdc77abcfa7bd1f00, reads: 22310, writes: 10008, peak: 1024},
+	"precise-uniform":       {out: 0xc974cdd53a25b4d7, trace: 0x19f502901b386de1, reads: 31230, writes: 23974, peak: 1003},
+	"partition-right":       {out: 0x27a06707b183d0cb, trace: 0xf9b87750d8db6032, reads: 13203, writes: 11594, peak: 1003},
 }
 
 func runGolden(t *testing.T, c goldenCase) goldenRecord {

@@ -182,7 +182,7 @@ func attemptSample(ctx *emio.Ctx, f *emio.File, g int) (*Result, bool, error) {
 		return nil, false, err
 	}
 	vsp := ctx.StartSpan("approxsplit/verify")
-	sizes, err := countBuckets(ctx, f, sp)
+	sizes, _, err := emio.CountBuckets(ctx, f, sp)
 	vsp.End()
 	if err != nil {
 		ctx.FreeElems(sp)
@@ -283,28 +283,20 @@ func bernoulliSample(ctx *emio.Ctx, f *emio.File, target int64) (*emio.File, err
 }
 
 // sortedSample sorts the sample file, in memory when it fits in M/3 and by
-// external merge sort otherwise, consuming the input file either way.
+// external merge sort otherwise, consuming the input file either way, on
+// failure too.
 func sortedSample(ctx *emio.Ctx, sample *emio.File) (*emio.File, error) {
-	if sample.Len() <= int64(ctx.M()/3) {
-		buf, err := emio.LoadAll(ctx, sample)
-		if err != nil {
-			return nil, err
-		}
-		inmem.Sort(buf)
-		out, err := emio.StoreAll(ctx, "sample-sorted", buf)
-		ctx.FreeElems(buf)
-		if err != nil {
-			return nil, err
-		}
-		sample.Release()
-		return out, nil
+	defer sample.Release()
+	if sample.Len() > int64(ctx.M()/3) {
+		return extsort.Sort(ctx, sample)
 	}
-	out, err := extsort.Sort(ctx, sample)
+	buf, err := emio.LoadAll(ctx, sample)
 	if err != nil {
 		return nil, err
 	}
-	sample.Release()
-	return out, nil
+	defer ctx.FreeElems(buf)
+	inmem.Sort(buf)
+	return emio.StoreAll(ctx, "sample-sorted", buf)
 }
 
 // pickEquiSpaced streams the sorted sample and keeps the elements at ranks
@@ -343,38 +335,6 @@ func pickEquiSpaced(ctx *emio.Ctx, sorted *emio.File, g int) ([]emio.Elem, error
 		return nil, fmt.Errorf("approxsplit: sample exhausted after %d of %d splitters", next-1, g-1)
 	}
 	return sp, nil
-}
-
-// countBuckets scans f once and counts, for each of the G buckets induced by
-// the sorted splitters sp, how many elements fall in it (total order).
-func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, error) {
-	g := len(sp) + 1
-	sizes, err := ctx.AllocInts(g)
-	if err != nil {
-		return nil, err
-	}
-	r, err := emio.NewReader(ctx, f)
-	if err != nil {
-		ctx.FreeInts(sizes)
-		return nil, err
-	}
-	defer r.Close()
-	var idx [emio.Lanes]int
-	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
-		for len(c) > 0 {
-			batch := c[:min(len(c), emio.Lanes)]
-			c = c[len(batch):]
-			emio.Classify(sp, batch, idx[:])
-			for _, j := range idx[:len(batch)] {
-				sizes[j]++
-			}
-		}
-	}
-	if err := r.Err(); err != nil {
-		ctx.FreeInts(sizes)
-		return nil, err
-	}
-	return sizes, nil
 }
 
 // BucketOf returns the index in [0, len(sp)] of the bucket that e falls in:

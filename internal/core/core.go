@@ -122,22 +122,6 @@ func ceilDiv(x, y int64) int64 { return (x + y - 1) / y }
 
 // appendFile streams src onto w, releasing src.
 func appendFile(ctx *emio.Ctx, w *emio.Writer, src *emio.File) error {
-	r, err := emio.NewReader(ctx, src)
-	if err != nil {
-		return err
-	}
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		w.Append(e)
-	}
-	err = r.Err()
-	r.Close()
-	src.Release()
-	if err != nil {
-		return err
-	}
-	return w.Err()
+	defer src.Release()
+	return emio.StreamInto(ctx, w, src, src.Len())
 }

@@ -77,7 +77,7 @@ func partitionRight(ctx *emio.Ctx, f *emio.File, p Params) (*PartitionResult, er
 	}
 	err = appendFile(ctx, w, parted)
 	if err == nil {
-		err = streamInto(ctx, w, high)
+		err = emio.StreamInto(ctx, w, high, high.Len())
 	}
 	if cerr := w.Close(); err == nil {
 		err = cerr
@@ -189,24 +189,4 @@ func partitionTwoSided(ctx *emio.Ctx, f *emio.File, p Params) (*PartitionResult,
 		return nil, err
 	}
 	return &PartitionResult{Data: out, Sizes: sizes}, nil
-}
-
-// streamInto appends every element of src to w without consuming src.
-func streamInto(ctx *emio.Ctx, w *emio.Writer, src *emio.File) error {
-	r, err := emio.NewReader(ctx, src)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		w.Append(e)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return w.Err()
 }

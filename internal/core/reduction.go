@@ -120,7 +120,7 @@ func PrecisePartitionViaApprox(ctx *emio.Ctx, f *emio.File, b int64) (*emio.File
 			rem.Release()
 			return fail(err)
 		}
-		if err := streamInto(ctx, remW, rem); err != nil {
+		if err := emio.StreamInto(ctx, remW, rem, rem.Len()); err != nil {
 			remW.Close()
 			rem.Release()
 			fresh.Release()

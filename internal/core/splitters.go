@@ -104,11 +104,11 @@ func padDistinct(ctx *emio.Ctx, f *emio.File, base *emio.File, need int64) (*emi
 	sp := ctx.StartSpan("core/pad-distinct", emio.AttrInt("need", need))
 	defer sp.End()
 	have, err := emio.LoadAll(ctx, base)
+	base.Release()
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.FreeElems(have)
-	base.Release()
 	out := ctx.Scratch("splitters")
 	w, err := emio.NewWriter(ctx, out)
 	if err != nil {
@@ -303,32 +303,16 @@ func takePrefix(ctx *emio.Ctx, f *emio.File, k int64) (*emio.File, error) {
 	out := ctx.Scratch("prefix")
 	w, err := emio.NewWriter(ctx, out)
 	if err != nil {
+		out.Release()
 		return nil, err
 	}
-	r, err := emio.NewReader(ctx, f)
+	err = emio.StreamInto(ctx, w, f, k)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		w.Close()
 		out.Release()
 		return nil, err
-	}
-	for i := int64(0); i < k; i++ {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		w.Append(e)
-	}
-	rerr := r.Err()
-	r.Close()
-	if err := w.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if rerr == nil && out.Len() != k {
-		rerr = fmt.Errorf("core: prefix read %d of %d", out.Len(), k)
-	}
-	if rerr != nil {
-		out.Release()
-		return nil, rerr
 	}
 	return out, nil
 }

@@ -98,7 +98,7 @@ func sortInto(ctx *emio.Ctx, chunk *emio.File, owned bool, w *emio.Writer) error
 		return err
 	}
 	ssp := ctx.StartSpan("distsort/scatter", emio.AttrInt("n", n))
-	buckets, err := scatter(ctx, chunk, res.Splitters)
+	buckets, _, err := emio.Scatter(ctx, chunk, res.Splitters, "dbucket")
 	ssp.End()
 	res.Close()
 	if err != nil {
@@ -124,61 +124,4 @@ func sortInto(ctx *emio.Ctx, chunk *emio.File, owned bool, w *emio.Writer) error
 		}
 	}
 	return nil
-}
-
-// scatter streams chunk into len(sp)+1 bucket files in one pass.
-func scatter(ctx *emio.Ctx, chunk *emio.File, sp []emio.Elem) ([]*emio.File, error) {
-	nb := len(sp) + 1
-	buckets := make([]*emio.File, nb)
-	writers := make([]*emio.Writer, nb)
-	cleanup := func() {
-		for _, bw := range writers {
-			if bw != nil {
-				bw.Close()
-			}
-		}
-		for _, b := range buckets {
-			if b != nil {
-				b.Release()
-			}
-		}
-	}
-	for i := range buckets {
-		buckets[i] = ctx.Scratch("dbucket")
-		bw, err := emio.NewWriter(ctx, buckets[i])
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		writers[i] = bw
-	}
-	r, err := emio.NewReader(ctx, chunk)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	var idx [emio.Lanes]int
-	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
-		for len(c) > 0 {
-			batch := c[:min(len(c), emio.Lanes)]
-			c = c[len(batch):]
-			emio.Classify(sp, batch, idx[:])
-			for i, e := range batch {
-				writers[idx[i]].Append(e)
-			}
-		}
-	}
-	rerr := r.Err()
-	r.Close()
-	for i, bw := range writers {
-		if err := bw.Close(); err != nil && rerr == nil {
-			rerr = err
-		}
-		writers[i] = nil
-	}
-	if rerr != nil {
-		cleanup()
-		return nil, rerr
-	}
-	return buckets, nil
 }

@@ -79,7 +79,8 @@ type Event struct {
 
 // EventLog is the fan-out sink of a disk's structured event stream. It
 // implements slog.Handler; attach it (or any other handler) with
-// Disk.SetLogHandler / System.SetLogger. Safe for concurrent use.
+// Disk.SetLogHandler, or build and attach one with System.EnableLog. Safe
+// for concurrent use.
 type EventLog struct {
 	level slog.Leveler
 	extra slog.Handler

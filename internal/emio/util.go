@@ -3,10 +3,11 @@ package emio
 import "fmt"
 
 // Copy streams src into a fresh scratch file and returns it, at a cost of one
-// scan: ceil(n/B) reads + ceil(n/B) writes.
+// scan: ceil(n/B) reads + ceil(n/B) writes. On failure it releases the copy.
 func Copy(ctx *Ctx, src *File) (*File, error) {
 	dst := ctx.Scratch("copy")
 	if err := AppendAll(ctx, dst, src); err != nil {
+		dst.Release()
 		return nil, err
 	}
 	return dst, nil
@@ -18,23 +19,7 @@ func AppendAll(ctx *Ctx, dst, src *File) error {
 	if err != nil {
 		return err
 	}
-	defer w.Close()
-	r, err := NewReader(ctx, src)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		w.Append(e)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return w.Close()
+	return joinErr(StreamInto(ctx, w, src, src.Len()), w.Close())
 }
 
 // LoadAll reads an entire file into a memory buffer charged against the
@@ -74,17 +59,18 @@ func LoadAll(ctx *Ctx, f *File) ([]Elem, error) {
 }
 
 // StoreAll writes a memory buffer out as a fresh scratch file, costing
-// ceil(n/B) writes.
+// ceil(n/B) writes. On failure it releases the file.
 func StoreAll(ctx *Ctx, tag string, elems []Elem) (*File, error) {
 	f := ctx.Scratch(tag)
 	w, err := NewWriter(ctx, f)
+	if err == nil {
+		for _, e := range elems {
+			w.Append(e)
+		}
+		err = w.Close()
+	}
 	if err != nil {
-		return nil, err
-	}
-	for _, e := range elems {
-		w.Append(e)
-	}
-	if err := w.Close(); err != nil {
+		f.Release()
 		return nil, err
 	}
 	return f, nil

@@ -41,15 +41,15 @@ func selectBy(ctx *emio.Ctx, f *emio.File, k int64, pivoter func(*emio.Ctx, *emi
 		n := cur.Len()
 		if n <= int64(ctx.M()/3) {
 			buf, err := emio.LoadAll(ctx, cur)
-			if err != nil {
-				return emio.Elem{}, err
+			var e emio.Elem
+			if err == nil {
+				e = inmem.Select(buf, int(k))
+				ctx.FreeElems(buf)
 			}
-			e := inmem.Select(buf, int(k))
-			ctx.FreeElems(buf)
 			if owned {
 				cur.Release()
 			}
-			return e, nil
+			return e, err
 		}
 
 		rsp := ctx.StartSpan("emsel/round", emio.AttrInt("n", n))
@@ -91,6 +91,7 @@ func selectBy(ctx *emio.Ctx, f *emio.File, k int64, pivoter func(*emio.Ctx, *emi
 // BFPRT pivot, guaranteeing at least (3/10)n - O(1) elements on each side.
 func medianOfMedians(ctx *emio.Ctx, f *emio.File) (emio.Elem, error) {
 	sigma := ctx.Scratch("mom")
+	defer sigma.Release()
 	w, err := emio.NewWriter(ctx, sigma)
 	if err != nil {
 		return emio.Elem{}, err
@@ -126,9 +127,7 @@ func medianOfMedians(ctx *emio.Ctx, f *emio.File) (emio.Elem, error) {
 	if err := w.Close(); err != nil {
 		return emio.Elem{}, err
 	}
-	pivot, err := SelectDeterministic(ctx, sigma, (sigma.Len()+1)/2)
-	sigma.Release()
-	return pivot, err
+	return SelectDeterministic(ctx, sigma, (sigma.Len()+1)/2)
 }
 
 // randomPivot samples a few dozen elements by random block probes and returns
@@ -162,52 +161,63 @@ func randomPivot(ctx *emio.Ctx, f *emio.File) (emio.Elem, error) {
 // partitionAround splits f into the elements strictly less than and strictly
 // greater than pivot, counting the ones equal to it, in one scan.
 func partitionAround(ctx *emio.Ctx, f *emio.File, pivot emio.Elem) (less, greater *emio.File, lt, eq int64, err error) {
-	less = ctx.Scratch("lt")
-	greater = ctx.Scratch("gt")
-	wl, err := emio.NewWriter(ctx, less)
-	if err != nil {
+	less, greater = ctx.Scratch("lt"), ctx.Scratch("gt")
+	if lt, eq, err = splitAround(ctx, f, pivot, less, greater, nil); err != nil {
 		return nil, nil, 0, 0, err
-	}
-	wg, err := emio.NewWriter(ctx, greater)
-	if err != nil {
-		wl.Close()
-		return nil, nil, 0, 0, err
-	}
-	r, err := emio.NewReader(ctx, f)
-	if err != nil {
-		wl.Close()
-		wg.Close()
-		return nil, nil, 0, 0, err
-	}
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		switch emio.Compare(e, pivot) {
-		case -1:
-			wl.Append(e)
-			lt++
-		case 0:
-			eq++
-		default:
-			wg.Append(e)
-		}
-	}
-	rerr := r.Err()
-	r.Close()
-	if err := wl.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if err := wg.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if rerr != nil {
-		less.Release()
-		greater.Release()
-		return nil, nil, 0, 0, rerr
 	}
 	return less, greater, lt, eq, nil
+}
+
+// splitAround is the pivot split of partitionAround and SplitAtRank: one scan
+// of f that writes the elements below pivot to low and those above it to
+// high, and counts the ones below and the ones equal to it. pad, when not
+// nil, runs after the scan with both writers still open. The writers open
+// and close low first. On failure both files are released.
+func splitAround(ctx *emio.Ctx, f *emio.File, pivot emio.Elem, low, high *emio.File,
+	pad func(lt, eq int64, wl, wh *emio.Writer) error) (lt, eq int64, err error) {
+	defer func() {
+		if err != nil {
+			low.Release()
+			high.Release()
+		}
+	}()
+	wl, err := emio.NewWriter(ctx, low)
+	if err != nil {
+		return 0, 0, err
+	}
+	wh, err := emio.NewWriter(ctx, high)
+	if err != nil {
+		wl.Close()
+		return 0, 0, err
+	}
+	r, err := emio.NewReader(ctx, f)
+	if err == nil {
+		for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
+			for _, e := range c {
+				switch emio.Compare(e, pivot) {
+				case -1:
+					wl.Append(e)
+					lt++
+				case 0:
+					eq++
+				default:
+					wh.Append(e)
+				}
+			}
+		}
+		err = r.Err()
+		r.Close()
+	}
+	if err == nil && pad != nil {
+		err = pad(lt, eq, wl, wh)
+	}
+	if cerr := wl.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := wh.Close(); err == nil {
+		err = cerr
+	}
+	return lt, eq, err
 }
 
 // SplitAtRank divides f into the k smallest elements and the n-k remaining
@@ -247,51 +257,13 @@ func SplitAtRank(ctx *emio.Ctx, f *emio.File, k int64) (low, high *emio.File, bo
 		high.Release()
 		return nil, nil, emio.Elem{}, err
 	}
-	wl, err := emio.NewWriter(ctx, low)
-	if err != nil {
-		low.Release()
-		high.Release()
-		return nil, nil, emio.Elem{}, err
-	}
-	wh, err := emio.NewWriter(ctx, high)
-	if err != nil {
-		wl.Close()
-		low.Release()
-		high.Release()
-		return nil, nil, emio.Elem{}, err
-	}
-	r, err := emio.NewReader(ctx, f)
-	if err != nil {
-		wl.Close()
-		wh.Close()
-		low.Release()
-		high.Release()
-		return nil, nil, emio.Elem{}, err
-	}
-	// Records equal to the pivot are bit-identical to it, so they can be
-	// counted during the scan and materialised afterwards: low needs exactly
+	// Records equal to the pivot are bit-identical to it, so they are counted
+	// during the scan and materialised afterwards: low needs exactly
 	// k - #(<pivot) of them, which is unknown until the scan ends.
-	var lt, eq int64
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
+	_, _, err = splitAround(ctx, f, pivot, low, high, func(lt, eq int64, wl, wh *emio.Writer) error {
+		if lt >= k || lt+eq < k {
+			return fmt.Errorf("emsel: SplitAtRank inconsistent pivot (lt=%d eq=%d k=%d)", lt, eq, k)
 		}
-		switch emio.Compare(e, pivot) {
-		case -1:
-			wl.Append(e)
-			lt++
-		case 0:
-			eq++
-		default:
-			wh.Append(e)
-		}
-	}
-	rerr := r.Err()
-	if rerr == nil && (lt >= k || lt+eq < k) {
-		rerr = fmt.Errorf("emsel: SplitAtRank inconsistent pivot (lt=%d eq=%d k=%d)", lt, eq, k)
-	}
-	if rerr == nil {
 		for i := lt; i < lt+eq; i++ {
 			if i < k {
 				wl.Append(pivot)
@@ -299,18 +271,10 @@ func SplitAtRank(ctx *emio.Ctx, f *emio.File, k int64) (low, high *emio.File, bo
 				wh.Append(pivot)
 			}
 		}
-	}
-	r.Close()
-	if err := wl.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if err := wh.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if rerr != nil {
-		low.Release()
-		high.Release()
-		return nil, nil, emio.Elem{}, rerr
+		return nil
+	})
+	if err != nil {
+		return nil, nil, emio.Elem{}, err
 	}
 	return low, high, pivot, nil
 }

@@ -263,11 +263,12 @@ func SortCheckpointed(ctx *emio.Ctx, in *emio.File, ck *Checkpoint) (*emio.File,
 		for _, m := range ck.PassFiles {
 			f, err := d.AdoptFile(m, true)
 			if err != nil {
+				releaseAll(runs)
 				return nil, err
 			}
 			runs = append(runs, f)
 		}
-		return mergeCheckpointed(ctx, runs, ck, ck.LastPass+1)
+		return mergePasses(ctx, runs, 0, ck.LastPass+1, ck.commitPass(d))
 	}
 
 	// Run formation, possibly partial: adopt the journaled runs and resume
@@ -280,6 +281,7 @@ func SortCheckpointed(ctx *emio.Ctx, in *emio.File, ck *Checkpoint) (*emio.File,
 	for i := range ck.Runs {
 		f, err := d.AdoptFile(ck.Runs[i], true)
 		if err != nil {
+			releaseAll(runs)
 			return nil, err
 		}
 		runs = append(runs, f)
@@ -298,116 +300,43 @@ func SortCheckpointed(ctx *emio.Ctx, in *emio.File, ck *Checkpoint) (*emio.File,
 			}
 			return ck.writeRun(m)
 		})
-		if err != nil {
-			return nil, err
-		}
 		runs = append(runs, more...)
-		if err := ck.syncData(d); err != nil {
-			return nil, err
+		if err == nil {
+			err = ck.syncData(d)
 		}
-		if err := ck.writeRunsDone(); err != nil {
+		if err == nil {
+			err = ck.writeRunsDone()
+		}
+		if err != nil {
+			releaseAll(runs)
 			return nil, err
 		}
 	}
-	return mergeCheckpointed(ctx, runs, ck, 0)
+	return mergePasses(ctx, runs, 0, 0, ck.commitPass(d))
 }
 
-// mergeCheckpointed is the journaled twin of MergeAllWithFanIn: identical
-// logical merge structure, but each pass commits atomically — outputs are
-// synced and journaled as one pass record, and only then are the pass's
-// consumed inputs released. Runs carried unmerged into the next pass
-// (singleton tail groups) appear in the pass record too, so the record is
-// the complete run set of the next pass.
-func mergeCheckpointed(ctx *emio.Ctx, runs []*emio.File, ck *Checkpoint, startPass int) (*emio.File, error) {
-	d := ctx.Disk()
-	// finish commits the final output: sync the data, journal the done
-	// record, and only then release whatever the last pass consumed — the
-	// done record doubles as that pass's commit, saving a redundant
-	// sync+fsync pair on every job.
-	finish := func(out *emio.File, consumed []*emio.File) (*emio.File, error) {
-		m, err := out.Manifest()
-		if err != nil {
-			return nil, err
-		}
-		if err := ck.syncData(d); err != nil {
-			return nil, err
-		}
-		if err := ck.writeDone(m); err != nil {
-			return nil, err
-		}
-		for _, f := range consumed {
-			f.Release()
-		}
-		return out, nil
-	}
-	if len(runs) == 0 {
-		return finish(ctx.Scratch("sorted"), nil)
-	}
-	fan := mergeFanIn(ctx.M(), ctx.B())
-	pass := startPass
-	for len(runs) > 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		psp := ctx.StartSpan("extsort/merge-pass",
-			emio.AttrInt("pass", int64(pass)), emio.AttrInt("runs", int64(len(runs))), emio.AttrInt("fan", int64(fan)))
-		var next []*emio.File
-		for lo := 0; lo < len(runs); lo += fan {
-			group := runs[lo:min(lo+fan, len(runs))]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
-			}
-			merged, err := mergeGroup(ctx, group, mergeOpts{})
-			if err != nil {
-				psp.End()
-				return nil, err
-			}
-			next = append(next, merged)
-		}
-		if len(next) == 1 {
-			// Final pass: commit through the done record instead of a pass
-			// record; its inputs stay live until done is durable.
-			consumed := make([]*emio.File, 0, len(runs))
-			for _, f := range runs {
-				if f != next[0] {
-					consumed = append(consumed, f)
-				}
-			}
-			psp.End()
-			return finish(next[0], consumed)
-		}
-		// Commit the pass: sync outputs, journal their manifests as one
-		// record, and only then release the inputs this pass consumed.
+// commitPass is the merge loop's commit hook: it syncs a pass's outputs and
+// journals their manifests as one pass record, after which the loop releases
+// the pass's inputs. Runs carried unmerged into the next pass (a single-run
+// tail group) are in the record too, so the record is the complete run set of
+// the next pass. The final output commits through the done record instead,
+// saving a redundant sync+fsync pair on every job.
+func (ck *Checkpoint) commitPass(d *emio.Disk) func(pass int, next []*emio.File) error {
+	return func(pass int, next []*emio.File) error {
 		manifests := make([]emio.FileManifest, len(next))
 		for i, f := range next {
 			m, err := f.Manifest()
 			if err != nil {
-				psp.End()
-				return nil, err
+				return err
 			}
 			manifests[i] = m
 		}
 		if err := ck.syncData(d); err != nil {
-			psp.End()
-			return nil, err
+			return err
 		}
-		if err := ck.writePass(pass, manifests); err != nil {
-			psp.End()
-			return nil, err
+		if len(next) == 1 {
+			return ck.writeDone(manifests[0])
 		}
-		carried := make(map[*emio.File]bool, len(next))
-		for _, f := range next {
-			carried[f] = true
-		}
-		for _, f := range runs {
-			if !carried[f] {
-				f.Release()
-			}
-		}
-		psp.End()
-		runs = next
-		pass++
+		return ck.writePass(pass, manifests)
 	}
-	return finish(runs[0], nil)
 }

@@ -46,10 +46,15 @@ func FormRuns(ctx *emio.Ctx, in *emio.File) ([]*emio.File, error) {
 // formRuns is the run-formation engine behind FormRuns and the checkpointed
 // sort: it starts the input scan at block startBlk (resume skips the blocks
 // already consumed by journaled runs), and calls onRun after each run file is
-// fully written (the checkpoint layer journals a durable manifest there).
+// fully written (the checkpoint layer journals a durable manifest there). On
+// failure it releases every run it made, the one being written included.
 func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, onRun func(run *emio.File) error) (runs []*emio.File, err error) {
 	sp := ctx.StartSpan("extsort/form-runs", emio.AttrInt("n", in.Len()))
+	var made []*emio.File
 	defer func() {
+		if err != nil {
+			releaseAll(made)
+		}
 		sp.SetAttr("runs", int64(len(runs)))
 		sp.End()
 	}()
@@ -84,6 +89,7 @@ func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, onRun func(run *emio.F
 		chunk := buf[:fill]
 		inmem.ParallelSort(chunk, ctx.Config().Workers)
 		run := ctx.Scratch("run")
+		made = append(made, run)
 		w, err := emio.NewWriter(ctx, run)
 		if err != nil {
 			return nil, err
@@ -99,9 +105,8 @@ func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, onRun func(run *emio.F
 				return nil, err
 			}
 		}
-		runs = append(runs, run)
 	}
-	return runs, nil
+	return made, nil
 }
 
 // MergeAll repeatedly merges the given sorted runs with maximal fan-in until
@@ -116,53 +121,92 @@ func MergeAll(ctx *emio.Ctx, runs []*emio.File) (*emio.File, error) {
 // natural value adds merge passes; it exists for the lg_{M/B}-factor ablation
 // study, not for production use.
 func MergeAllWithFanIn(ctx *emio.Ctx, runs []*emio.File, maxFan int) (*emio.File, error) {
-	if len(runs) == 0 {
-		return ctx.Scratch("sorted"), nil
-	}
+	return mergePasses(ctx, runs, maxFan, 0, nil)
+}
+
+// mergePasses is the merge loop of Sort and of the checkpointed sort: it
+// merges the runs at the fan-in MergeAllWithFanIn takes from maxFan, pass
+// after pass, numbering the passes from pass, until one sorted file remains
+// (an empty file for no runs). The loop owns the runs: on failure it
+// releases every run and output it holds.
+//
+// Without a commit hook, each group's inputs are released as soon as the
+// group is merged. Under a disk budget they are also read with consuming
+// readers (each reclaimed block funds a block of merge output, dropping the
+// peak from ~3N to ~2N plus the consume lag), and the fan shrinks until the
+// transient unreclaimed window fits the remaining headroom. A narrower fan
+// means more passes, still within O((N/B) lg_{M/B}(N/B)): the degradation
+// trades time for footprint instead of failing.
+//
+// With a hook, a pass's inputs stay live until commit(pass, next) has made
+// the pass's outputs durable, and are released only then. The hook sees the
+// final output too (len(next) == 1), and is called once with the input
+// itself when that is one run or none.
+func mergePasses(ctx *emio.Ctx, runs []*emio.File, maxFan, pass int, commit func(pass int, next []*emio.File) error) (*emio.File, error) {
 	fan := mergeFanIn(ctx.M(), ctx.B())
 	if maxFan > 1 && maxFan < fan {
 		fan = maxFan
 	}
-	// Under a disk-byte budget the merge degrades instead of failing: input
-	// runs are read with consuming readers (each reclaimed block funds a
-	// block of merge output, dropping the peak from ~3N to ~2N plus the
-	// consume lag), and the fan-in shrinks until the transient unreclaimed
-	// window fits the remaining headroom. A narrower fan means more passes —
-	// still within the paper's O((N/B) lg_{M/B}(N/B)) bound, just with a
-	// larger lg base denominator — which is the intended graceful trade.
-	opt := mergeOpts{release: true}
-	if d := ctx.Disk(); d.DiskBudget() > 0 {
-		opt.consume = true
+	if len(runs) == 0 {
+		runs = []*emio.File{ctx.Scratch("sorted")}
 	}
-	pass := int64(0)
+	if len(runs) == 1 && commit != nil {
+		if err := commit(pass, runs); err != nil {
+			runs[0].Release()
+			return nil, err
+		}
+	}
+	opt := mergeOpts{release: commit == nil}
+	opt.consume = opt.release && ctx.Disk().DiskBudget() > 0
 	for len(runs) > 1 {
 		if err := ctx.Err(); err != nil {
+			releaseAll(runs)
 			return nil, err
 		}
 		if opt.consume {
 			fan = degradeFanIn(ctx.Disk(), fan)
 		}
 		psp := ctx.StartSpan("extsort/merge-pass",
-			emio.AttrInt("pass", pass), emio.AttrInt("runs", int64(len(runs))), emio.AttrInt("fan", int64(fan)))
+			emio.AttrInt("pass", int64(pass)), emio.AttrInt("runs", int64(len(runs))), emio.AttrInt("fan", int64(fan)))
 		var next []*emio.File
-		for lo := 0; lo < len(runs); lo += fan {
+		var err error
+		for lo := 0; lo < len(runs) && err == nil; lo += fan {
 			group := runs[lo:min(lo+fan, len(runs))]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
+			merged := group[0]
+			if len(group) > 1 {
+				merged, err = mergeGroup(ctx, group, opt)
 			}
-			merged, err := mergeGroup(ctx, group, opt)
-			if err != nil {
-				psp.End()
-				return nil, err
+			if err == nil {
+				next = append(next, merged)
 			}
-			next = append(next, merged)
+		}
+		if err == nil && commit != nil {
+			if err = commit(pass, next); err == nil {
+				// Only the last group can be a single run, carried into next.
+				for _, f := range runs {
+					if f != next[len(next)-1] {
+						f.Release()
+					}
+				}
+			}
 		}
 		psp.End()
+		if err != nil {
+			releaseAll(runs)
+			releaseAll(next)
+			return nil, err
+		}
 		runs = next
 		pass++
 	}
 	return runs[0], nil
+}
+
+// releaseAll releases every file of fs; released ones are skipped.
+func releaseAll(fs []*emio.File) {
+	for _, f := range fs {
+		f.Release()
+	}
 }
 
 // degradeFanIn shrinks the merge fan-in until the transient footprint of a
@@ -230,7 +274,7 @@ func Cost(n int64, m, b int) int64 {
 }
 
 // mergeOpts tunes one group merge. The default (zero) value neither releases
-// nor consumes its inputs — the checkpointed merge defers releases until the
+// nor consumes its inputs: the checkpointed merge defers releases until the
 // pass record is durable. The plain merge releases consumed groups eagerly,
 // and adds consuming readers under a disk budget.
 type mergeOpts struct {
@@ -239,7 +283,8 @@ type mergeOpts struct {
 }
 
 // mergeGroup merges the given sorted runs into one new file, releasing them
-// afterwards when opt.release is set.
+// afterwards when opt.release is set. On failure it releases its output and
+// leaves the runs to the caller.
 func mergeGroup(ctx *emio.Ctx, group []*emio.File, opt mergeOpts) (*emio.File, error) {
 	readers := make([]*emio.Reader, 0, len(group))
 	closeAll := func() {
@@ -272,6 +317,7 @@ func mergeGroup(ctx *emio.Ctx, group []*emio.File, opt mergeOpts) (*emio.File, e
 	w, err := emio.NewWriter(ctx, out)
 	if err != nil {
 		closeAll()
+		out.Release()
 		return nil, err
 	}
 	var n int64
@@ -284,18 +330,20 @@ func mergeGroup(ctx *emio.Ctx, group []*emio.File, opt mergeOpts) (*emio.File, e
 		n++
 	}
 	for _, r := range readers {
-		if err := r.Err(); err != nil {
-			closeAll()
-			w.Close()
-			return nil, err
+		if err = r.Err(); err != nil {
+			break
 		}
 	}
 	closeAll()
-	if err := w.Close(); err != nil {
-		return nil, err
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	if n != total {
-		return nil, fmt.Errorf("extsort: merged %d of %d elements", n, total)
+	if err == nil && n != total {
+		err = fmt.Errorf("extsort: merged %d of %d elements", n, total)
+	}
+	if err != nil {
+		out.Release()
+		return nil, err
 	}
 	if opt.release {
 		for _, f := range group {

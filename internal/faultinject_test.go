@@ -1,9 +1,11 @@
 // Package internal_test sweeps injected disk faults through every composite
 // algorithm: for a selection of fault points across the algorithm's I/O
 // trace, the corresponding read or write fails, and the algorithm must
-// return an error (never panic, never report success) and release every
-// charged byte of memory. This exercises the error paths that normal runs
-// never touch.
+// return an error (never panic, never report success), release every
+// charged byte of memory and leave no scratch file live. The sweep calls the
+// packages directly, below the facade's teardown guard, so each algorithm's
+// own error paths must clean up. This exercises the error paths that normal
+// runs never touch.
 package internal_test
 
 import (
@@ -91,6 +93,10 @@ func algos() []algo {
 			_, err := emsel.Select(ctx, f, int64(f.Len()/2))
 			return err
 		}},
+		{"emsel.SelectDeterministic", 4000, func(ctx *emio.Ctx, f *emio.File) error {
+			_, err := emsel.SelectDeterministic(ctx, f, int64(f.Len()/2))
+			return err
+		}},
 		{"emsel.SplitAtRank", 4000, func(ctx *emio.Ctx, f *emio.File) error {
 			low, high, _, err := emsel.SplitAtRank(ctx, f, f.Len()/3)
 			if err == nil {
@@ -122,6 +128,14 @@ func algos() []algo {
 		}},
 		{"core.Splitters.left", 1 << 14, func(ctx *emio.Ctx, f *emio.File) error {
 			out, err := core.Splitters(ctx, f, core.Params{K: 8, A: 0, B: f.Len() / 8})
+			if err == nil {
+				out.Release()
+			}
+			return err
+		}},
+		// K' = 8 selected splitters of 64: the padding scan runs.
+		{"core.Splitters.left-padded", 1 << 14, func(ctx *emio.Ctx, f *emio.File) error {
+			out, err := core.Splitters(ctx, f, core.Params{K: 64, A: 0, B: f.Len() / 8})
 			if err == nil {
 				out.Release()
 			}
@@ -220,6 +234,9 @@ func TestReadFaultsSurfaceCleanly(t *testing.T) {
 					if used := ctx.Mem().Used(); used != 0 {
 						t.Errorf("read fault at %d/%d: leaked %d elements of memory", point, reads, used)
 					}
+					if live := ctx.Disk().LiveScratchFiles(); len(live) != 0 {
+						t.Errorf("read fault at %d/%d: leaked scratch files %v", point, reads, live)
+					}
 					close()
 					emio.RequireNoGoroutineLeaks(t, baseGoroutines)
 				}
@@ -268,6 +285,9 @@ func TestWriteFaultsSurfaceCleanly(t *testing.T) {
 					}
 					if used := ctx.Mem().Used(); used != 0 {
 						t.Errorf("write fault at %d/%d: leaked %d elements of memory", point, writes, used)
+					}
+					if live := ctx.Disk().LiveScratchFiles(); len(live) != 0 {
+						t.Errorf("write fault at %d/%d: leaked scratch files %v", point, writes, live)
 					}
 					close()
 					emio.RequireNoGoroutineLeaks(t, baseGoroutines)

@@ -97,53 +97,23 @@ func EquiDepth(ctx *emio.Ctx, f *emio.File, k int, lo, hi float64) ([]Bucket, er
 	inmem.Sort(sp)
 
 	csp := ctx.StartSpan("histogram/count")
-	buckets, maxElem, err := countBuckets(ctx, f, sp)
+	counts, top, err := emio.CountBuckets(ctx, f, sp)
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
+	defer ctx.FreeInts(counts)
 	out := make([]Bucket, k)
 	for i := 0; i < k-1; i++ {
-		out[i] = Bucket{Upper: sp[i], Count: buckets[i]}
+		out[i] = Bucket{Upper: sp[i], Count: counts[i]}
 	}
-	out[k-1] = Bucket{Upper: maxElem, Count: buckets[k-1]}
+	// The last boundary is the maximum of f: the last bucket's top, or, when
+	// that bucket is empty, the largest splitter (splitters are elements of f).
+	if counts[k-1] == 0 {
+		top = sp[k-2]
+	}
+	out[k-1] = Bucket{Upper: top, Count: counts[k-1]}
 	return out, nil
-}
-
-// countBuckets counts the elements per splitter-induced bucket in one scan,
-// also tracking the overall maximum (the last bucket's boundary). sp must be
-// ascending; duplicates (possible with eps-padding on skewed data) are
-// tolerated by the search.
-func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, emio.Elem, error) {
-	counts, err := ctx.AllocInts(len(sp) + 1)
-	if err != nil {
-		return nil, emio.Elem{}, err
-	}
-	defer ctx.FreeInts(counts)
-	r, err := emio.NewReader(ctx, f)
-	if err != nil {
-		return nil, emio.Elem{}, err
-	}
-	defer r.Close()
-	var maxE emio.Elem
-	first := true
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		if first || emio.Less(maxE, e) {
-			maxE = e
-			first = false
-		}
-		counts[emio.Bucket(sp, e)]++
-	}
-	if err := r.Err(); err != nil {
-		return nil, emio.Elem{}, err
-	}
-	out := make([]int64, len(counts))
-	copy(out, counts)
-	return out, maxE, nil
 }
 
 // Depths extracts just the counts, for assertions and reporting.

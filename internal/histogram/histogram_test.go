@@ -172,3 +172,25 @@ func TestDepths(t *testing.T) {
 		t.Errorf("Depths = %v", d)
 	}
 }
+
+// TestEquiDepthEmptyLastBucket: on descending input the left-grounded
+// splitters pad with the first elements of the file, the maximum among
+// them, so the last bucket is empty; its boundary is still the maximum.
+func TestEquiDepthEmptyLastBucket(t *testing.T) {
+	ctx := mustCtx(t, 256, 8)
+	in := make([]emio.Elem, 64)
+	for i := range in {
+		in[i] = emio.Elem{Key: int64(len(in) - i), Aux: int64(i)}
+	}
+	f := emio.BuildFile(ctx.Disk(), "desc", in)
+	buckets, err := EquiDepth(ctx, f, 8, 1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := buckets[len(buckets)-1]; last.Count != 0 || last.Upper != in[0] {
+		t.Fatalf("last bucket %+v, want an empty bucket bounded by the maximum %v", last, in[0])
+	}
+	if used := ctx.Mem().Used(); used != 0 {
+		t.Errorf("accountant holds %d elements", used)
+	}
+}

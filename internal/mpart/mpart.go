@@ -134,7 +134,7 @@ func distribute(ctx *emio.Ctx, chunk *emio.File, owned bool, bnd *emio.File, w *
 	}()
 	// No boundary: the chunk lies entirely inside one target partition.
 	if bnd.Len() == 0 {
-		return streamOut(ctx, chunk, w)
+		return emio.StreamInto(ctx, w, chunk, chunk.Len())
 	}
 	// Base case: finish in memory (a sorted chunk satisfies any boundaries).
 	if chunk.Len() <= int64(ctx.M()/3) {
@@ -162,8 +162,15 @@ func distribute(ctx *emio.Ctx, chunk *emio.File, owned bool, bnd *emio.File, w *
 	if err != nil {
 		return err
 	}
+	// Scatter charges only its stream buffers; fanOut's budget also holds
+	// the bucket sizes, charged here for the length of the scatter.
 	ssp := ctx.StartSpan("mpart/scatter", emio.AttrInt("fan", int64(len(pivots)+1)))
-	buckets, counts, err := scatter(ctx, chunk, pivots)
+	var buckets []*emio.File
+	var counts []int64
+	if err = ctx.Mem().Charge(int64(len(pivots) + 1)); err == nil {
+		buckets, counts, err = emio.Scatter(ctx, chunk, pivots, "bucket")
+		ctx.Mem().Credit(int64(len(pivots) + 1))
+	}
 	ssp.End()
 	ctx.FreeElems(pivots)
 	if err != nil {
@@ -194,26 +201,6 @@ func distribute(ctx *emio.Ctx, chunk *emio.File, owned bool, bnd *emio.File, w *
 		buckets[j] = nil
 	}
 	return nil
-}
-
-// streamOut appends every element of chunk to w.
-func streamOut(ctx *emio.Ctx, chunk *emio.File, w *emio.Writer) error {
-	r, err := emio.NewReader(ctx, chunk)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		w.Append(e)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return w.Err()
 }
 
 // fanOut picks the distribution width f: the scatter phase holds f writer
@@ -299,71 +286,6 @@ func samplePivots(ctx *emio.Ctx, chunk *emio.File) ([]emio.Elem, error) {
 		return trimmed, nil
 	}
 	return pivots, nil
-}
-
-// scatter streams the chunk into len(pivots)+1 bucket files (bucket j is the
-// interval (pivots[j-1], pivots[j]] of the total order) and returns the
-// buckets with their sizes.
-func scatter(ctx *emio.Ctx, chunk *emio.File, pivots []emio.Elem) ([]*emio.File, []int64, error) {
-	nb := len(pivots) + 1
-	buckets := make([]*emio.File, nb)
-	writers := make([]*emio.Writer, nb)
-	counts := make([]int64, nb)
-	cleanup := func() {
-		for _, w := range writers {
-			if w != nil {
-				w.Close()
-			}
-		}
-		for _, b := range buckets {
-			if b != nil {
-				b.Release()
-			}
-		}
-	}
-	if err := ctx.Mem().Charge(int64(nb)); err != nil { // counters
-		return nil, nil, err
-	}
-	defer ctx.Mem().Credit(int64(nb))
-	for j := 0; j < nb; j++ {
-		buckets[j] = ctx.Scratch("bucket")
-		w, err := emio.NewWriter(ctx, buckets[j])
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		writers[j] = w
-	}
-	r, err := emio.NewReader(ctx, chunk)
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	var idx [emio.Lanes]int
-	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
-		for len(c) > 0 {
-			batch := c[:min(len(c), emio.Lanes)]
-			c = c[len(batch):]
-			emio.Classify(pivots, batch, idx[:])
-			for i, e := range batch {
-				writers[idx[i]].Append(e)
-				counts[idx[i]]++
-			}
-		}
-	}
-	rerr := r.Err()
-	r.Close()
-	for j, w := range writers {
-		if err := w.Close(); err != nil && rerr == nil {
-			rerr = err
-		}
-		writers[j] = nil
-	}
-	if rerr != nil {
-		cleanup()
-		return nil, nil, rerr
-	}
-	return buckets, counts, nil
 }
 
 // routeBoundaries splits the ascending boundary-rank file into one file per
