@@ -63,10 +63,11 @@ parity:
 
 # The fault matrix under the race detector: injected transient/permanent
 # faults and bit-flip corruption across {mem, file, file+uring}, retry
-# on/off, plus the per-algorithm fault sweep and the shared scans' fault
-# test, which check that a failed call leaks no memory charge, no scratch
-# file and no goroutine, and the I/O engine's deferred-error and
-# one-transfer-per-block injector tests.
+# on/off, plus the per-algorithm sweeps, which fail reads, writes and
+# memory charges, and the shared scans' fault test, which check that a
+# failed call leaks no memory charge, no scratch file and no goroutine,
+# and the I/O engine's deferred-error and one-transfer-per-block injector
+# tests.
 fault:
 	$(GO) test -race -count=1 -run 'Fault|Resilien|Corrupt|Retry|Checksum|Backoff|Sticky|Injector|StagedWrite|AsyncWriteError' . ./internal ./internal/emio
 

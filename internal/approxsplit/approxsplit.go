@@ -250,36 +250,24 @@ func bernoulliSample(ctx *emio.Ctx, f *emio.File, target int64) (*emio.File, err
 	if p > 1 {
 		p = 1
 	}
-	out := ctx.Scratch("sample")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		return nil, err
-	}
-	r, err := emio.NewReader(ctx, f)
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	rng := ctx.Rng()
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
+	return emio.WriteScratch(ctx, "sample", func(w *emio.Writer) error {
+		r, err := emio.NewReader(ctx, f)
+		if err != nil {
+			return err
 		}
-		if rng.Float64() < p {
-			w.Append(e)
+		defer r.Close()
+		rng := ctx.Rng()
+		for {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			if rng.Float64() < p {
+				w.Append(e)
+			}
 		}
-	}
-	rerr := r.Err()
-	r.Close()
-	if err := w.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if rerr != nil {
-		out.Release()
-		return nil, rerr
-	}
-	return out, nil
+		return r.Err()
+	})
 }
 
 // sortedSample sorts the sample file, in memory when it fits in M/3 and by

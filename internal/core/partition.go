@@ -69,21 +69,14 @@ func partitionRight(ctx *emio.Ctx, f *emio.File, p Params) (*PartitionResult, er
 	if err != nil {
 		return nil, err
 	}
-	out := ctx.Scratch("partition")
-	w, err := emio.NewWriter(ctx, out)
+	defer parted.Release()
+	out, err := emio.WriteScratch(ctx, "partition", func(w *emio.Writer) error {
+		if err := appendFile(ctx, w, parted); err != nil {
+			return err
+		}
+		return emio.StreamInto(ctx, w, high, high.Len())
+	})
 	if err != nil {
-		parted.Release()
-		return nil, err
-	}
-	err = appendFile(ctx, w, parted)
-	if err == nil {
-		err = emio.StreamInto(ctx, w, high, high.Len())
-	}
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		out.Release()
 		return nil, err
 	}
 	return &PartitionResult{Data: out, Sizes: sizes}, nil
@@ -163,29 +156,19 @@ func partitionTwoSided(ctx *emio.Ctx, f *emio.File, p Params) (*PartitionResult,
 	if err != nil {
 		return nil, err
 	}
+	defer lowPart.Release()
 	highPart, err := mpart.Partition(ctx, high, sizes[kp:])
 	if err != nil {
-		lowPart.Release()
 		return nil, err
 	}
-	out := ctx.Scratch("partition")
-	w, err := emio.NewWriter(ctx, out)
+	defer highPart.Release()
+	out, err := emio.WriteScratch(ctx, "partition", func(w *emio.Writer) error {
+		if err := appendFile(ctx, w, lowPart); err != nil {
+			return err
+		}
+		return appendFile(ctx, w, highPart)
+	})
 	if err != nil {
-		lowPart.Release()
-		highPart.Release()
-		return nil, err
-	}
-	err = appendFile(ctx, w, lowPart)
-	if err == nil {
-		err = appendFile(ctx, w, highPart)
-	} else {
-		highPart.Release()
-	}
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		out.Release()
 		return nil, err
 	}
 	return &PartitionResult{Data: out, Sizes: sizes}, nil

@@ -46,102 +46,92 @@ func PrecisePartitionViaApprox(ctx *emio.Ctx, f *emio.File, b int64) (*emio.File
 	// over. Each step costs O(b/B), so the whole pass is O(N/B).
 	rsp := ctx.StartSpan("core/rechunk", emio.AttrInt("k", k))
 	defer rsp.End()
-	out := ctx.Scratch("precise")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(e error) (*emio.File, error) {
-		w.Close()
-		out.Release()
-		return nil, e
-	}
+	out, err := emio.WriteScratch(ctx, "precise", func(w *emio.Writer) error {
+		r, err := emio.NewReader(ctx, approx.Data)
+		if err != nil {
+			return err
+		}
+		defer r.Close()
 
-	r, err := emio.NewReader(ctx, approx.Data)
-	if err != nil {
-		return fail(err)
-	}
-	defer r.Close()
-
-	rem := ctx.Scratch("R") // the rolling remainder
-	remW, err := emio.NewWriter(ctx, rem)
-	if err != nil {
-		return fail(err)
-	}
-	for _, sz := range approx.Sizes {
-		for j := int64(0); j < sz; j++ {
-			e, ok := r.Next()
-			if !ok {
-				remW.Close()
-				rem.Release()
-				if err := r.Err(); err != nil {
-					return fail(err)
-				}
-				return fail(fmt.Errorf("core: approximate output exhausted early"))
-			}
-			remW.Append(e)
-		}
-		if err := remW.Err(); err != nil {
-			remW.Close()
-			rem.Release()
-			return fail(err)
-		}
-		// Flush R and split off full partitions of size b.
-		if err := remW.Close(); err != nil {
-			rem.Release()
-			return fail(err)
-		}
-		for rem.Len() > b {
-			low, high, _, err := splitRemainder(ctx, rem, b)
-			rem.Release()
-			if err != nil {
-				return fail(err)
-			}
-			if err := appendFile(ctx, w, low); err != nil {
-				high.Release()
-				return fail(err)
-			}
-			rem = high
-		}
-		// Reopen R for appending. When R ends in a partial block it must be
-		// rebuilt through a fresh file (|R| <= b elements, O(b/B) I/Os);
-		// block-aligned R (including empty) is reopened in place.
-		if rem.Len()%int64(ctx.B()) == 0 {
-			remW, err = emio.NewWriter(ctx, rem)
-			if err != nil {
-				rem.Release()
-				return fail(err)
-			}
-			continue
-		}
-		fresh := ctx.Scratch("R")
-		remW, err = emio.NewWriter(ctx, fresh)
+		rem := ctx.Scratch("R") // the rolling remainder
+		remW, err := emio.NewWriter(ctx, rem)
 		if err != nil {
 			rem.Release()
-			return fail(err)
+			return err
 		}
-		if err := emio.StreamInto(ctx, remW, rem, rem.Len()); err != nil {
-			remW.Close()
+		for _, sz := range approx.Sizes {
+			for j := int64(0); j < sz; j++ {
+				e, ok := r.Next()
+				if !ok {
+					remW.Close()
+					rem.Release()
+					if err := r.Err(); err != nil {
+						return err
+					}
+					return fmt.Errorf("core: approximate output exhausted early")
+				}
+				remW.Append(e)
+			}
+			if err := remW.Err(); err != nil {
+				remW.Close()
+				rem.Release()
+				return err
+			}
+			// Flush R and split off full partitions of size b.
+			if err := remW.Close(); err != nil {
+				rem.Release()
+				return err
+			}
+			for rem.Len() > b {
+				low, high, _, err := splitRemainder(ctx, rem, b)
+				rem.Release()
+				if err != nil {
+					return err
+				}
+				if err := appendFile(ctx, w, low); err != nil {
+					high.Release()
+					return err
+				}
+				rem = high
+			}
+			// Reopen R for appending. When R ends in a partial block it must be
+			// rebuilt through a fresh file (|R| <= b elements, O(b/B) I/Os);
+			// block-aligned R (including empty) is reopened in place.
+			if rem.Len()%int64(ctx.B()) == 0 {
+				remW, err = emio.NewWriter(ctx, rem)
+				if err != nil {
+					rem.Release()
+					return err
+				}
+				continue
+			}
+			fresh := ctx.Scratch("R")
+			remW, err = emio.NewWriter(ctx, fresh)
+			if err != nil {
+				rem.Release()
+				fresh.Release()
+				return err
+			}
+			if err := emio.StreamInto(ctx, remW, rem, rem.Len()); err != nil {
+				remW.Close()
+				rem.Release()
+				fresh.Release()
+				return err
+			}
 			rem.Release()
-			fresh.Release()
-			return fail(err)
+			rem = fresh
 		}
-		rem.Release()
-		rem = fresh
-	}
-	if err := remW.Close(); err != nil {
-		rem.Release()
-		return fail(err)
-	}
-	if rem.Len() > 0 { // the final, possibly short partition
-		if err := appendFile(ctx, w, rem); err != nil {
-			return fail(err)
+		if err := remW.Close(); err != nil {
+			rem.Release()
+			return err
 		}
-	} else {
-		rem.Release()
-	}
-	if err := w.Close(); err != nil {
-		out.Release()
+		if rem.Len() == 0 {
+			rem.Release()
+			return nil
+		}
+		return appendFile(ctx, w, rem) // the final, possibly short partition
+	})
+	if err != nil {
 		return nil, err
 	}
 	if out.Len() != n {

@@ -109,55 +109,45 @@ func padDistinct(ctx *emio.Ctx, f *emio.File, base *emio.File, need int64) (*emi
 		return nil, err
 	}
 	defer ctx.FreeElems(have)
-	out := ctx.Scratch("splitters")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range have {
-		w.Append(e)
-	}
-	r, err := emio.NewReader(ctx, f)
-	if err != nil {
-		w.Close()
-		out.Release()
-		return nil, err
-	}
-	var idx [emio.Lanes]int
-	for need > 0 {
-		c := r.Chunk()
-		if len(c) == 0 {
-			break
+	return emio.WriteScratch(ctx, "splitters", func(w *emio.Writer) error {
+		for _, e := range have {
+			w.Append(e)
 		}
-		for len(c) > 0 && need > 0 {
-			// At most need elements per batch: each appends at most one
-			// splitter, so the scan examines exactly the elements a
-			// one-at-a-time loop would.
-			batch := c[:min(int64(len(c)), emio.Lanes, need)]
-			c = c[len(batch):]
-			emio.Classify(have, batch, idx[:])
-			for i, e := range batch {
-				if j := idx[i]; j < len(have) && have[j] == e {
-					continue // already a splitter
+		r, err := emio.NewReader(ctx, f)
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		var idx [emio.Lanes]int
+		for need > 0 {
+			c := r.Chunk()
+			if len(c) == 0 {
+				break
+			}
+			for len(c) > 0 && need > 0 {
+				// At most need elements per batch: each appends at most one
+				// splitter, so the scan examines exactly the elements a
+				// one-at-a-time loop would.
+				batch := c[:min(int64(len(c)), emio.Lanes, need)]
+				c = c[len(batch):]
+				emio.Classify(have, batch, idx[:])
+				for i, e := range batch {
+					if j := idx[i]; j < len(have) && have[j] == e {
+						continue // already a splitter
+					}
+					w.Append(e)
+					need--
 				}
-				w.Append(e)
-				need--
 			}
 		}
-	}
-	rerr := r.Err()
-	r.Close()
-	if err := w.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if rerr == nil && need > 0 {
-		rerr = fmt.Errorf("core: input exhausted with %d padding splitters missing", need)
-	}
-	if rerr != nil {
-		out.Release()
-		return nil, rerr
-	}
-	return out, nil
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if need > 0 {
+			return fmt.Errorf("core: input exhausted with %d padding splitters missing", need)
+		}
+		return nil
+	})
 }
 
 // splittersLeftViaSort handles the heavily padded left-grounded case by
@@ -172,47 +162,37 @@ func splittersLeftViaSort(ctx *emio.Ctx, f *emio.File, k, b, kp int64) (*emio.Fi
 		return nil, err
 	}
 	defer sorted.Release()
-	out := ctx.Scratch("splitters")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		return nil, err
-	}
-	r, err := emio.NewReader(ctx, sorted)
-	if err != nil {
-		w.Close()
-		out.Release()
-		return nil, err
-	}
-	emitted, extras := int64(0), k-kp
-	rank := int64(0)
-	for emitted < k-1 {
-		e, ok := r.Next()
-		if !ok {
-			break
+	return emio.WriteScratch(ctx, "splitters", func(w *emio.Writer) error {
+		r, err := emio.NewReader(ctx, sorted)
+		if err != nil {
+			return err
 		}
-		rank++
-		if rank%b == 0 && rank/b <= kp-1 {
-			w.Append(e) // a selected splitter
-			emitted++
-		} else if extras > 0 {
-			w.Append(e) // a padding splitter
-			extras--
-			emitted++
+		defer r.Close()
+		emitted, extras := int64(0), k-kp
+		rank := int64(0)
+		for emitted < k-1 {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			rank++
+			if rank%b == 0 && rank/b <= kp-1 {
+				w.Append(e) // a selected splitter
+				emitted++
+			} else if extras > 0 {
+				w.Append(e) // a padding splitter
+				extras--
+				emitted++
+			}
 		}
-	}
-	rerr := r.Err()
-	r.Close()
-	if err := w.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if rerr == nil && emitted != k-1 {
-		rerr = fmt.Errorf("core: sorted pass emitted %d of %d splitters", emitted, k-1)
-	}
-	if rerr != nil {
-		out.Release()
-		return nil, rerr
-	}
-	return out, nil
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if emitted != k-1 {
+			return fmt.Errorf("core: sorted pass emitted %d of %d splitters", emitted, k-1)
+		}
+		return nil
+	})
 }
 
 // splittersTwoSided implements the 0 < a, b < N case in
@@ -267,29 +247,15 @@ func splittersTwoSided(ctx *emio.Ctx, f *emio.File, p Params) (*emio.File, error
 		lows.Release()
 		return nil, err
 	}
-
-	out := ctx.Scratch("splitters")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		lows.Release()
-		highs.Release()
-		return nil, err
-	}
-	err = appendFile(ctx, w, lows)
-	if err == nil {
+	defer lows.Release()
+	defer highs.Release()
+	return emio.WriteScratch(ctx, "splitters", func(w *emio.Writer) error {
+		if err := appendFile(ctx, w, lows); err != nil {
+			return err
+		}
 		w.Append(sKp)
-		err = appendFile(ctx, w, highs)
-	} else {
-		highs.Release()
-	}
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		out.Release()
-		return nil, err
-	}
-	return out, nil
+		return appendFile(ctx, w, highs)
+	})
 }
 
 // takePrefix copies the first k elements of f into a new file, costing
@@ -300,19 +266,5 @@ func takePrefix(ctx *emio.Ctx, f *emio.File, k int64) (*emio.File, error) {
 	}
 	sp := ctx.StartSpan("core/take-prefix", emio.AttrInt("k", k))
 	defer sp.End()
-	out := ctx.Scratch("prefix")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		out.Release()
-		return nil, err
-	}
-	err = emio.StreamInto(ctx, w, f, k)
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		out.Release()
-		return nil, err
-	}
-	return out, nil
+	return emio.WriteScratch(ctx, "prefix", func(w *emio.Writer) error { return emio.StreamInto(ctx, w, f, k) })
 }

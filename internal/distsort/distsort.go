@@ -25,18 +25,10 @@ import (
 func Sort(ctx *emio.Ctx, in *emio.File) (*emio.File, error) {
 	sp := ctx.StartSpan("distsort/sort", emio.AttrInt("n", in.Len()))
 	defer sp.End()
-	out := ctx.Scratch("distsorted")
-	w, err := emio.NewWriter(ctx, out)
+	out, err := emio.WriteScratch(ctx, "distsorted", func(w *emio.Writer) error {
+		return sortInto(ctx, in, false, w)
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := sortInto(ctx, in, false, w); err != nil {
-		w.Close()
-		out.Release()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		out.Release()
 		return nil, err
 	}
 	if out.Len() != in.Len() {

@@ -2,15 +2,31 @@ package emio
 
 import "fmt"
 
+// WriteScratch produces a single-writer scratch output: it creates a scratch
+// file tagged tag, opens a writer on it, runs fill and closes the writer. On
+// any failure it releases the file, so the caller owns the file exactly when
+// WriteScratch returns it. The first error wins: when fill fails, the error
+// of the Close that follows is dropped.
+func WriteScratch(ctx *Ctx, tag string, fill func(*Writer) error) (*File, error) {
+	f := ctx.Scratch(tag)
+	w, err := NewWriter(ctx, f)
+	if err == nil {
+		err = fill(w)
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		f.Release()
+		return nil, err
+	}
+	return f, nil
+}
+
 // Copy streams src into a fresh scratch file and returns it, at a cost of one
 // scan: ceil(n/B) reads + ceil(n/B) writes. On failure it releases the copy.
 func Copy(ctx *Ctx, src *File) (*File, error) {
-	dst := ctx.Scratch("copy")
-	if err := AppendAll(ctx, dst, src); err != nil {
-		dst.Release()
-		return nil, err
-	}
-	return dst, nil
+	return WriteScratch(ctx, "copy", func(w *Writer) error { return StreamInto(ctx, w, src, src.Len()) })
 }
 
 // AppendAll streams every element of src onto the end of dst.
@@ -61,19 +77,12 @@ func LoadAll(ctx *Ctx, f *File) ([]Elem, error) {
 // StoreAll writes a memory buffer out as a fresh scratch file, costing
 // ceil(n/B) writes. On failure it releases the file.
 func StoreAll(ctx *Ctx, tag string, elems []Elem) (*File, error) {
-	f := ctx.Scratch(tag)
-	w, err := NewWriter(ctx, f)
-	if err == nil {
+	return WriteScratch(ctx, tag, func(w *Writer) error {
 		for _, e := range elems {
 			w.Append(e)
 		}
-		err = w.Close()
-	}
-	if err != nil {
-		f.Release()
-		return nil, err
-	}
-	return f, nil
+		return nil
+	})
 }
 
 // SplitFile cuts f into consecutive segments of the given sizes (which must

@@ -90,43 +90,39 @@ func selectBy(ctx *emio.Ctx, f *emio.File, k int64, pivoter func(*emio.Ctx, *emi
 // scratch file, and recursively selects that file's median: the standard
 // BFPRT pivot, guaranteeing at least (3/10)n - O(1) elements on each side.
 func medianOfMedians(ctx *emio.Ctx, f *emio.File) (emio.Elem, error) {
-	sigma := ctx.Scratch("mom")
-	defer sigma.Release()
-	w, err := emio.NewWriter(ctx, sigma)
-	if err != nil {
-		return emio.Elem{}, err
-	}
-	r, err := emio.NewReader(ctx, f)
-	if err != nil {
-		w.Close()
-		return emio.Elem{}, err
-	}
-	var grp [5]emio.Elem
-	g := 0
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
+	sigma, err := emio.WriteScratch(ctx, "mom", func(w *emio.Writer) error {
+		r, err := emio.NewReader(ctx, f)
+		if err != nil {
+			return err
 		}
-		grp[g] = e
-		g++
-		if g == 5 {
-			w.Append(inmem.MedianOfFive(grp[:]))
-			g = 0
+		var grp [5]emio.Elem
+		g := 0
+		for {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			grp[g] = e
+			g++
+			if g == 5 {
+				w.Append(inmem.MedianOfFive(grp[:]))
+				g = 0
+			}
 		}
-	}
-	if err := r.Err(); err != nil {
+		err = r.Err()
 		r.Close()
-		w.Close()
+		if err != nil {
+			return err
+		}
+		if g > 0 {
+			w.Append(inmem.MedianOfFive(grp[:g]))
+		}
+		return nil
+	})
+	if err != nil {
 		return emio.Elem{}, err
 	}
-	r.Close()
-	if g > 0 {
-		w.Append(inmem.MedianOfFive(grp[:g]))
-	}
-	if err := w.Close(); err != nil {
-		return emio.Elem{}, err
-	}
+	defer sigma.Release()
 	return SelectDeterministic(ctx, sigma, (sigma.Len()+1)/2)
 }
 

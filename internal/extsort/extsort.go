@@ -88,18 +88,11 @@ func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, onRun func(run *emio.F
 		}
 		chunk := buf[:fill]
 		inmem.ParallelSort(chunk, ctx.Config().Workers)
-		run := ctx.Scratch("run")
-		made = append(made, run)
-		w, err := emio.NewWriter(ctx, run)
+		run, err := emio.StoreAll(ctx, "run", chunk)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range chunk {
-			w.Append(e)
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
+		made = append(made, run)
 		if onRun != nil {
 			if err := onRun(run); err != nil {
 				return nil, err
@@ -313,36 +306,31 @@ func mergeGroup(ctx *emio.Ctx, group []*emio.File, opt mergeOpts) (*emio.File, e
 		return nil, err
 	}
 	defer m.Close()
-	out := ctx.Scratch("merge")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
+	defer closeAll()
+	out, err := emio.WriteScratch(ctx, "merge", func(w *emio.Writer) error {
+		var n int64
+		for {
+			e, ok := m.Next()
+			if !ok {
+				break
+			}
+			w.Append(e)
+			n++
+		}
+		for _, r := range readers {
+			if err := r.Err(); err != nil {
+				return err
+			}
+		}
+		// Return the read buffers before the output's final flush; the
+		// deferred closeAll covers the failures.
 		closeAll()
-		out.Release()
-		return nil, err
-	}
-	var n int64
-	for {
-		e, ok := m.Next()
-		if !ok {
-			break
+		if n != total {
+			return fmt.Errorf("extsort: merged %d of %d elements", n, total)
 		}
-		w.Append(e)
-		n++
-	}
-	for _, r := range readers {
-		if err = r.Err(); err != nil {
-			break
-		}
-	}
-	closeAll()
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && n != total {
-		err = fmt.Errorf("extsort: merged %d of %d elements", n, total)
-	}
+		return nil
+	})
 	if err != nil {
-		out.Release()
 		return nil, err
 	}
 	if opt.release {

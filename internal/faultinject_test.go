@@ -1,11 +1,12 @@
-// Package internal_test sweeps injected disk faults through every composite
+// Package internal_test sweeps injected faults through every composite
 // algorithm: for a selection of fault points across the algorithm's I/O
-// trace, the corresponding read or write fails, and the algorithm must
-// return an error (never panic, never report success), release every
-// charged byte of memory and leave no scratch file live. The sweep calls the
-// packages directly, below the facade's teardown guard, so each algorithm's
-// own error paths must clean up. This exercises the error paths that normal
-// runs never touch.
+// trace the corresponding read or write fails, and for a sweep of
+// pre-charged memory the allocation that crosses the budget fails. The
+// algorithm must return an error (never panic, never report success),
+// release every byte of memory it charged and leave no scratch file live.
+// The sweep calls the packages directly, below the facade's teardown
+// guard, so each algorithm's own error paths must clean up. This exercises
+// the error paths that normal runs never touch.
 package internal_test
 
 import (
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/distsort"
 	"repro/internal/emio"
 	"repro/internal/emsel"
 	"repro/internal/extsort"
@@ -155,6 +157,13 @@ func algos() []algo {
 			}
 			return err
 		}},
+		{"core.Partition.twosided", 1 << 13, func(ctx *emio.Ctx, f *emio.File) error {
+			res, err := core.Partition(ctx, f, core.Params{K: 8, A: 64, B: f.Len() / 4})
+			if err == nil {
+				res.Release()
+			}
+			return err
+		}},
 		{"core.Partition.left", 1 << 13, func(ctx *emio.Ctx, f *emio.File) error {
 			res, err := core.Partition(ctx, f, core.Params{K: 8, A: 0, B: f.Len() / 4})
 			if err == nil {
@@ -164,6 +173,13 @@ func algos() []algo {
 		}},
 		{"core.PrecisePartition", 1 << 13, func(ctx *emio.Ctx, f *emio.File) error {
 			out, err := core.PrecisePartitionViaApprox(ctx, f, f.Len()/8)
+			if err == nil {
+				out.Release()
+			}
+			return err
+		}},
+		{"distsort", 1 << 14, func(ctx *emio.Ctx, f *emio.File) error {
+			out, err := distsort.Sort(ctx, f)
 			if err == nil {
 				out.Release()
 			}
@@ -294,6 +310,49 @@ func TestWriteFaultsSurfaceCleanly(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMemoryFaultsSurfaceCleanly pre-charges x elements of the budget before
+// each run, for every x in steps of 16 up to M-16, so every allocation that
+// raises the run's high-water mark by 16 elements or more fails at some x,
+// stream buffers (B = 32) included. A failed call must report the budget,
+// leave exactly x elements charged and leave no scratch file live. The
+// charges are the same on every backend, so the memory backend alone is
+// swept.
+func TestMemoryFaultsSurfaceCleanly(t *testing.T) {
+	cfg := emio.Config{M: 4096, B: 32}
+	for _, a := range algos() {
+		t.Run(a.name, func(t *testing.T) {
+			failed := 0
+			for x := int64(0); x < int64(cfg.M); x += 16 {
+				ctx, err := emio.NewCtx(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := workload.File(ctx.Disk(), workload.Uniform, a.n, 7)
+				if err := ctx.Mem().Charge(x); err != nil {
+					t.Fatal(err)
+				}
+				err = a.run(ctx, f)
+				if err == nil {
+					continue
+				}
+				failed++
+				if !errors.Is(err, emio.ErrMemoryBudget) {
+					t.Errorf("pre-charge %d: error %v does not wrap the memory budget", x, err)
+				}
+				if used := ctx.Mem().Used(); used != x {
+					t.Errorf("pre-charge %d: %d elements charged after the failure", x, used)
+				}
+				if live := ctx.Disk().LiveScratchFiles(); len(live) != 0 {
+					t.Errorf("pre-charge %d: leaked scratch files %v", x, live)
+				}
+			}
+			if failed == 0 {
+				t.Errorf("no pre-charge up to M-16 made %s fail", a.name)
+			}
+		})
 	}
 }
 

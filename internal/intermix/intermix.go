@@ -250,53 +250,44 @@ func subgroupMedians(ctx *emio.Ctx, cur *emio.File, L int) (*emio.File, []int64,
 	if err != nil {
 		return nil, nil, err
 	}
-	sigma := ctx.Scratch("sigma")
-	w, err := emio.NewWriter(ctx, sigma)
+	sigma, err := emio.WriteScratch(ctx, "sigma", func(w *emio.Writer) error {
+		r, err := emio.NewReader(ctx, cur)
+		if err != nil {
+			return err
+		}
+		emit := func(g int64) {
+			k := fill[g]
+			med := inmem.MedianOfFive(slots[5*g : 5*g+k])
+			w.Append(med)
+			sizes[g]++
+			fill[g] = 0
+		}
+		for {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			g := emio.UnpackGroup(e.Aux)
+			slots[5*g+fill[g]] = e
+			fill[g]++
+			if fill[g] == 5 {
+				emit(g)
+			}
+		}
+		err = r.Err()
+		r.Close()
+		if err != nil {
+			return err
+		}
+		for g := int64(0); g < int64(L); g++ {
+			if fill[g] > 0 {
+				emit(g)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		ctx.FreeInts(sizes)
-		return nil, nil, err
-	}
-	r, err := emio.NewReader(ctx, cur)
-	if err != nil {
-		w.Close()
-		ctx.FreeInts(sizes)
-		return nil, nil, err
-	}
-	emit := func(g int64) {
-		k := fill[g]
-		med := inmem.MedianOfFive(slots[5*g : 5*g+k])
-		w.Append(med)
-		sizes[g]++
-		fill[g] = 0
-	}
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		g := emio.UnpackGroup(e.Aux)
-		slots[5*g+fill[g]] = e
-		fill[g]++
-		if fill[g] == 5 {
-			emit(g)
-		}
-	}
-	rerr := r.Err()
-	r.Close()
-	if rerr != nil {
-		w.Close()
-		ctx.FreeInts(sizes)
-		sigma.Release()
-		return nil, nil, rerr
-	}
-	for g := int64(0); g < int64(L); g++ {
-		if fill[g] > 0 {
-			emit(g)
-		}
-	}
-	if err := w.Close(); err != nil {
-		ctx.FreeInts(sizes)
-		sigma.Release()
 		return nil, nil, err
 	}
 	return sigma, sizes, nil
@@ -335,35 +326,27 @@ func rankScan(ctx *emio.Ctx, cur *emio.File, L int, mu []emio.Elem) ([]int64, er
 // θ[g] keep the elements <= µ_g, else keep the elements > µ_g and shift the
 // target by θ[g]. Targets are updated in place.
 func prune(ctx *emio.Ctx, cur *emio.File, L int, mu []emio.Elem, theta, t []int64) (*emio.File, error) {
-	next := ctx.Scratch("dprime")
-	w, err := emio.NewWriter(ctx, next)
+	next, err := emio.WriteScratch(ctx, "dprime", func(w *emio.Writer) error {
+		r, err := emio.NewReader(ctx, cur)
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		for {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			g := emio.UnpackGroup(e.Aux)
+			lowSide := !emio.Less(mu[g], e) // e <= µ_g
+			if (t[g] <= theta[g]) == lowSide {
+				w.Append(e)
+			}
+		}
+		return r.Err()
+	})
 	if err != nil {
 		return nil, err
-	}
-	r, err := emio.NewReader(ctx, cur)
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	for {
-		e, ok := r.Next()
-		if !ok {
-			break
-		}
-		g := emio.UnpackGroup(e.Aux)
-		lowSide := !emio.Less(mu[g], e) // e <= µ_g
-		if (t[g] <= theta[g]) == lowSide {
-			w.Append(e)
-		}
-	}
-	rerr := r.Err()
-	r.Close()
-	if err := w.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	if rerr != nil {
-		next.Release()
-		return nil, rerr
 	}
 	for g := 0; g < L; g++ {
 		if t[g] > theta[g] {
@@ -376,19 +359,12 @@ func prune(ctx *emio.Ctx, cur *emio.File, L int, mu []emio.Elem, theta, t []int6
 // spillInts writes an int64 array to a scratch file (one int per element's
 // Key) so it survives a recursive call without occupying memory.
 func spillInts(ctx *emio.Ctx, v []int64) (*emio.File, error) {
-	f := ctx.Scratch("spill")
-	w, err := emio.NewWriter(ctx, f)
-	if err != nil {
-		return nil, err
-	}
-	for i, x := range v {
-		w.Append(emio.Elem{Key: x, Aux: int64(i)})
-	}
-	if err := w.Close(); err != nil {
-		f.Release()
-		return nil, err
-	}
-	return f, nil
+	return emio.WriteScratch(ctx, "spill", func(w *emio.Writer) error {
+		for i, x := range v {
+			w.Append(emio.Elem{Key: x, Aux: int64(i)})
+		}
+		return nil
+	})
 }
 
 // unspillInts reloads an array written by spillInts into a fresh AllocInts

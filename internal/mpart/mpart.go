@@ -43,19 +43,11 @@ func Partition(ctx *emio.Ctx, f *emio.File, sizes []int64) (*emio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := ctx.Scratch("mpart")
-	w, err := emio.NewWriter(ctx, out)
+	defer bnd.Release()
+	out, err := emio.WriteScratch(ctx, "mpart", func(w *emio.Writer) error {
+		return distribute(ctx, f, false, bnd, w)
+	})
 	if err != nil {
-		bnd.Release()
-		return nil, err
-	}
-	if err := distribute(ctx, f, false, bnd, w); err != nil {
-		w.Close()
-		out.Release()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		out.Release()
 		return nil, err
 	}
 	if out.Len() != f.Len() {
@@ -81,45 +73,21 @@ func sizesValid(n int64, sizes []int64) error {
 	return nil
 }
 
-// PartitionAtRanks is Partition with cut positions instead of sizes: ranks
-// must be strictly increasing within (0, n). It yields len(ranks)+1
-// partitions.
-func PartitionAtRanks(ctx *emio.Ctx, f *emio.File, ranks []int64) (*emio.File, error) {
-	sizes := make([]int64, 0, len(ranks)+1)
-	prev := int64(0)
-	for i, r := range ranks {
-		if r <= prev || r >= f.Len() {
-			return nil, fmt.Errorf("mpart: rank %d at position %d not strictly inside (0,%d)", r, i, f.Len())
-		}
-		sizes = append(sizes, r-prev)
-		prev = r
-	}
-	sizes = append(sizes, f.Len()-prev)
-	return Partition(ctx, f, sizes)
-}
-
 // boundaryFile writes the distinct cumulative boundary ranks (excluding 0 and
 // n) to a scratch file in ascending order. Zero-sized partitions contribute
 // no boundary; they are implicit empty segments of the output.
 func boundaryFile(ctx *emio.Ctx, sizes []int64) (*emio.File, error) {
-	f := ctx.Scratch("bnd")
-	w, err := emio.NewWriter(ctx, f)
-	if err != nil {
-		return nil, err
-	}
-	cum, prev := int64(0), int64(0)
-	for i := 0; i < len(sizes)-1; i++ {
-		cum += sizes[i]
-		if cum != prev {
-			w.Append(emio.Elem{Key: cum})
-			prev = cum
+	return emio.WriteScratch(ctx, "bnd", func(w *emio.Writer) error {
+		cum, prev := int64(0), int64(0)
+		for i := 0; i < len(sizes)-1; i++ {
+			cum += sizes[i]
+			if cum != prev {
+				w.Append(emio.Elem{Key: cum})
+				prev = cum
+			}
 		}
-	}
-	if err := w.Close(); err != nil {
-		f.Release()
-		return nil, err
-	}
-	return f, nil
+		return nil
+	})
 }
 
 // distribute emits chunk onto w partitioned at the boundary ranks in bnd

@@ -161,21 +161,6 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-func TestPartitionAtRanks(t *testing.T) {
-	ctx := mustCtx(t, 256, 16)
-	in, f := randFile(ctx.Disk(), 1000, 1<<30, rand.New(rand.NewPCG(6, 6)))
-	out, err := PartitionAtRanks(ctx, f, []int64{100, 500, 999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartition(t, in, out, []int64{100, 400, 499, 1})
-	for _, bad := range [][]int64{{0}, {1000}, {500, 500}, {600, 400}} {
-		if _, err := PartitionAtRanks(ctx, f, bad); err == nil {
-			t.Errorf("ranks %v accepted", bad)
-		}
-	}
-}
-
 func TestPartitionIOComplexity(t *testing.T) {
 	// Cost must scale as (N/B) lg_{M/B} K: fixing N and raising K from 2 to
 	// 512 should cost at most ~lg_{M/B}(512)/lg_{M/B}(2) more, and every run

@@ -71,47 +71,24 @@ func Select(ctx *emio.Ctx, f *emio.File, ranks []int64) (*emio.File, error) {
 		// is both simpler and cheaper than the base-case machinery.
 		return fallbackPerRank(ctx, f, ranks)
 	}
-	out := ctx.Scratch("msel")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		return nil, err
-	}
-	if len(ranks) <= m {
-		// A single base case: no writer may be held across it (inner
-		// algorithms are entitled to nearly all of M), so collect the
-		// answers first. They are at most m = M/240 elements.
-		var answers []emio.Elem
-		answers, err = baseCase(ctx, f, ranks)
-		if err == nil {
-			for _, e := range answers {
-				w.Append(e)
-			}
-			ctx.FreeElems(answers)
-			err = w.Err()
+	return emio.WriteScratch(ctx, "msel", func(w *emio.Writer) error {
+		if len(ranks) > m {
+			return generalCase(ctx, f, ranks, m, w)
 		}
-	} else {
-		err = generalCase(ctx, f, ranks, m, w)
-	}
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		out.Release()
-		return nil, err
-	}
-	return out, nil
-}
-
-// SelectInMemory is Select for small K: it returns the results as a charged
-// slice (free with ctx.FreeElems) instead of a file.
-func SelectInMemory(ctx *emio.Ctx, f *emio.File, ranks []int64) ([]emio.Elem, error) {
-	resFile, err := Select(ctx, f, ranks)
-	if err != nil {
-		return nil, err
-	}
-	res, err := emio.LoadAll(ctx, resFile)
-	resFile.Release()
-	return res, err
+		// A single base case, run with the output writer open: its one
+		// block buffer is the caller-held block the inner algorithms leave
+		// room for (extsort's runCapacity and mergeFanIn keep that slack).
+		// The answers are at most m = M/240 elements.
+		answers, err := baseCase(ctx, f, ranks)
+		if err != nil {
+			return err
+		}
+		for _, e := range answers {
+			w.Append(e)
+		}
+		ctx.FreeElems(answers)
+		return w.Err()
+	})
 }
 
 // fallbackPerRank answers each query with an exact O(N/B) selection: the
@@ -119,25 +96,16 @@ func SelectInMemory(ctx *emio.Ctx, f *emio.File, ranks []int64) ([]emio.Elem, er
 func fallbackPerRank(ctx *emio.Ctx, f *emio.File, ranks []int64) (*emio.File, error) {
 	sp := ctx.StartSpan("msel/fallback", emio.AttrInt("k", int64(len(ranks))))
 	defer sp.End()
-	out := ctx.Scratch("msel")
-	w, err := emio.NewWriter(ctx, out)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range ranks {
-		e, err := emsel.Select(ctx, f, r)
-		if err != nil {
-			w.Close()
-			out.Release()
-			return nil, err
+	return emio.WriteScratch(ctx, "msel", func(w *emio.Writer) error {
+		for _, r := range ranks {
+			e, err := emsel.Select(ctx, f, r)
+			if err != nil {
+				return err
+			}
+			w.Append(e)
 		}
-		w.Append(e)
-	}
-	if err := w.Close(); err != nil {
-		out.Release()
-		return nil, err
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // generalCase multi-partitions f at ranks r_m, r_2m, ... and solves a base
@@ -217,8 +185,9 @@ func generalCase(ctx *emio.Ctx, f *emio.File, ranks []int64, m int, w *emio.Writ
 
 // baseCase answers at most m nondecreasing rank queries against chunk in
 // O(|chunk|/B) I/Os, returning the answers in query order as a charged slice
-// (free with ctx.FreeElems). No stream buffers are held across the calls into
-// approxsplit and intermix, which are entitled to nearly all of M.
+// (free with ctx.FreeElems). It holds no stream buffer of its own across the
+// calls into approxsplit and intermix, which are entitled to all of M but the
+// caller's one output block.
 func baseCase(ctx *emio.Ctx, chunk *emio.File, ranks []int64) ([]emio.Elem, error) {
 	n := chunk.Len()
 	k := len(ranks)
@@ -267,46 +236,39 @@ func baseCase(ctx *emio.Ctx, chunk *emio.File, ranks []int64) ([]emio.Elem, erro
 	// qBucket[i], keyed by the element key with Aux packed as (group, seq)
 	// where seq is the element's position in the chunk.
 	bsp := ctx.StartSpan("msel/build-instance")
-	d := ctx.Scratch("mselD")
-	dw, err := emio.NewWriter(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	r, err := emio.NewReader(ctx, chunk)
-	if err != nil {
-		dw.Close()
-		d.Release()
-		return nil, err
-	}
-	seq := int64(0)
-	var idx [emio.Lanes]int
-	for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
-		for len(c) > 0 {
-			batch := c[:min(len(c), emio.Lanes)]
-			c = c[len(batch):]
-			emio.Classify(res.Splitters, batch, idx[:])
-			for li, e := range batch {
-				b := int64(idx[li])
-				// Queries are sorted by rank, hence by bucket: binary
-				// search the contiguous run of queries targeting bucket b.
-				lo, _ := slices.BinarySearch(qBucket, b)
-				for i := lo; i < k && qBucket[i] == b; i++ {
-					dw.Append(emio.Elem{Key: e.Key, Aux: emio.PackAux(int64(i), seq)})
+	d, err := emio.WriteScratch(ctx, "mselD", func(dw *emio.Writer) error {
+		r, err := emio.NewReader(ctx, chunk)
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		seq := int64(0)
+		var idx [emio.Lanes]int
+		for c := r.Chunk(); len(c) > 0; c = r.Chunk() {
+			for len(c) > 0 {
+				batch := c[:min(len(c), emio.Lanes)]
+				c = c[len(batch):]
+				emio.Classify(res.Splitters, batch, idx[:])
+				for li, e := range batch {
+					b := int64(idx[li])
+					// Queries are sorted by rank, hence by bucket: binary
+					// search the contiguous run of queries targeting bucket b.
+					lo, _ := slices.BinarySearch(qBucket, b)
+					for i := lo; i < k && qBucket[i] == b; i++ {
+						dw.Append(emio.Elem{Key: e.Key, Aux: emio.PackAux(int64(i), seq)})
+					}
+					seq++
 				}
-				seq++
 			}
 		}
+		return r.Err()
+	})
+	if err == nil {
+		bsp.SetAttr("d", d.Len())
 	}
-	rerr := r.Err()
-	r.Close()
-	if err := dw.Close(); err != nil && rerr == nil {
-		rerr = err
-	}
-	bsp.SetAttr("d", d.Len())
 	bsp.End()
-	if rerr != nil {
-		d.Release()
-		return nil, rerr
+	if err != nil {
+		return nil, err
 	}
 	res.Close() // splitters and bucket sizes are no longer needed
 
@@ -353,7 +315,7 @@ func baseCase(ctx *emio.Ctx, chunk *emio.File, ranks []int64) ([]emio.Elem, erro
 		}
 		pos++
 	}
-	rerr = r2.Err()
+	rerr := r2.Err()
 	r2.Close()
 	ctx.FreeElems(picked)
 	if rerr != nil {

@@ -150,26 +150,6 @@ func TestSelectTinyMemoryFallback(t *testing.T) {
 	checkSelect(t, ctx, in, f, []int64{1, 500, 1000, 2000})
 }
 
-func TestSelectInMemoryWrapper(t *testing.T) {
-	ctx := mustCtx(t, 4096, 32)
-	rng := rand.New(rand.NewPCG(10, 10))
-	in, f := randFile(ctx.Disk(), 1<<13, 1<<30, rng)
-	want := oracle(in)
-	res, err := SelectInMemory(ctx, f, []int64{10, 4000, 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range []int64{10, 4000, 8192} {
-		if res[i] != want[r-1] {
-			t.Errorf("rank %d = %v, want %v", r, res[i], want[r-1])
-		}
-	}
-	ctx.FreeElems(res)
-	if ctx.Mem().Used() != 0 {
-		t.Fatalf("leaked %d", ctx.Mem().Used())
-	}
-}
-
 func TestSelectMemoryWithinBudget(t *testing.T) {
 	ctx := mustCtx(t, 4096, 32)
 	rng := rand.New(rand.NewPCG(11, 11))
