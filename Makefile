@@ -21,8 +21,11 @@ crossbuild:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
 
+# go vet over the root module and the benchmark's: bench/ is a Go module of
+# its own, so the root's `go vet ./...` does not reach it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Formatting gate: fails, listing the files, when gofmt would change any.
 fmt:
@@ -31,9 +34,9 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Static analysis: gofmt and go vet always; staticcheck when installed (the
-# repo takes no module dependencies, so the binary is opportunistic, not
-# vendored).
+# Static analysis: gofmt and go vet (both modules) always; staticcheck when
+# installed (the repo takes no module dependencies, so the binary is
+# opportunistic, not vendored).
 lint: fmt vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

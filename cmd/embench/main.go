@@ -8,7 +8,7 @@
 // Usage:
 //
 //	embench [-n 262144] [-m 4096] [-b 32] [-dist uniform] [-quick] [-json] [-trace]
-//	        [-metrics-addr HOST:PORT] [-progress D] [-top] [-cpuprofile FILE]
+//	        [-metrics-addr HOST:PORT] [-progress D] [-cpuprofile FILE]
 //
 // Every row runs on the in-memory disk. Its columns are logical I/O, which is
 // the same on every backend; wall-clock measurement is the benchmark's job

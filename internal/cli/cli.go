@@ -38,11 +38,10 @@ type Flags struct {
 	MetricsAddr string
 	Progress    time.Duration
 	OTLP        string
-	Top         bool
 }
 
 // Register adds to fs the flags every command takes: -m, -b, -trace,
-// -metrics-addr, -progress and -top. With backend set it also adds the flags
+// -metrics-addr and -progress. With backend set it also adds the flags
 // of a command that runs one job on a chosen store: -workers, -backing,
 // -uring, -checksum, -retry, -log, -disk-budget and -otlp.
 func Register(fs *flag.FlagSet, backend bool) *Flags {
@@ -52,7 +51,6 @@ func Register(fs *flag.FlagSet, backend bool) *Flags {
 	fs.BoolVar(&f.Trace, "trace", false, "print each run's phase trace (span tree with I/O and memory attribution) with its report")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this host:port while the command runs")
 	fs.DurationVar(&f.Progress, "progress", 0, "print a progress line to stderr at this interval (0 = off)")
-	fs.BoolVar(&f.Top, "top", false, "render a live terminal dashboard to stderr while the command runs")
 	if !backend {
 		return f
 	}
@@ -178,9 +176,9 @@ func PartialCost(w io.Writer, name string, sys *empart.System, err error) {
 }
 
 // Observers are the telemetry that runs beside a command's jobs: a metrics
-// registry, the scrape endpoint, progress reporter and dashboard the flags
-// ask for, and the -otlp export written when they stop. A nil *Observers,
-// which Observe returns when no telemetry flag is set, does nothing.
+// registry, the scrape endpoint and progress reporter the flags ask for,
+// and the -otlp export written when they stop. A nil *Observers, which
+// Observe returns when no telemetry flag is set, does nothing.
 type Observers struct {
 	name   string
 	w      io.Writer
@@ -189,14 +187,13 @@ type Observers struct {
 	tracer *empart.Tracer
 	srv    *metrics.Server
 	rep    *metrics.Reporter
-	dash   *metrics.Dash
 }
 
 // Observe starts the observers the flags ask for, reporting as the command
 // called name on w. total is the jobs' predicted logical I/O, the progress
 // line's denominator for its percentage and ETA; 0 means unknown.
 func (f *Flags) Observe(name string, total int64, w io.Writer) (*Observers, error) {
-	if f.MetricsAddr == "" && f.Progress == 0 && f.OTLP == "" && !f.Top {
+	if f.MetricsAddr == "" && f.Progress == 0 && f.OTLP == "" {
 		return nil, nil
 	}
 	o := &Observers{name: name, w: w, otlp: f.OTLP, reg: empart.NewMetricsRegistry()}
@@ -221,11 +218,6 @@ func (f *Flags) Observe(name string, total int64, w io.Writer) (*Observers, erro
 			}
 		})
 	}
-	if f.Top {
-		o.dash = metrics.StartDash(w, time.Second, 0, func() (metrics.Snapshot, error) {
-			return o.reg.Snapshot(), nil
-		})
-	}
 	return o, nil
 }
 
@@ -244,17 +236,14 @@ func (o *Observers) Attach(sys *empart.System) {
 	}
 }
 
-// Stop prints the final progress line, stops the dashboard and the scrape
-// endpoint, and writes the -otlp export.
+// Stop prints the final progress line, stops the scrape endpoint and writes
+// the -otlp export.
 func (o *Observers) Stop() {
 	if o == nil {
 		return
 	}
 	if o.rep != nil {
 		o.rep.Stop()
-	}
-	if o.dash != nil {
-		o.dash.Stop()
 	}
 	if o.srv != nil {
 		if err := o.srv.Close(); err != nil {

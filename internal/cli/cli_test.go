@@ -48,7 +48,7 @@ func TestRegisterFlagSets(t *testing.T) {
 		return got
 	}
 	sweep := map[string]string{
-		"m": "4096", "b": "32", "trace": "false", "metrics-addr": "", "progress": "0s", "top": "false",
+		"m": "4096", "b": "32", "trace": "false", "metrics-addr": "", "progress": "0s",
 	}
 	job := map[string]string{
 		"workers": "0", "backing": "", "uring": "false", "checksum": "false", "retry": "0",

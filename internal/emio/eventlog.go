@@ -47,8 +47,8 @@ type LogConfig struct {
 	// (created or truncated at attach time).
 	Path string
 	// Handler, when non-nil, receives every kept record in addition to the
-	// ring and file sinks. It must be safe for concurrent use (pipeline
-	// goroutines emit retry and write-failure events).
+	// ring and file sinks. It must be safe for concurrent use (a Cancel from
+	// another goroutine logs while the job's goroutine does).
 	Handler slog.Handler
 }
 

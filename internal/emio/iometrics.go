@@ -1,8 +1,8 @@
 package emio
 
-// Live-metrics wiring for the EM machine. An IOMetrics bundles the handles
-// the I/O hot paths record through: logical block reads/writes with
-// latencies, physical transfers with latencies and coalesced-run sizes,
+// Live-metrics wiring for the EM machine. An IOMetrics bundles the
+// instruments the I/O hot paths record through: logical block reads/writes
+// with latencies, physical transfers with latencies and coalesced-run sizes,
 // pipeline queue depth, prefetch hits/misses, free-extent reuse, live
 // disk/scratch gauges, and the phase gauges, which the disk sets from the
 // innermost open span at every span boundary (Disk.enterSpan, exitSpan).
@@ -15,9 +15,11 @@ package emio
 // parity suite proves it). With metrics disabled every hot-path site is one
 // nil check.
 //
-// Handles are bound per recording role (logical transfers on the algorithm
-// goroutine, physical transfers on whichever goroutine completes them), so
-// concurrent recording rarely contends on a cache line; see package metrics.
+// Every transfer is recorded on the goroutine that drives the disk (ring
+// submissions by the ring's one owner); only a Cancel from another goroutine
+// bumps empart_job_cancels_total beside it. A scrape, the progress sampler
+// and the OTLP writer read the instruments while the job records, which is
+// why each is a set of atomics; see package metrics.
 
 import "repro/internal/emio/metrics"
 
@@ -28,20 +30,19 @@ import "repro/internal/emio/metrics"
 type IOMetrics struct {
 	reg *metrics.Registry
 
-	// Algorithm-goroutine handles: logical block transfers. The EM model is
-	// sequential, so exactly one goroutine records these.
-	logReads, logWrites   *metrics.CounterHandle
-	logReadNS, logWriteNS *metrics.HistogramHandle
-	corruptions           *metrics.CounterHandle // checksum mismatches surfaced to readers
+	// Logical block transfers, recorded on the algorithm goroutine. The EM
+	// model is sequential, so exactly one goroutine records these.
+	logReads, logWrites   *metrics.Counter
+	logReadNS, logWriteNS *metrics.Histogram
+	corruptions           *metrics.Counter // checksum mismatches surfaced to readers
 
 	// Job-lifecycle events: cooperative cancellations and disk-quota
-	// rejections. Bumped from whichever goroutine triggers them (a signal
-	// handler for cancels) — handles are goroutine-safe.
-	cancels      *metrics.CounterHandle
-	quotaRejects *metrics.CounterHandle
+	// rejections. A cancel is bumped by whichever goroutine calls Cancel (a
+	// signal handler, say).
+	cancels      *metrics.Counter
+	quotaRejects *metrics.Counter
 
-	// Gauges (single atomics; updated from whichever goroutine owns the
-	// underlying quantity).
+	// Gauges, updated by the goroutine that owns the underlying quantity.
 	liveBlocks   *metrics.Gauge
 	liveScratch  *metrics.Gauge
 	queueDepth   *metrics.Gauge
@@ -54,24 +55,23 @@ type IOMetrics struct {
 	phaseStarts *metrics.CounterVec
 }
 
-// newIOMetrics registers the disk-level instruments on reg and binds the
-// algorithm-goroutine handles.
+// newIOMetrics registers the disk-level instruments on reg.
 func newIOMetrics(reg *metrics.Registry) *IOMetrics {
 	m := &IOMetrics{reg: reg}
 	m.logReads = reg.Counter("empart_logical_reads_total",
-		"logical block reads charged to the EM cost model").Handle()
+		"logical block reads charged to the EM cost model")
 	m.logWrites = reg.Counter("empart_logical_writes_total",
-		"logical block writes charged to the EM cost model").Handle()
+		"logical block writes charged to the EM cost model")
 	m.logReadNS = reg.Histogram("empart_logical_read_ns",
-		"latency of one logical block read, store roundtrip included", "ns").Handle()
+		"latency of one logical block read, store roundtrip included", "ns")
 	m.logWriteNS = reg.Histogram("empart_logical_write_ns",
-		"latency of one logical block write (enqueue time under write-behind)", "ns").Handle()
+		"latency of one logical block write (enqueue time under write-behind)", "ns")
 	m.corruptions = reg.Counter("empart_corruption_detected_total",
-		"block reads rejected by CRC32C checksum verification").Handle()
+		"block reads rejected by CRC32C checksum verification")
 	m.cancels = reg.Counter("empart_job_cancels_total",
-		"jobs cancelled cooperatively (signal, context, admission)").Handle()
+		"jobs cancelled cooperatively (signal, context, admission)")
 	m.quotaRejects = reg.Counter("empart_disk_quota_rejections_total",
-		"block appends rejected by the disk-byte budget").Handle()
+		"block appends rejected by the disk-byte budget")
 	m.liveBlocks = reg.Gauge("empart_live_disk_blocks",
 		"blocks currently held by unreleased files")
 	m.liveScratch = reg.Gauge("empart_live_scratch_files",
@@ -92,63 +92,59 @@ func newIOMetrics(reg *metrics.Registry) *IOMetrics {
 // Registry returns the registry the instruments live on.
 func (m *IOMetrics) Registry() *metrics.Registry { return m.reg }
 
-// Snapshot captures every metric on the registry.
-func (m *IOMetrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() }
-
-// storeMetrics binds the physical-layer handles of one fileStore, recorded
-// by the goroutine driving its disk as transfers complete.
+// storeMetrics holds the physical-layer instruments of one fileStore,
+// recorded by the goroutine driving its disk as transfers complete.
 type storeMetrics struct {
-	physReads   *metrics.CounterHandle
-	physWrites  *metrics.CounterHandle
-	physReadNS  *metrics.HistogramHandle
-	physWriteNS *metrics.HistogramHandle
+	physReads   *metrics.Counter
+	physWrites  *metrics.Counter
+	physReadNS  *metrics.Histogram
+	physWriteNS *metrics.Histogram
 
-	writeRunBlocks *metrics.HistogramHandle // blocks per coalesced positioned write
-	readRunBlocks  *metrics.HistogramHandle // blocks per coalesced prefetch read
+	writeRunBlocks *metrics.Histogram // blocks per coalesced positioned write
+	readRunBlocks  *metrics.Histogram // blocks per coalesced prefetch read
 
 	// io_uring backend instruments, recorded at submission time (zero-valued
 	// histograms when the ring is not armed).
-	uringSQEBatch *metrics.HistogramHandle // SQEs handed to the kernel per enter
-	uringInflight *metrics.HistogramHandle // submissions in flight at enter time
+	uringSQEBatch *metrics.Histogram // SQEs handed to the kernel per enter
+	uringInflight *metrics.Histogram // submissions in flight at enter time
 
-	prefetchHits   *metrics.CounterHandle
-	prefetchMisses *metrics.CounterHandle
-	extentReuses   *metrics.CounterHandle
-	extentFrees    *metrics.CounterHandle
+	prefetchHits   *metrics.Counter
+	prefetchMisses *metrics.Counter
+	extentReuses   *metrics.Counter
+	extentFrees    *metrics.Counter
 
 	queueDepth   *metrics.Gauge
 	backingBytes *metrics.Gauge
 }
 
-// newStoreMetrics registers the physical-layer instruments and binds their
-// handles.
+// newStoreMetrics registers the physical-layer instruments.
 func newStoreMetrics(m *IOMetrics) *storeMetrics {
 	reg := m.reg
 	return &storeMetrics{
 		physReads: reg.Counter("empart_phys_reads_total",
-			"positioned read syscalls issued to the backing file").Handle(),
+			"positioned read syscalls issued to the backing file"),
 		physWrites: reg.Counter("empart_phys_writes_total",
-			"positioned write syscalls issued to the backing file").Handle(),
+			"positioned write syscalls issued to the backing file"),
 		physReadNS: reg.Histogram("empart_phys_read_ns",
-			"latency of one positioned backing-file read", "ns").Handle(),
+			"latency of one positioned backing-file read", "ns"),
 		physWriteNS: reg.Histogram("empart_phys_write_ns",
-			"latency of one positioned backing-file write", "ns").Handle(),
+			"latency of one positioned backing-file write", "ns"),
 		writeRunBlocks: reg.Histogram("empart_phys_write_run_blocks",
-			"logical blocks retired per coalesced positioned write", "blocks").Handle(),
+			"logical blocks retired per coalesced positioned write", "blocks"),
 		readRunBlocks: reg.Histogram("empart_phys_read_run_blocks",
-			"logical blocks fetched per coalesced prefetch read", "blocks").Handle(),
+			"logical blocks fetched per coalesced prefetch read", "blocks"),
 		uringSQEBatch: reg.Histogram("empart_uring_sqe_batch",
-			"SQEs handed to the kernel per io_uring_enter", "sqes").Handle(),
+			"SQEs handed to the kernel per io_uring_enter", "sqes"),
 		uringInflight: reg.Histogram("empart_uring_queue_depth",
-			"ring submissions in flight at enter time", "sqes").Handle(),
+			"ring submissions in flight at enter time", "sqes"),
 		prefetchHits: reg.Counter("empart_prefetch_hits_total",
-			"sequential reads served from a read-ahead staging buffer").Handle(),
+			"sequential reads served from a read-ahead staging buffer"),
 		prefetchMisses: reg.Counter("empart_prefetch_misses_total",
-			"reads that fell back to a direct positioned read").Handle(),
+			"reads that fell back to a direct positioned read"),
 		extentReuses: reg.Counter("empart_extent_reuses_total",
-			"block appends served from the free-extent list").Handle(),
+			"block appends served from the free-extent list"),
 		extentFrees: reg.Counter("empart_extent_frees_total",
-			"block extents returned to the free list by releases").Handle(),
+			"block extents returned to the free list by releases"),
 		queueDepth:   m.queueDepth,
 		backingBytes: m.backingBytes,
 	}

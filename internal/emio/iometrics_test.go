@@ -220,3 +220,34 @@ func TestEndUnwindsSpansOfATracerAttachedLater(t *testing.T) {
 	}
 	next.End()
 }
+
+// TestMetricsRecordingAllocatesNothing pins that an attached registry adds
+// no allocation to a logical transfer: on a memory disk ReadBlock and
+// AppendBlock allocate as many objects with metrics as without.
+func TestMetricsRecordingAllocatesNothing(t *testing.T) {
+	allocs := func(reg *metrics.Registry) (read, write float64) {
+		ctx := mustCtx(t, 64, 8)
+		ctx.Disk().EnableMetrics(reg)
+		f := ctx.Scratch("in")
+		blk, buf := seqElems(8), make([]Elem, 8)
+		if err := f.AppendBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+		read = testing.AllocsPerRun(100, func() {
+			if _, err := f.ReadBlock(0, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		write = testing.AllocsPerRun(100, func() {
+			if err := f.AppendBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return read, write
+	}
+	r0, w0 := allocs(nil)
+	r1, w1 := allocs(metrics.New())
+	if r1 != r0 || w1 != w0 {
+		t.Errorf("allocations per ReadBlock/AppendBlock: %v/%v with metrics, %v/%v without", r1, w1, r0, w0)
+	}
+}

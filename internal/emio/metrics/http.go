@@ -10,15 +10,14 @@ import (
 	"time"
 )
 
-// Handler returns an http.Handler exposing the registry:
+// handler returns an http.Handler exposing the registry:
 //
 //	/metrics         Prometheus text exposition
 //	/debug/pprof/*   the standard Go profiling endpoints
 //
-// The pprof routes are wired explicitly (not via the net/http/pprof
-// DefaultServeMux side effect) so embedding the handler in a larger mux
-// never leaks profiling endpoints onto other servers.
-func Handler(r *Registry) http.Handler {
+// The pprof routes are wired on this mux explicitly, so the scrape server
+// does not depend on http.DefaultServeMux.
+func handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -50,13 +49,13 @@ const shutdownGrace = 2 * time.Second
 // scrape cannot race the bind — a bad address (port in use, bad host)
 // surfaces here rather than vanishing into a goroutine. Request handling
 // runs in the background; an error that stops the serve loop later is
-// reported by Err and Close.
+// reported by Close.
 func Serve(addr string, r *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: handler(r), ReadHeaderTimeout: 5 * time.Second}
 	s := &Server{ln: ln, srv: srv, serveErr: make(chan error, 1)}
 	go func() {
 		err := srv.Serve(ln)
@@ -68,39 +67,11 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	return s, nil
 }
 
-// ServeContext is Serve bound to a context: when ctx is cancelled the server
-// shuts down gracefully in the background. Close remains valid (and
-// idempotent with the cancellation).
-func ServeContext(ctx context.Context, addr string, r *Registry) (*Server, error) {
-	s, err := Serve(addr, r)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		<-ctx.Done()
-		s.Close()
-	}()
-	return s, nil
-}
-
 // Addr returns the bound address (useful with port 0).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // URL returns the scrape URL of the /metrics endpoint.
 func (s *Server) URL() string { return "http://" + s.Addr() + "/metrics" }
-
-// Err returns the error that stopped the background serve loop, nil while it
-// is still running or if it exited cleanly. Non-blocking.
-func (s *Server) Err() error {
-	select {
-	case err := <-s.serveErr:
-		// Put it back so Close (or a second Err) still sees it.
-		s.serveErr <- err
-		return err
-	default:
-		return nil
-	}
-}
 
 // Close shuts the server down gracefully, waiting up to a short grace period
 // for in-flight scrapes before closing connections hard, and returns the
@@ -116,6 +87,6 @@ func (s *Server) Close() error {
 	if serr := <-s.serveErr; err == nil {
 		err = serr
 	}
-	s.serveErr <- nil // keep later Close/Err calls non-blocking and clean
+	s.serveErr <- nil // keep a later Close non-blocking and clean
 	return err
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -10,24 +11,48 @@ import (
 	"time"
 )
 
-func TestCounterShardsSum(t *testing.T) {
+// TestConcurrentRecordingAndScrape records into one counter and one
+// histogram from 16 goroutines while another scrapes: run under -race it
+// checks that each instrument is a set of atomics, as a Cancel from another
+// goroutine and the scrape readers need.
+func TestConcurrentRecordingAndScrape(t *testing.T) {
 	r := New()
 	c := r.Counter("test_total", "help")
+	h := r.Histogram("test_ns", "help", "ns")
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.WritePrometheus(io.Discard)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	const goroutines, perG = 16, 10000
 	for i := 0; i < goroutines; i++ {
-		h := c.Handle()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
-				h.Inc()
+				c.Inc()
+				h.ObserveEx(int64(j), int64(j))
 			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-scraped
 	if got := c.Value(); got != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
+	}
+	s := r.Snapshot().Histograms["test_ns"]
+	if s.Count != goroutines*perG || s.Sum != goroutines*perG*(perG-1)/2 || s.Max != perG-1 {
+		t.Fatalf("histogram count/sum/max = %d/%d/%d, want %d/%d/%d",
+			s.Count, s.Sum, s.Max, goroutines*perG, goroutines*perG*(perG-1)/2, perG-1)
 	}
 	if r.Counter("test_total", "help") != c {
 		t.Fatal("re-registration returned a different counter")
@@ -45,14 +70,13 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	h := New().Histogram("lat_ns", "latency", "ns")
-	hh := h.Handle()
-	// 90 observations at ~1000, 10 at ~100000: p50 lands in the 1024 bucket,
-	// p99 in the 131072 bucket.
+	// 90 observations at ~1000, 10 at ~100000: p50 lands in the bucket
+	// [512, 1023], p99 in [65536, 131071].
 	for i := 0; i < 90; i++ {
-		hh.Observe(1000)
+		h.Observe(1000)
 	}
 	for i := 0; i < 10; i++ {
-		hh.Observe(100000)
+		h.Observe(100000)
 	}
 	s := h.snapshot()
 	if s.Count != 100 {
@@ -64,15 +88,12 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if s.Max != 100000 {
 		t.Fatalf("max = %d", s.Max)
 	}
-	if s.P50 != 1024 {
-		t.Fatalf("p50 = %d, want 1024 (bucket ceiling of 1000)", s.P50)
+	if s.P50 != 1023 {
+		t.Fatalf("p50 = %d, want 1023 (bucket ceiling of 1000)", s.P50)
 	}
 	if s.P99 != 100000 {
-		// 100000's bucket ceiling is 131072, clamped to the observed max.
+		// 100000's bucket ceiling is 131071, clamped to the observed max.
 		t.Fatalf("p99 = %d, want 100000", s.P99)
-	}
-	if got := s.Mean(); got != float64(s.Sum)/100 {
-		t.Fatalf("mean = %v", got)
 	}
 }
 
@@ -93,6 +114,90 @@ func TestHistogramEmptyQuantiles(t *testing.T) {
 	s := New().Histogram("empty", "", "").snapshot()
 	if s.P50 != 0 || s.P99 != 0 || s.Count != 0 {
 		t.Fatalf("empty histogram snapshot = %+v", s)
+	}
+}
+
+// TestRecordingAllocatesNothing pins the package's allocation-free hot
+// paths: recording through an instrument allocates nothing.
+func TestRecordingAllocatesNothing(t *testing.T) {
+	r := New()
+	c := r.Counter("c_total", "")
+	g := r.Gauge("g", "")
+	h := r.Histogram("h_ns", "", "ns")
+	for _, tc := range []struct {
+		name string
+		rec  func()
+	}{
+		{"Counter.Inc", c.Inc},
+		{"Counter.Add", func() { c.Add(3) }},
+		{"Gauge.Set", func() { g.Set(7) }},
+		{"Gauge.Add", func() { g.Add(-1) }},
+		{"Histogram.Observe", func() { h.Observe(1000) }},
+		{"Histogram.ObserveEx", func() { h.ObserveEx(5000, 42) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.rec); n != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestBucketBoundsInclusive pins both exports' bucket bounds: bucket i holds
+// the integers 2^(i-1) to 2^i - 1, so its Prometheus le label and OTLP
+// explicit bound are 2^i - 1 (0 for the zeros' bucket), and an observation
+// of exactly 2^k counts in the bucket that starts at it.
+func TestBucketBoundsInclusive(t *testing.T) {
+	r := New()
+	h := r.Histogram("run_blocks", "", "blocks")
+	for _, v := range []int64{0, 1, 8, 1024} {
+		h.Observe(v)
+	}
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		`run_blocks_bucket{le="0"} 1` + "\n",
+		`run_blocks_bucket{le="1"} 2` + "\n",
+		`run_blocks_bucket{le="7"} 2` + "\n",
+		`run_blocks_bucket{le="15"} 3` + "\n",
+		`run_blocks_bucket{le="1023"} 3` + "\n",
+		`run_blocks_bucket{le="2047"} 4` + "\n",
+		"run_blocks_p50 1\n",
+		"run_blocks_p99 1024\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n---\n%s", want, out)
+		}
+	}
+
+	raw, err := r.OTLP("test-svc", time.Unix(1700000000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc otlpDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	dp := doc.ResourceMetrics[0].ScopeMetrics[0].Metrics[0].Histogram.DataPoints[0]
+	if len(dp.ExplicitBounds) != 12 || len(dp.BucketCounts) != 13 {
+		t.Fatalf("explicitBounds %v, bucketCounts %v: want 12 bounds up to 2047", dp.ExplicitBounds, dp.BucketCounts)
+	}
+	for i, bound := range dp.ExplicitBounds {
+		if want := float64(int64(1)<<i - 1); bound != want {
+			t.Errorf("explicitBounds[%d] = %v, want %v", i, bound, want)
+		}
+	}
+	// OTLP bucket i counts the values in (bounds[i-1], bounds[i]].
+	for i, n := range dp.BucketCounts {
+		want := "0"
+		if i == 0 || i == 1 || i == 4 || i == 11 {
+			want = "1"
+		}
+		if n != want {
+			t.Errorf("bucketCounts[%d] = %s, want %s (bounds %v)", i, n, want, dp.ExplicitBounds)
+		}
 	}
 }
 
@@ -150,11 +255,11 @@ func TestWritePrometheus(t *testing.T) {
 		"empart_queue_depth 3",
 		`empart_phase{name="extsort/run-formation"} 1`,
 		"# TYPE empart_write_ns histogram",
-		`empart_write_ns_bucket{le="1024"} 1`,
+		`empart_write_ns_bucket{le="1023"} 1`,
 		`empart_write_ns_bucket{le="+Inf"} 2`,
 		"empart_write_ns_sum 100900",
 		"empart_write_ns_count 2",
-		"empart_write_ns_p50 1024",
+		"empart_write_ns_p50 1023",
 		"empart_write_ns_max 100000",
 		`empart_phase_started_total{phase="sort"} 1`,
 	}

@@ -6,11 +6,11 @@ package metrics
 // dependencies. Counters become monotonic cumulative sums, gauges become
 // gauges, infos become gauge-1 data points carrying their string as an
 // attribute, and the log-bucketed histograms become explicit-bounds OTLP
-// histograms whose bucket boundaries are the power-of-two ceilings. A
-// histogram carrying an exemplar (the span seq of its max-latency
-// observation) exports it as an OTLP exemplar with an empart.span_seq
-// filtered attribute — the correlation hook between a p99 spike in a metrics
-// backend and the span tree in a trace backend.
+// histograms whose bucket boundaries are the buckets' inclusive ceilings
+// (2^i - 1). A histogram carrying an exemplar (the span seq of its
+// max-latency observation) exports it as an OTLP exemplar with an
+// empart.span_seq filtered attribute — the correlation hook between a p99
+// spike in a metrics backend and the span tree in a trace backend.
 
 import (
 	"encoding/json"
@@ -222,7 +222,7 @@ func (r *Registry) OTLP(service string, now time.Time) ([]byte, error) {
 		bounds := make([]float64, len(snap.Buckets))
 		for i, n := range snap.Buckets {
 			counts[i] = strconv.FormatInt(n, 10)
-			bounds[i] = float64(bucketUpper(i))
+			bounds[i] = float64(bucketCeil(i))
 		}
 		counts[len(snap.Buckets)] = "0"
 		pt := otlpHistogramPoint{

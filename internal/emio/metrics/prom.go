@@ -51,7 +51,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		var cum int64
 		for i, n := range snap.Buckets {
 			cum += n
-			fmt.Fprintf(&b, "%s_bucket{le=\"%d\"} %d\n", name, bucketUpper(i), cum)
+			fmt.Fprintf(&b, "%s_bucket{le=\"%d\"} %d\n", name, bucketCeil(i), cum)
 		}
 		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, snap.Count)
 		fmt.Fprintf(&b, "%s_sum %d\n", name, snap.Sum)

@@ -40,7 +40,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{name: name, help: help}
+		c = &Counter{help: help}
 		r.counters[name] = c
 	}
 	return c
@@ -52,7 +52,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{name: name, help: help}
+		g = &Gauge{help: help}
 		r.gauges[name] = g
 	}
 	return g
@@ -66,7 +66,7 @@ func (r *Registry) Histogram(name, help, unit string) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = &Histogram{name: name, help: help, unit: unit}
+		h = &Histogram{help: help, unit: unit}
 		r.hists[name] = h
 	}
 	return h
@@ -79,7 +79,7 @@ func (r *Registry) Info(name, help, label string) *Info {
 	defer r.mu.Unlock()
 	i := r.infos[name]
 	if i == nil {
-		i = &Info{name: name, help: help, label: label}
+		i = &Info{help: help, label: label}
 		r.infos[name] = i
 	}
 	return i
@@ -89,9 +89,9 @@ func (r *Registry) Info(name, help, label string) *Info {
 // spans started per phase name). With is amortized one mutex-guarded map hit
 // per distinct label — callers on hot paths cache the returned *Counter.
 type CounterVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	children          map[string]*Counter
+	help, label string
+	mu          sync.Mutex
+	children    map[string]*Counter
 }
 
 // CounterVec returns the labeled counter family registered under name,
@@ -101,7 +101,7 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	defer r.mu.Unlock()
 	v := r.vecs[name]
 	if v == nil {
-		v = &CounterVec{name: name, help: help, label: label, children: make(map[string]*Counter)}
+		v = &CounterVec{help: help, label: label, children: make(map[string]*Counter)}
 		r.vecs[name] = v
 	}
 	return v
@@ -114,7 +114,7 @@ func (v *CounterVec) With(value string) *Counter {
 	defer v.mu.Unlock()
 	c := v.children[value]
 	if c == nil {
-		c = &Counter{name: fmt.Sprintf("%s{%s=%q}", v.name, v.label, value)}
+		c = &Counter{}
 		v.children[value] = c
 	}
 	return c

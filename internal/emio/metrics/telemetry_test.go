@@ -1,12 +1,10 @@
 package metrics
 
 // Tests for the telemetry-bus surface added with the unified observability
-// layer: the Prometheus exposition round-trip that powers remote emtop, the
-// OTLP/JSON export with exemplars, the dashboard renderer, the pprof routes,
-// and the hardened HTTP/progress lifecycles.
+// layer: the whole Prometheus exposition, the OTLP/JSON export with
+// exemplars, the pprof routes, and the hardened HTTP/progress lifecycles.
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -32,75 +30,73 @@ func populate(t *testing.T) *Registry {
 	return r
 }
 
-func TestParsePrometheusRoundTrip(t *testing.T) {
-	r := populate(t)
-	want := r.Snapshot()
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParsePrometheus(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for k, v := range want.Counters {
-		if got.Counters[k] != v {
-			t.Errorf("counter %s: parsed %d, want %d", k, got.Counters[k], v)
-		}
-	}
-	for k, v := range want.Gauges {
-		if got.Gauges[k] != v {
-			t.Errorf("gauge %s: parsed %d, want %d", k, got.Gauges[k], v)
-		}
-	}
-	for k, v := range want.Infos {
-		if got.Infos[k] != v {
-			t.Errorf("info %s: parsed %q, want %q", k, got.Infos[k], v)
-		}
-	}
-	wh, gh := want.Histograms["empart_phys_read_ns"], got.Histograms["empart_phys_read_ns"]
-	if gh.Count != wh.Count || gh.Sum != wh.Sum || gh.Max != wh.Max ||
-		gh.MaxSeq != wh.MaxSeq || gh.P50 != wh.P50 || gh.P95 != wh.P95 || gh.P99 != wh.P99 {
-		t.Errorf("histogram summary: parsed %+v, want %+v", gh, wh)
-	}
-	if len(gh.Buckets) != len(wh.Buckets) {
-		t.Fatalf("histogram buckets: parsed %d, want %d", len(gh.Buckets), len(wh.Buckets))
-	}
-	for i := range wh.Buckets {
-		if gh.Buckets[i] != wh.Buckets[i] {
-			t.Errorf("bucket %d: parsed %d, want %d", i, gh.Buckets[i], wh.Buckets[i])
-		}
-	}
-	// Companion gauges must be folded into the histogram, not left behind.
-	for _, suffix := range []string{"_p50", "_p95", "_p99", "_max", "_max_seq"} {
-		if _, ok := got.Gauges["empart_phys_read_ns"+suffix]; ok {
-			t.Errorf("companion gauge %s not folded into histogram", suffix)
-		}
-	}
-}
-
 func TestPrometheusGolden(t *testing.T) {
-	// The exact series emitted for a small, fixed registry. Guards the format
-	// emtop's scoped parser (and any real Prometheus scraper) depends on.
-	r := New()
-	r.Counter("reads_total", "reads").Add(5)
-	r.Gauge("depth", "queue depth").Set(2)
-	r.Info("phase", "active phase", "phase").Set("merge")
+	// The exact exposition of populate()'s registry, byte for byte: every
+	// instrument kind, including each _bucket series of the histogram (le is
+	// the bucket's inclusive ceiling), +Inf, _sum, _count and the
+	// _p50/_p95/_p99/_max/_max_seq companion gauges.
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := populate(t).WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP reads_total reads
-# TYPE reads_total counter
-reads_total 5
-# HELP depth queue depth
-# TYPE depth gauge
-depth 2
-# HELP phase active phase
-# TYPE phase gauge
-phase{phase="merge"} 1
+	want := `# HELP empart_logical_reads_total logical reads
+# TYPE empart_logical_reads_total counter
+empart_logical_reads_total 1234
+# HELP empart_logical_writes_total logical writes
+# TYPE empart_logical_writes_total counter
+empart_logical_writes_total 567
+# HELP empart_phase_started_total phase starts
+# TYPE empart_phase_started_total counter
+empart_phase_started_total{phase="extsort"} 2
+empart_phase_started_total{phase="extsort/merge"} 7
+# HELP empart_phase_depth phase depth
+# TYPE empart_phase_depth gauge
+empart_phase_depth 3
+# HELP empart_phase current phase
+# TYPE empart_phase gauge
+empart_phase{phase="extsort/merge"} 1
+# HELP empart_phys_read_ns physical read latency (ns)
+# TYPE empart_phys_read_ns histogram
+empart_phys_read_ns_bucket{le="0"} 0
+empart_phys_read_ns_bucket{le="1"} 0
+empart_phys_read_ns_bucket{le="3"} 0
+empart_phys_read_ns_bucket{le="7"} 0
+empart_phys_read_ns_bucket{le="15"} 0
+empart_phys_read_ns_bucket{le="31"} 0
+empart_phys_read_ns_bucket{le="63"} 0
+empart_phys_read_ns_bucket{le="127"} 1
+empart_phys_read_ns_bucket{le="255"} 1
+empart_phys_read_ns_bucket{le="511"} 1
+empart_phys_read_ns_bucket{le="1023"} 2
+empart_phys_read_ns_bucket{le="2047"} 2
+empart_phys_read_ns_bucket{le="4095"} 2
+empart_phys_read_ns_bucket{le="8191"} 2
+empart_phys_read_ns_bucket{le="16383"} 3
+empart_phys_read_ns_bucket{le="32767"} 3
+empart_phys_read_ns_bucket{le="65535"} 3
+empart_phys_read_ns_bucket{le="131071"} 3
+empart_phys_read_ns_bucket{le="262143"} 3
+empart_phys_read_ns_bucket{le="524287"} 3
+empart_phys_read_ns_bucket{le="1048575"} 3
+empart_phys_read_ns_bucket{le="2097151"} 4
+empart_phys_read_ns_bucket{le="+Inf"} 4
+empart_phys_read_ns_sum 2016000
+empart_phys_read_ns_count 4
+# HELP empart_phys_read_ns_p50 physical read latency (ns) (p50)
+# TYPE empart_phys_read_ns_p50 gauge
+empart_phys_read_ns_p50 1023
+# HELP empart_phys_read_ns_p95 physical read latency (ns) (p95)
+# TYPE empart_phys_read_ns_p95 gauge
+empart_phys_read_ns_p95 2000000
+# HELP empart_phys_read_ns_p99 physical read latency (ns) (p99)
+# TYPE empart_phys_read_ns_p99 gauge
+empart_phys_read_ns_p99 2000000
+# HELP empart_phys_read_ns_max physical read latency (ns) (max)
+# TYPE empart_phys_read_ns_max gauge
+empart_phys_read_ns_max 2000000
+# HELP empart_phys_read_ns_max_seq physical read latency (ns) (max_seq)
+# TYPE empart_phys_read_ns_max_seq gauge
+empart_phys_read_ns_max_seq 13
 `
 	if b.String() != want {
 		t.Errorf("exposition:\n%s\nwant:\n%s", b.String(), want)
@@ -231,43 +227,6 @@ func TestMetricsOTLPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRenderDashboard(t *testing.T) {
-	r := populate(t)
-	out := RenderDashboard(r.Snapshot(), 0)
-	for _, want := range []string{
-		"phase: extsort/merge",
-		"depth=3",
-		"reads=1.2k",
-		"phys_read",
-		"span#13", // exemplar seq of the slowest phys read
-		"extsort/merge=7",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dashboard frame missing %q:\n%s", want, out)
-		}
-	}
-	// Width clamping never splits a line past the limit.
-	for _, line := range strings.Split(RenderDashboard(r.Snapshot(), 20), "\n") {
-		if n := len([]rune(line)); n > 20 {
-			t.Errorf("line %q is %d runes, want <= 20", line, n)
-		}
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if got := sparkline(nil); got != "" {
-		t.Errorf("sparkline(nil) = %q, want empty", got)
-	}
-	if got := sparkline([]int64{0, 0}); got != "" {
-		t.Errorf("sparkline(zeros) = %q, want empty", got)
-	}
-	got := sparkline([]int64{1, 0, 8})
-	runes := []rune(got)
-	if len(runes) != 3 || runes[1] != ' ' || runes[2] != '█' {
-		t.Errorf("sparkline([1 0 8]) = %q", got)
-	}
-}
-
 func TestPprofSmoke(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", New())
 	if err != nil {
@@ -285,38 +244,6 @@ func TestPprofSmoke(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "goroutine") {
 		t.Errorf("pprof index does not list profiles:\n%.200s", body)
-	}
-}
-
-func TestServeContextShutsDownOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := ServeContext(ctx, "127.0.0.1:0", New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := s.URL()
-	if resp, err := http.Get(url); err != nil {
-		t.Fatalf("scrape before cancel: %v", err)
-	} else {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := http.Get(url); err != nil {
-			break // listener gone: shutdown happened
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server still serving 5s after context cancel")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := s.Close(); err != nil {
-		t.Errorf("Close after context shutdown: %v", err)
-	}
-	if err := s.Err(); err != nil {
-		t.Errorf("Err after clean shutdown: %v", err)
 	}
 }
 

@@ -79,7 +79,8 @@ type RetryStats struct {
 }
 
 // retrier is the runtime form of a Retry policy: the normalized knobs plus
-// counters bumped from whichever goroutine performs the transfer.
+// counters, bumped on the goroutine that runs the transfer and read by
+// RetryStats from any goroutine.
 type retrier struct {
 	pol       Retry
 	retries   atomic.Int64
@@ -104,22 +105,22 @@ func (r *retrier) stats() RetryStats {
 	}
 }
 
-// retryMetrics are the registry instruments of the retry layer. Handles are
-// safe from any goroutine, so the retry loop records into them directly.
+// retryMetrics are the registry instruments of the retry layer, recorded by
+// the retry loop directly.
 type retryMetrics struct {
-	retries   *metrics.CounterHandle
-	giveups   *metrics.CounterHandle
-	backoffNS *metrics.HistogramHandle
+	retries   *metrics.Counter
+	giveups   *metrics.Counter
+	backoffNS *metrics.Histogram
 }
 
 func newRetryMetrics(reg *metrics.Registry) *retryMetrics {
 	return &retryMetrics{
 		retries: reg.Counter("empart_io_retries_total",
-			"transient physical-transfer failures that were retried").Handle(),
+			"transient physical-transfer failures that were retried"),
 		giveups: reg.Counter("empart_io_retry_giveups_total",
-			"physical transfers abandoned after exhausting the retry budget").Handle(),
+			"physical transfers abandoned after exhausting the retry budget"),
 		backoffNS: reg.Histogram("empart_io_retry_backoff_ns",
-			"backoff slept before one retry attempt", "ns").Handle(),
+			"backoff slept before one retry attempt", "ns"),
 	}
 }
 

@@ -231,8 +231,8 @@ func (d *Disk) exitSpan(sp *Span) {
 // publishSpan stores sp as the disk's innermost open span (nil outside all
 // spans) and sets the phase gauges from it. The phase gauges, the seq that
 // latency and retry exemplars carry, and the phase path and seq of log
-// records all follow this one pointer, which transfer and retry goroutines
-// read.
+// records all follow this one pointer. The job's goroutine reads it, and so
+// does a Cancel from another goroutine when it logs.
 func (d *Disk) publishSpan(sp *Span) {
 	d.span.Store(sp)
 	if m := d.iom; m != nil {
