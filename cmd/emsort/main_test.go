@@ -152,6 +152,61 @@ func TestRunWritesOTLP(t *testing.T) {
 	}
 }
 
+// TestRunWritesEventLog pins -log: the file is created or truncated, holds
+// one JSON record per line at debug level, narrates every phase boundary
+// with the span's path and seq, and ends with the disk's close, which
+// flushes it.
+func TestRunWritesEventLog(t *testing.T) {
+	var in bytes.Buffer
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintln(&in, (i*1103)%3001) // 3,000 distinct keys, shuffled
+	}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := os.WriteFile(path, []byte("stale line from an earlier run\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := opts(256, 32, "", true)
+	o.Log = path
+	var out, report bytes.Buffer
+	if err := run(o, &in, &out, &report); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	var last string
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %q is not JSON: %v", line, err)
+		}
+		for _, key := range []string{"time", "level", "msg", "disk"} {
+			if rec[key] == nil {
+				t.Errorf("record %q lacks %q", line, key)
+			}
+		}
+		last, _ = rec["msg"].(string)
+		counts[last]++
+		if last == "phase started" || last == "phase ended" {
+			if rec["level"] != "DEBUG" {
+				t.Errorf("phase record %q is not at debug level", line)
+			}
+			if _, ok := rec["span_seq"].(float64); !ok || rec["phase"] == nil {
+				t.Errorf("phase record %q lacks phase or span_seq", line)
+			}
+		}
+	}
+	if counts["phase started"] == 0 || counts["phase started"] != counts["phase ended"] {
+		t.Errorf("phase started/ended records = %d/%d, want equal and nonzero",
+			counts["phase started"], counts["phase ended"])
+	}
+	if last != "disk closed" {
+		t.Errorf("last record %q, want %q: Close flushes the log", last, "disk closed")
+	}
+}
+
 // TestHostLine pins the report's first line, which CI's io_uring probe
 // greps: what the host supports and which backend the run used.
 func TestHostLine(t *testing.T) {

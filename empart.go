@@ -127,14 +127,6 @@ type (
 	MetricsRegistry = metrics.Registry
 	// MetricsSnapshot is a point-in-time copy of every metric on a registry.
 	MetricsSnapshot = metrics.Snapshot
-	// LogConfig arms the structured event log (Config.Log): ring capacity,
-	// level, JSON-lines path, extra handler.
-	LogConfig = emio.LogConfig
-	// EventLog is the span-aware structured log sink; attach one with
-	// System.EnableLog or Config.Log.
-	EventLog = emio.EventLog
-	// LogEvent is one record of the event log's in-memory ring.
-	LogEvent = emio.Event
 )
 
 // ShardReport is the zero-value stub left by the retired sharded engine:
@@ -202,20 +194,19 @@ func NewFileBacked(cfg Config, path string) (*System, error) {
 	return open(cfg, d, err)
 }
 
-// NewFileBackedResume creates a System over an EXISTING backing file at
+// newFileBackedResume creates a System over an EXISTING backing file at
 // path, preserved rather than truncated, for crash recovery: the disk starts
 // with an empty allocator, and the caller re-attaches surviving data by
-// adopting journaled manifests (Disk.AdoptFile) before any new writes. Used
-// by OpenSortJob with Resume set; most callers want that entry point rather
-// than this one.
-func NewFileBackedResume(cfg Config, path string) (*System, error) {
+// adopting journaled manifests (Disk.AdoptFile) before any new writes.
+// OpenSortJob calls it with Resume set.
+func newFileBackedResume(cfg Config, path string) (*System, error) {
 	d, err := emio.NewFileBackedDiskResume(path, cfg.B, cfg.Pipeline)
 	return open(cfg, d, err)
 }
 
 // open builds a System over d, the disk a constructor opened (or failed to
-// open, with err). It closes d on every error path, and with it any
-// event-log file sink that cfg.Log attached.
+// open, with err). It closes d on every error path, and with it any event
+// log file that cfg.Log opened.
 func open(cfg Config, d *emio.Disk, err error) (*System, error) {
 	if err != nil {
 		return nil, err
@@ -306,16 +297,9 @@ func (s *System) ShardReport() ShardReport { return ShardReport{} }
 // PeakMemory returns the high-water mark of the memory accountant.
 func (s *System) PeakMemory() int64 { return s.ctx.Mem().Peak() }
 
-// LiveDiskBlocks returns the blocks currently held by unreleased files.
-func (s *System) LiveDiskBlocks() int64 { return s.ctx.Disk().LiveBlocks() }
-
 // PeakDiskBlocks returns the high-water mark of the disk footprint: the
-// scratch space the algorithms really used. ResetPeakDisk lowers it to the
-// current level so a single phase can be measured.
+// scratch space the algorithms really used.
 func (s *System) PeakDiskBlocks() int64 { return s.ctx.Disk().PeakLiveBlocks() }
-
-// ResetPeakDisk lowers the disk-footprint high-water mark to current usage.
-func (s *System) ResetPeakDisk() { s.ctx.Disk().ResetPeakLive() }
 
 // BackingBytes returns the high-water byte size of the backing file for
 // file-backed systems (released extents are reused, so this tracks the peak
@@ -402,26 +386,6 @@ func (s *System) MetricsRegistry() *MetricsRegistry {
 	}
 	return nil
 }
-
-// EnableLog attaches a fresh event log built from cfg and returns it. The
-// returned log's ring can be inspected with Events; its JSON-lines file sink
-// (cfg.Path) is closed by System.Close.
-func (s *System) EnableLog(cfg LogConfig) (*EventLog, error) {
-	el, err := emio.NewEventLog(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.ctx.Disk().AttachEventLog(el)
-	return el, nil
-}
-
-// EventLog returns the attached event log, or nil when none was created
-// through EnableLog or Config.Log.
-func (s *System) EventLog() *EventLog { return s.ctx.Disk().EventLog() }
-
-// LiveFiles returns the names of all files currently live on the simulated
-// disk (staged inputs and scratch files alike), sorted.
-func (s *System) LiveFiles() []string { return s.ctx.Disk().LiveFiles() }
 
 // LiveScratchFiles returns the names of live algorithm-created scratch files,
 // sorted: nonempty after all outputs are released indicates a leak.

@@ -239,21 +239,22 @@ func TestEndToEndMeasuredVsBounds(t *testing.T) {
 func TestDiskFootprintFacade(t *testing.T) {
 	sys := newSys(t)
 	_, f := stageUniform(t, sys, 4096, 20)
-	if sys.LiveDiskBlocks() != 4096/32 {
-		t.Fatalf("live blocks %d, want %d", sys.LiveDiskBlocks(), 4096/32)
+	d := sys.Ctx().Disk()
+	if d.LiveBlocks() != 4096/32 {
+		t.Fatalf("live blocks %d, want %d", d.LiveBlocks(), 4096/32)
 	}
-	sys.ResetPeakDisk()
+	d.ResetPeakLive()
 	out, err := sys.Sort(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	peak := sys.PeakDiskBlocks()
-	if peak <= sys.LiveDiskBlocks() || peak > 4*4096/32 {
+	if peak <= d.LiveBlocks() || peak > 4*4096/32 {
 		t.Errorf("sort peak footprint %d blocks implausible", peak)
 	}
 	out.Release()
-	if sys.LiveDiskBlocks() != 4096/32 {
-		t.Errorf("after release live = %d", sys.LiveDiskBlocks())
+	if d.LiveBlocks() != 4096/32 {
+		t.Errorf("after release live = %d", d.LiveBlocks())
 	}
 }
 

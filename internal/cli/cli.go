@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -59,7 +58,7 @@ func Register(fs *flag.FlagSet, backend bool) *Flags {
 	fs.BoolVar(&f.Uring, "uring", false, "submit physical I/O through an io_uring (needs -backing; degrades silently to positioned syscalls where unsupported)")
 	fs.BoolVar(&f.Checksum, "checksum", false, "CRC32C-checksum every stored block and fail on corruption at read time")
 	fs.IntVar(&f.Retry, "retry", 0, "retry transient backing-I/O faults up to this many attempts (0 or 1 = off)")
-	fs.StringVar(&f.Log, "log", "", "append structured JSON-lines event log to this file")
+	fs.StringVar(&f.Log, "log", "", "write the structured JSON-lines event log (debug level) to this file, created or truncated")
 	fs.Int64Var(&f.DiskBudget, "disk-budget", 0, "cap the simulated disk footprint at this many bytes (0 = unbounded); a job that would exceed it degrades where it can and otherwise fails with a typed resource error")
 	fs.StringVar(&f.OTLP, "otlp", "", "write OTLP/JSON trace+metrics export to PREFIX.trace.json / PREFIX.metrics.json (implies tracing and metrics)")
 	return f
@@ -72,7 +71,7 @@ func (f *Flags) Config() empart.Config {
 		Workers:    f.Workers,
 		Checksum:   f.Checksum,
 		Retry:      empart.Retry{MaxAttempts: f.Retry},
-		Log:        empart.LogConfig{Level: slog.LevelDebug, Path: f.Log},
+		Log:        f.Log,
 		DiskBudget: f.DiskBudget,
 		Pipeline:   empart.Pipeline{Uring: f.Uring},
 	}

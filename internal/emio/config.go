@@ -19,7 +19,9 @@ import (
 // failures. Both are bit-identical on the logical model — with no faults
 // injected, outputs, Stats and trace JSON match a resilience-off run.
 //
-// Log arms the structured event log (see LogConfig); like the other
+// Log, when nonempty, is the path of the structured event log: a JSON-lines
+// file, created or truncated, that receives every record at debug level and
+// that Disk.Close flushes and closes (see eventlog.go). Like the other
 // telemetry legs it is strictly observational and changes no outputs.
 //
 // Workers is the number of goroutines the two sorts may use for their
@@ -46,7 +48,7 @@ type Config struct {
 	// more passes, still within the paper's O(n/B·log_{M/B}) bound).
 	DiskBudget int64
 
-	Log LogConfig // structured event log (ring + JSON-lines + extra handler)
+	Log string // path of the JSON-lines event log; "" = no log
 }
 
 // Pipeline configures the physical layer of a file-backed disk. Every
@@ -121,10 +123,7 @@ func (c Config) Validate() error {
 	if c.DiskBudget < 0 {
 		return fmt.Errorf("%w: disk budget %d < 0", ErrBadConfig, c.DiskBudget)
 	}
-	if err := c.Retry.validate(); err != nil {
-		return err
-	}
-	return c.Log.validate()
+	return c.Retry.validate()
 }
 
 // Blocks returns the number of blocks needed to store n elements,

@@ -44,21 +44,6 @@ func applyResilience(d *Disk, cfg Config) {
 	}
 }
 
-// applyLog arms the structured event log when the configuration asks for one.
-// Like applyResilience it is additive: a silent Config never detaches a log
-// already attached to the disk.
-func applyLog(d *Disk, cfg Config) error {
-	if !cfg.Log.armed() || d.EventLog() != nil {
-		return nil
-	}
-	el, err := NewEventLog(cfg.Log)
-	if err != nil {
-		return err
-	}
-	d.AttachEventLog(el)
-	return nil
-}
-
 // NewCtxWithDisk creates a context over an existing disk (for example a
 // file-backed one). The disk's block size must match cfg.B.
 func NewCtxWithDisk(cfg Config, d *Disk) (*Ctx, error) {

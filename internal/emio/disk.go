@@ -34,7 +34,7 @@ type Disk struct {
 
 	// Disk-space accounting: the EM model's disk is unbounded, but scratch
 	// footprint is a real resource; liveBlocks counts blocks of unreleased
-	// files and peakLive its high-water mark.
+	// files (what the disk budget bounds) and peakLive its high-water mark.
 	liveBlocks int64
 	peakLive   int64
 
@@ -57,10 +57,10 @@ type Disk struct {
 
 	// Structured event log (see eventlog.go); logger is nil when logging is
 	// disabled (one nil check per emission site). id names the disk in log
-	// records; elog is an owned EventLog closed with the disk.
-	id     string
-	logger *slog.Logger
-	elog   *EventLog
+	// records; logFile is the Config.Log file, closed with the disk.
+	id      string
+	logger  *slog.Logger
+	logFile *logFile
 
 	// span is the innermost open span of the Ctx driving the disk, nil
 	// outside all spans: stored by the algorithm goroutine at every span
@@ -81,11 +81,11 @@ type Disk struct {
 	retry    *retrier
 	inj      atomic.Pointer[Injector]
 
-	// Job-lifecycle state: the cooperative cancellation cell (see cancel.go)
-	// and the disk-byte accountant (see resource.go), both allocated by the
-	// constructors.
+	// Job-lifecycle state: the cooperative cancellation cell (see cancel.go),
+	// allocated by the constructors, and the disk-byte quota (see
+	// resource.go), 0 when unbounded.
 	cancel *cancelCell
-	budget *diskBudget
+	quota  int64
 }
 
 // ErrReleased is returned when accessing a File whose storage was released.
@@ -102,7 +102,7 @@ func NewDisk(blockSize int) *Disk {
 	}
 	return &Disk{blockSize: blockSize, store: newMemStore(),
 		id:     fmt.Sprintf("mem-%d", diskSeq.Add(1)),
-		cancel: &cancelCell{}, budget: &diskBudget{}}
+		cancel: &cancelCell{}}
 }
 
 // NewFileBackedDisk creates a disk whose blocks live in a real file at path
@@ -134,7 +134,7 @@ func newFileBackedDisk(path string, blockSize int, p Pipeline, dep depths, keep 
 	if blockSize < 1 {
 		return nil, fmt.Errorf("emio: block size %d < 1", blockSize)
 	}
-	d := &Disk{blockSize: blockSize, cancel: &cancelCell{}, budget: &diskBudget{}}
+	d := &Disk{blockSize: blockSize, cancel: &cancelCell{}}
 	st, err := newFileStore(d, path, p, dep, keep)
 	if err != nil {
 		return nil, err
@@ -222,18 +222,15 @@ func (d *Disk) EnableMetrics(reg *metrics.Registry) *IOMetrics {
 // Metrics returns the live instrument bundle, nil when metrics are disabled.
 func (d *Disk) Metrics() *IOMetrics { return d.iom }
 
-// ID returns the disk's diagnostic identity, as carried by log records.
-func (d *Disk) ID() string { return d.id }
-
 // Close releases backend resources (the backing file for file-backed disks;
-// a no-op for memory-backed ones) and closes an owned event log's file sink.
+// a no-op for memory-backed ones) and flushes and closes the event log file.
 // Teardown failures are joined, never masked: a sticky write-behind error
-// surfacing here is reported alongside — not instead of — a log-sink failure.
+// surfacing here is reported alongside — not instead of — a log-file failure.
 func (d *Disk) Close() error {
 	err := d.store.close()
-	if d.elog != nil {
+	if d.logFile != nil {
 		d.log(slog.LevelDebug, "disk closed")
-		err = joinErr(err, d.elog.Close())
+		err = joinErr(err, d.logFile.Close())
 	}
 	return err
 }
@@ -303,9 +300,6 @@ func (d *Disk) ResetStats() { d.stats = Stats{} }
 // written earlier have no recorded sum and are read unverified. Checksums
 // never change logical accounting, outputs or trace JSON.
 func (d *Disk) EnableChecksums() { d.checksum = true }
-
-// ChecksumsEnabled reports whether per-block checksum verification is armed.
-func (d *Disk) ChecksumsEnabled() bool { return d.checksum }
 
 // SetRetry installs the bounded-retry policy for physical transfers. A
 // policy with MaxAttempts <= 1 removes it (single attempt per transfer;

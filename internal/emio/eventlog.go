@@ -16,12 +16,9 @@ package emio
 // logging on or off (the telemetry parity suite proves it). With logging
 // disabled every emission site is one nil check.
 //
-// Events fan out to up to three sinks: a bounded in-memory ring (always,
-// for post-mortem inspection and tests), a JSON-lines file (LogConfig.Path),
-// and an arbitrary extra slog.Handler (LogConfig.Handler — a user's own
-// logging stack). Ring and file writes are serialized by one mutex; events
-// are rare (faults, retries, phase boundaries at debug level), never
-// per-block, so the lock is uncontended in practice.
+// The log has one sink: the JSON-lines file Config.Log names, kept at debug
+// level, buffered, and flushed and closed by Disk.Close. Events are rare
+// (faults, retries, phase boundaries), never per-block.
 
 import (
 	"bufio"
@@ -30,249 +27,38 @@ import (
 	"log/slog"
 	"os"
 	"sync"
-	"time"
 )
 
-// LogConfig arms the structured event log of a System (Config.Log). The log
-// is enabled when Enabled is set or when any sink is named (a Path or a
-// Handler implies intent).
-type LogConfig struct {
-	Enabled bool
-	// Level is the minimum record level kept; the zero value is slog.LevelInfo.
-	// Phase-boundary events are emitted at slog.LevelDebug.
-	Level slog.Level
-	// Ring is the in-memory ring capacity in events; 0 means DefaultLogRing.
-	Ring int
-	// Path, when nonempty, appends JSON-lines records to this file
-	// (created or truncated at attach time).
-	Path string
-	// Handler, when non-nil, receives every kept record in addition to the
-	// ring and file sinks. It must be safe for concurrent use (a Cancel from
-	// another goroutine logs while the job's goroutine does).
-	Handler slog.Handler
-}
-
-// DefaultLogRing is the ring capacity used when LogConfig.Ring is zero.
-const DefaultLogRing = 256
-
-// armed reports whether the configuration asks for logging at all.
-func (lc LogConfig) armed() bool {
-	return lc.Enabled || lc.Path != "" || lc.Handler != nil
-}
-
-// validate rejects a negative ring capacity.
-func (lc LogConfig) validate() error {
-	if lc.Ring < 0 {
-		return fmt.Errorf("%w: log ring capacity %d < 0", ErrBadConfig, lc.Ring)
-	}
-	return nil
-}
-
-// Event is one rendered record of the in-memory ring: timestamp, level,
-// message, and the flattened attribute set (span enrichment included).
-type Event struct {
-	Time  time.Time
-	Level slog.Level
-	Msg   string
-	Attrs map[string]any
-}
-
-// EventLog is the fan-out sink of a disk's structured event stream. It
-// implements slog.Handler; attach it (or any other handler) with
-// Disk.SetLogHandler, or build and attach one with System.EnableLog. Safe
-// for concurrent use.
-type EventLog struct {
-	level slog.Leveler
-	extra slog.Handler
-
+// logFile is the buffered JSON-lines file behind an event log. The JSON
+// handler writes each record with one Write, and a Cancel from another
+// goroutine may log while the job's goroutine does or while Disk.Close runs,
+// so one mutex serializes the writes with Close; records after Close are
+// dropped.
+type logFile struct {
 	mu     sync.Mutex
-	ring   []Event // circular, fixed capacity
-	next   int     // ring write cursor
-	count  int     // live events in the ring (<= cap)
-	total  int64   // events ever kept
-	file   *os.File
-	fileW  *bufio.Writer // buffers JSON lines; Flush/Close syncs to disk
-	fileH  slog.Handler
+	f      *os.File
+	w      *bufio.Writer // one write syscall per record would dominate the emission cost
 	closed bool
 }
 
-// NewEventLog builds an event log for the given configuration, opening the
-// JSON-lines file when a path is named.
-func NewEventLog(cfg LogConfig) (*EventLog, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+func (l *logFile) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return len(p), nil
 	}
-	ring := cfg.Ring
-	if ring == 0 {
-		ring = DefaultLogRing
-	}
-	el := &EventLog{
-		level: cfg.Level,
-		extra: cfg.Handler,
-		ring:  make([]Event, ring),
-	}
-	if cfg.Path != "" {
-		f, err := os.Create(cfg.Path)
-		if err != nil {
-			return nil, fmt.Errorf("emio: open event log: %w", err)
-		}
-		el.file = f
-		// Buffered: a debug-level run narrates every phase boundary, and one
-		// write syscall per event would dominate the emission cost. Flush
-		// makes the file current; Close always flushes.
-		el.fileW = bufio.NewWriterSize(f, 1<<16)
-		el.fileH = slog.NewJSONHandler(el.fileW, &slog.HandlerOptions{Level: cfg.Level})
-	}
-	return el, nil
+	return l.w.Write(p)
 }
 
-// Enabled implements slog.Handler.
-func (el *EventLog) Enabled(_ context.Context, lvl slog.Level) bool {
-	return lvl >= el.level.Level()
-}
-
-// Handle implements slog.Handler: the record lands in the ring and is
-// forwarded to the file and extra sinks.
-func (el *EventLog) Handle(ctx context.Context, r slog.Record) error {
-	ev := Event{Time: r.Time, Level: r.Level, Msg: r.Message}
-	if r.NumAttrs() > 0 {
-		ev.Attrs = make(map[string]any, r.NumAttrs())
-		r.Attrs(func(a slog.Attr) bool {
-			ev.Attrs[a.Key] = a.Value.Resolve().Any()
-			return true
-		})
-	}
-	el.mu.Lock()
-	if len(el.ring) > 0 {
-		el.ring[el.next] = ev
-		el.next = (el.next + 1) % len(el.ring)
-		if el.count < len(el.ring) {
-			el.count++
-		}
-	}
-	el.total++
-	var err error
-	if el.fileH != nil && !el.closed {
-		err = el.fileH.Handle(ctx, r)
-	}
-	el.mu.Unlock()
-	if el.extra != nil && el.extra.Enabled(ctx, r.Level) {
-		if eerr := el.extra.Handle(ctx, r); err == nil {
-			err = eerr
-		}
-	}
-	return err
-}
-
-// WithAttrs implements slog.Handler by binding attributes into every record.
-func (el *EventLog) WithAttrs(attrs []slog.Attr) slog.Handler {
-	if len(attrs) == 0 {
-		return el
-	}
-	return &boundHandler{el: el, attrs: attrs}
-}
-
-// WithGroup implements slog.Handler. Groups are flattened (the ring stores a
-// flat attribute map); the group name prefixes the keys of grouped attrs.
-func (el *EventLog) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return el
-	}
-	return &boundHandler{el: el, prefix: name + "."}
-}
-
-// boundHandler is an EventLog view with pre-bound attributes or a group
-// prefix, produced by WithAttrs/WithGroup.
-type boundHandler struct {
-	el     *EventLog
-	attrs  []slog.Attr
-	prefix string
-}
-
-func (b *boundHandler) Enabled(ctx context.Context, lvl slog.Level) bool {
-	return b.el.Enabled(ctx, lvl)
-}
-
-func (b *boundHandler) Handle(ctx context.Context, r slog.Record) error {
-	r2 := slog.NewRecord(r.Time, r.Level, r.Message, r.PC)
-	r2.AddAttrs(b.attrs...)
-	if b.prefix == "" {
-		r.Attrs(func(a slog.Attr) bool { r2.AddAttrs(a); return true })
-	} else {
-		r.Attrs(func(a slog.Attr) bool {
-			a.Key = b.prefix + a.Key
-			r2.AddAttrs(a)
-			return true
-		})
-	}
-	return b.el.Handle(ctx, r2)
-}
-
-func (b *boundHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &boundHandler{el: b.el, attrs: append(append([]slog.Attr{}, b.attrs...), attrs...), prefix: b.prefix}
-}
-
-func (b *boundHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return b
-	}
-	return &boundHandler{el: b.el, attrs: b.attrs, prefix: b.prefix + name + "."}
-}
-
-// Events returns a copy of the ring, oldest first.
-func (el *EventLog) Events() []Event {
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	out := make([]Event, 0, el.count)
-	start := el.next - el.count
-	if start < 0 {
-		start += len(el.ring)
-	}
-	for i := 0; i < el.count; i++ {
-		out = append(out, el.ring[(start+i)%len(el.ring)])
-	}
-	return out
-}
-
-// Total returns the number of events ever kept (including ones the ring has
-// since overwritten).
-func (el *EventLog) Total() int64 {
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	return el.total
-}
-
-// Flush forces buffered JSON lines out to the file sink, so the log can be
-// tailed mid-run. No-op without a file sink or after Close.
-func (el *EventLog) Flush() error {
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	if el.fileW == nil || el.closed {
+// Close flushes and closes the file; it is idempotent.
+func (l *logFile) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return nil
 	}
-	return el.fileW.Flush()
-}
-
-// Close flushes and closes the JSON-lines file sink. The ring and extra
-// handler keep working; Close is idempotent.
-func (el *EventLog) Close() error {
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	if el.closed {
-		return nil
-	}
-	el.closed = true
-	if el.file != nil {
-		var ferr error
-		if el.fileW != nil {
-			ferr = el.fileW.Flush()
-		}
-		if cerr := el.file.Close(); ferr == nil {
-			ferr = cerr
-		}
-		return ferr
-	}
-	return nil
+	l.closed = true
+	return joinErr(l.w.Flush(), l.f.Close())
 }
 
 // spanHandler enriches every record passing through with the disk's live
@@ -306,11 +92,11 @@ func (h *spanHandler) WithGroup(name string) slog.Handler {
 
 // --- disk-side plumbing -----------------------------------------------------
 
-// SetLogHandler attaches (or, with nil, detaches) a structured log sink to
+// setLogHandler attaches (or, with nil, detaches) a structured log sink to
 // the disk. Every emitted record is enriched with the live span context
 // before reaching h. Strictly observational: logical Stats, trace JSON and
 // all outputs are bit-identical with logging on or off.
-func (d *Disk) SetLogHandler(h slog.Handler) {
+func (d *Disk) setLogHandler(h slog.Handler) {
 	if h == nil {
 		d.logger = nil
 		return
@@ -318,21 +104,22 @@ func (d *Disk) SetLogHandler(h slog.Handler) {
 	d.logger = slog.New(&spanHandler{inner: h, disk: d})
 }
 
-// AttachEventLog attaches an event log as the disk's log sink and takes
-// ownership of it: Disk.Close closes the log's file sink.
-func (d *Disk) AttachEventLog(el *EventLog) {
-	d.elog = el
-	d.SetLogHandler(el)
+// applyLog creates (or truncates) the JSON-lines file cfg.Log names and
+// attaches it as the disk's log sink, at debug level; Disk.Close flushes and
+// closes it. Like applyResilience it is additive: an empty path never
+// detaches a log already attached to the disk.
+func applyLog(d *Disk, cfg Config) error {
+	if cfg.Log == "" || d.logFile != nil {
+		return nil
+	}
+	f, err := os.Create(cfg.Log)
+	if err != nil {
+		return fmt.Errorf("emio: open event log: %w", err)
+	}
+	d.logFile = &logFile{f: f, w: bufio.NewWriterSize(f, 1<<16)}
+	d.setLogHandler(slog.NewJSONHandler(d.logFile, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	return nil
 }
-
-// EventLog returns the attached event log, nil when none is owned by the
-// disk (a bare SetLogHandler does not create one).
-func (d *Disk) EventLog() *EventLog { return d.elog }
-
-// Logger returns the span-enriching logger, nil when logging is disabled.
-// Emissions through it are delivered to the attached sink with phase path,
-// span seq and disk id attrs added.
-func (d *Disk) Logger() *slog.Logger { return d.logger }
 
 // log emits one event if logging is enabled; the single nil check is the
 // entire disabled-path cost.

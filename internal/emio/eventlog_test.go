@@ -1,69 +1,48 @@
 package emio
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"log/slog"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
-func TestEventLogRingEviction(t *testing.T) {
-	el, err := NewEventLog(LogConfig{Enabled: true, Ring: 4})
-	if err != nil {
-		t.Fatal(err)
+// captureLog attaches a debug-level JSON handler writing into a buffer, as
+// Config.Log attaches its file, and returns the buffer.
+func captureLog(d *Disk) *bytes.Buffer {
+	var buf bytes.Buffer
+	d.setLogHandler(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	return &buf
+}
+
+// logRecords decodes JSON-lines log output, one record per line.
+func logRecords(t *testing.T, data []byte) []map[string]any {
+	t.Helper()
+	var recs []map[string]any
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad JSON-lines record %q: %v", sc.Text(), err)
+		}
+		recs = append(recs, rec)
 	}
-	lg := slog.New(el)
-	for i := 0; i < 10; i++ {
-		lg.Info("event", "i", i)
-	}
-	if got := el.Total(); got != 10 {
-		t.Errorf("Total = %d, want 10", got)
-	}
-	evs := el.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
-	}
-	// Oldest-first: the survivors are events 6..9.
-	for i, ev := range evs {
-		if got := ev.Attrs["i"]; got != int64(6+i) {
-			t.Errorf("ring[%d].i = %v, want %d", i, got, 6+i)
+	return recs
+}
+
+// findRecord returns the first record with the given message, nil if none.
+func findRecord(recs []map[string]any, msg string) map[string]any {
+	for _, rec := range recs {
+		if rec["msg"] == msg {
+			return rec
 		}
 	}
-}
-
-func TestEventLogLevelFilter(t *testing.T) {
-	el, err := NewEventLog(LogConfig{Enabled: true}) // zero Level = Info
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := slog.New(el)
-	lg.Debug("dropped")
-	lg.Warn("kept")
-	evs := el.Events()
-	if len(evs) != 1 || evs[0].Msg != "kept" {
-		t.Fatalf("events = %+v, want only the warning", evs)
-	}
-	if el.Total() != 1 {
-		t.Errorf("Total = %d, want 1", el.Total())
-	}
-}
-
-func TestEventLogWithAttrsAndGroupsFlatten(t *testing.T) {
-	el, err := NewEventLog(LogConfig{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := slog.New(el).With("bound", "yes").WithGroup("grp")
-	lg.Info("msg", "k", 7)
-	evs := el.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events", len(evs))
-	}
-	a := evs[0].Attrs
-	if a["bound"] != "yes" {
-		t.Errorf("bound attr = %v", a["bound"])
-	}
-	if a["grp.k"] != int64(7) {
-		t.Errorf("grouped attr grp.k = %v, want 7", a["grp.k"])
-	}
+	return nil
 }
 
 func TestDiskLogSpanEnrichment(t *testing.T) {
@@ -72,12 +51,8 @@ func TestDiskLogSpanEnrichment(t *testing.T) {
 	ctx := mustCtx(t, 64, 8)
 	tr := NewTracer()
 	ctx.SetTracer(tr)
-	el, err := NewEventLog(LogConfig{Enabled: true, Level: slog.LevelDebug})
-	if err != nil {
-		t.Fatal(err)
-	}
 	d := ctx.Disk()
-	d.AttachEventLog(el)
+	buf := captureLog(d)
 
 	root := ctx.StartSpan("outer")
 	inner := ctx.StartSpan("inner")
@@ -86,36 +61,29 @@ func TestDiskLogSpanEnrichment(t *testing.T) {
 	root.End()
 	d.log(slog.LevelInfo, "outside")
 
-	var inside, outside *Event
-	for i := range el.Events() {
-		ev := el.Events()[i]
-		switch ev.Msg {
-		case "inside":
-			inside = &ev
-		case "outside":
-			outside = &ev
-		}
-	}
+	recs := logRecords(t, buf.Bytes())
+	inside, outside := findRecord(recs, "inside"), findRecord(recs, "outside")
 	if inside == nil || outside == nil {
-		t.Fatalf("missing events: %+v", el.Events())
+		t.Fatalf("missing events: %v", recs)
 	}
-	if got := inside.Attrs["phase"]; got != "outer/inner" {
+	if got := inside["phase"]; got != "outer/inner" {
 		t.Errorf("inside phase = %v, want outer/inner", got)
 	}
-	seq, ok := inside.Attrs["span_seq"].(int64)
-	if !ok || len(tr.Find("inner")) != 1 || tr.Find("inner")[0].Seq != seq {
-		t.Errorf("inside span_seq = %v, want the inner span's seq", inside.Attrs["span_seq"])
+	// JSON numbers decode as float64.
+	seq, ok := inside["span_seq"].(float64)
+	if !ok || len(tr.Find("inner")) != 1 || float64(tr.Find("inner")[0].Seq) != seq {
+		t.Errorf("inside span_seq = %v, want the inner span's seq", inside["span_seq"])
 	}
-	if _, ok := outside.Attrs["phase"]; ok {
-		t.Errorf("event outside all spans carries phase = %v", outside.Attrs["phase"])
+	if _, ok := outside["phase"]; ok {
+		t.Errorf("event outside all spans carries phase = %v", outside["phase"])
 	}
-	if outside.Attrs["disk"] == nil {
-		t.Error("event lacks the disk id attr")
+	if outside["disk"] != d.id {
+		t.Errorf("event disk = %v, want %s", outside["disk"], d.id)
 	}
 	// Phase boundaries themselves were narrated at debug level.
 	started := 0
-	for _, ev := range el.Events() {
-		if ev.Msg == "phase started" {
+	for _, rec := range recs {
+		if rec["msg"] == "phase started" {
 			started++
 		}
 	}
@@ -128,74 +96,110 @@ func TestDiskLogWithoutTracer(t *testing.T) {
 	// The event log works with no tracer attached: StartSpan still assigns
 	// seqs and maintains the phase path for enrichment.
 	ctx := mustCtx(t, 64, 8)
-	el, err := NewEventLog(LogConfig{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	d := ctx.Disk()
-	d.AttachEventLog(el)
+	buf := captureLog(d)
 	sp := ctx.StartSpan("solo")
 	d.log(slog.LevelInfo, "hello")
 	sp.End()
-	evs := el.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1 (phase events are debug-level)", len(evs))
+	hello := findRecord(logRecords(t, buf.Bytes()), "hello")
+	if hello == nil {
+		t.Fatalf("no hello record in %q", buf.String())
 	}
-	if evs[0].Attrs["phase"] != "solo" {
-		t.Errorf("phase = %v, want solo", evs[0].Attrs["phase"])
+	if hello["phase"] != "solo" {
+		t.Errorf("phase = %v, want solo", hello["phase"])
+	}
+	if _, ok := hello["span_seq"].(float64); !ok {
+		t.Errorf("span_seq = %v, want the solo span's seq", hello["span_seq"])
 	}
 }
 
 func TestCtxConfigArmsEventLog(t *testing.T) {
-	// Config.Log plumbs through NewCtx: an armed config attaches an owned
-	// event log; an unarmed one leaves logging off.
-	ctx, err := NewCtx(Config{M: 64, B: 8, Log: LogConfig{Enabled: true}})
+	// Config.Log names the event log file: NewCtx opens it at debug level,
+	// its records stay buffered until Disk.Close flushes them, records after
+	// Close are dropped, and an empty path attaches nothing.
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	ctx, err := NewCtx(Config{M: 64, B: 8, Log: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Disk().EventLog() == nil {
-		t.Fatal("armed Config.Log did not attach an event log")
+	d := ctx.Disk()
+	sp := ctx.StartSpan("armed")
+	d.log(slog.LevelDebug, "debug record")
+	sp.End()
+	if data, err := os.ReadFile(path); err != nil || len(data) != 0 {
+		t.Fatalf("before Close the file holds %q (err %v), want it empty", data, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d.log(slog.LevelWarn, "after close")
+	if err := d.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs []string
+	for _, rec := range logRecords(t, data) {
+		msgs = append(msgs, rec["msg"].(string))
+	}
+	if want := []string{"phase started", "debug record", "phase ended", "disk closed"}; !slices.Equal(msgs, want) {
+		t.Fatalf("records %q, want %q", msgs, want)
 	}
 	off := mustCtx(t, 64, 8)
-	if off.Disk().EventLog() != nil || off.Disk().Logger() != nil {
-		t.Fatal("unarmed config attached logging")
+	if off.Disk().logger != nil || off.Disk().logFile != nil {
+		t.Fatal("an empty Config.Log attached logging")
 	}
 }
 
-func TestLogConfigValidate(t *testing.T) {
-	if _, err := NewCtx(Config{M: 64, B: 8, Log: LogConfig{Ring: -1}}); err == nil {
-		t.Fatal("negative ring capacity validated")
+func TestEventLogCancelDuringClose(t *testing.T) {
+	// A Cancel from another goroutine logs while the job's goroutine logs
+	// and while Disk.Close flushes the file: every write lands whole, and
+	// records after Close are dropped.
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	ctx, err := NewCtx(Config{M: 64, B: 8, Log: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := ctx.Disk()
+	const n = 500
+	cancelled := make(chan struct{})
+	go func() {
+		defer close(cancelled)
+		for i := 0; i < n; i++ {
+			d.Cancel(fmt.Errorf("cancel %d", i))
+			d.ClearCancel()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		d.log(slog.LevelInfo, "job record")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-cancelled
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, rec := range logRecords(t, data) {
+		counts[rec["msg"].(string)]++
+	}
+	if counts["job record"] != n || counts["disk closed"] != 1 {
+		t.Errorf("records %v, want %d job records and one disk closed", counts, n)
 	}
 }
 
 func TestSetLogHandlerDetach(t *testing.T) {
 	ctx := mustCtx(t, 64, 8)
 	d := ctx.Disk()
-	el, err := NewEventLog(LogConfig{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetLogHandler(el)
+	buf := captureLog(d)
 	d.log(slog.LevelInfo, "one")
-	d.SetLogHandler(nil)
+	d.setLogHandler(nil)
 	d.log(slog.LevelInfo, "two") // must be a no-op, not a panic
-	if got := el.Total(); got != 1 {
-		t.Errorf("Total = %d, want 1 (detached sink received an event)", got)
-	}
-}
-
-func TestEventLogExtraHandler(t *testing.T) {
-	// LogConfig.Handler receives every kept record alongside the ring.
-	sink, err := NewEventLog(LogConfig{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	el, err := NewEventLog(LogConfig{Enabled: true, Handler: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slog.New(el).Info("fan-out")
-	if sink.Total() != 1 || el.Total() != 1 {
-		t.Errorf("extra=%d ring=%d, want 1 and 1", sink.Total(), el.Total())
+	if recs := logRecords(t, buf.Bytes()); len(recs) != 1 {
+		t.Errorf("got %d records, want 1 (detached sink received an event)", len(recs))
 	}
 }

@@ -49,11 +49,6 @@ type Injector struct {
 	pPermanent float64 // probability of a permanent episode per transfer
 	burst      int     // max failed attempts of one probabilistic transient episode
 
-	// crashHook runs when a crash-point schedule (CrashRead/CrashWrite)
-	// fires; nil means the default, which SIGKILLs the process — the crash
-	// harness's scripted "power cut". Tests replace it with SetCrashHook.
-	crashHook func(op string, idx int64)
-
 	stats InjectorStats
 }
 
@@ -80,70 +75,37 @@ func NewInjector(seed uint64) *Injector {
 // of writes) to fail times attempts before succeeding; times < 0 makes the
 // fault permanent. Retries of the transfer replay the episode without
 // advancing the schedule.
-func (inj *Injector) FailRead(op int64, times int) { inj.schedule(opRead, op, times) }
+func (inj *Injector) FailRead(op int64, times int) {
+	inj.plan(plannedFault{kind: opRead, op: op, remaining: times, permanent: times < 0})
+}
 
 // FailWrite is FailRead for physical writes.
-func (inj *Injector) FailWrite(op int64, times int) { inj.schedule(opWrite, op, times) }
+func (inj *Injector) FailWrite(op int64, times int) {
+	inj.plan(plannedFault{kind: opWrite, op: op, remaining: times, permanent: times < 0})
+}
 
-// FailReadErr schedules the op'th physical read to fail permanently with the
-// given cause as the underlying error — the errno schedule: a cause of
+// FailWriteErr schedules the op'th physical write to fail permanently with
+// the given cause as the underlying error — the errno schedule: a cause of
 // syscall.ENOSPC models a full device, and the store layer wraps the failure
 // into a typed *ResourceError exactly as it would a real ENOSPC. The cause
 // is not marked transient, so the retry layer never spends attempts on it.
-func (inj *Injector) FailReadErr(op int64, cause error) { inj.scheduleErr(opRead, op, cause) }
+func (inj *Injector) FailWriteErr(op int64, cause error) {
+	inj.plan(plannedFault{kind: opWrite, op: op, permanent: true, cause: cause})
+}
 
-// FailWriteErr is FailReadErr for physical writes.
-func (inj *Injector) FailWriteErr(op int64, cause error) { inj.scheduleErr(opWrite, op, cause) }
-
-// CrashRead schedules the crash hook to fire at the op'th physical read: the
-// crash-point schedule of the kill-resume harness. The default hook SIGKILLs
-// the process — no deferred cleanup, no flushes, the closest software
+// CrashWrite schedules a power cut at the op'th physical write: the
+// crash-point schedule of the kill-resume harness. The process SIGKILLs
+// itself — no deferred cleanup, no flushes, the closest software
 // approximation of a power cut.
-func (inj *Injector) CrashRead(op int64) { inj.scheduleCrash(opRead, op) }
+func (inj *Injector) CrashWrite(op int64) { inj.plan(plannedFault{kind: opWrite, op: op, crash: true}) }
 
-// CrashWrite is CrashRead for physical writes.
-func (inj *Injector) CrashWrite(op int64) { inj.scheduleCrash(opWrite, op) }
-
-// SetCrashHook replaces the process-kill default for crash-point schedules
-// (tests observe the crash point instead of dying). A hook that returns
-// fails the attempt permanently with ErrInjected, so the schedule stays
-// visible in the error flow.
-func (inj *Injector) SetCrashHook(h func(op string, idx int64)) {
+// plan scripts the episode pf for its transfer.
+func (inj *Injector) plan(pf plannedFault) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	inj.crashHook = h
+	pf.inj = inj
+	inj.plans[pf.kind][pf.op] = &pf
 }
-
-func (inj *Injector) schedule(kind ioOp, op int64, times int) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.plans[kind][op] = &plannedFault{
-		inj: inj, kind: kind, op: op,
-		remaining: times, permanent: times < 0,
-	}
-}
-
-func (inj *Injector) scheduleErr(kind ioOp, op int64, cause error) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.plans[kind][op] = &plannedFault{
-		inj: inj, kind: kind, op: op,
-		permanent: true, cause: cause,
-	}
-}
-
-func (inj *Injector) scheduleCrash(kind ioOp, op int64) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.plans[kind][op] = &plannedFault{
-		inj: inj, kind: kind, op: op, crash: true,
-	}
-}
-
-// defaultCrashHook (faultinject_unix.go / faultinject_other.go) is the
-// scripted "power cut": SIGKILL leaves no chance for deferred cleanup,
-// buffered flushes or journal appends — exactly the crash model
-// checkpoint/resume must survive.
 
 // Probabilistic arms seeded random fault generation: each physical transfer
 // independently draws a permanent episode with probability pPermanent, else a
@@ -196,7 +158,7 @@ type plannedFault struct {
 	remaining int
 	permanent bool
 	cause     error // errno schedules: underlying error of a permanent fault
-	crash     bool  // crash-point schedules: fire the crash hook instead
+	crash     bool  // crash-point schedules: cut the power instead
 }
 
 // next is consulted once per attempt of the bound transfer; nil receivers
@@ -205,18 +167,10 @@ func (pf *plannedFault) next() error {
 	if pf == nil {
 		return nil
 	}
-	pf.inj.mu.Lock()
 	if pf.crash {
-		// Call the hook outside the lock: the default never returns, and a
-		// test hook may legitimately touch the injector.
-		hook := pf.inj.crashHook
-		pf.inj.mu.Unlock()
-		if hook == nil {
-			hook = defaultCrashHook
-		}
-		hook(pf.kind.String(), pf.op)
-		return fmt.Errorf("%w: crash point at %s op #%d", ErrInjected, pf.kind, pf.op)
+		powerCut() // never returns
 	}
+	pf.inj.mu.Lock()
 	defer pf.inj.mu.Unlock()
 	if pf.permanent {
 		pf.inj.stats.Permanent++

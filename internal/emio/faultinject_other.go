@@ -4,9 +4,9 @@ package emio
 
 import "os"
 
-// defaultCrashHook approximates the unix SIGKILL "power cut" on platforms
-// without self-signalling: an immediate exit that skips deferred cleanup and
+// powerCut approximates the unix SIGKILL "power cut" on platforms without
+// self-signalling: an immediate exit that skips deferred cleanup and
 // buffered flushes. The crash harness itself only runs on unix hosts.
-func defaultCrashHook(string, int64) {
+func powerCut() {
 	os.Exit(137)
 }

@@ -67,10 +67,8 @@ func (f *File) Release() {
 		return
 	}
 	f.disk.store.release(f)
-	// Blocks already reclaimed by ReleasePrefix were credited there.
-	live := int64(f.nblocks - f.freed)
-	f.disk.noteFree(live)
-	f.disk.creditBlocks(live)
+	// Blocks already reclaimed by ReleasePrefix were freed there.
+	f.disk.noteFree(int64(f.nblocks - f.freed))
 	f.disk.noteRelease(f)
 	f.n = 0
 	f.nblocks = 0
@@ -101,10 +99,8 @@ func (f *File) ReleasePrefix(upTo int) {
 		return
 	}
 	f.disk.store.releaseRange(f, f.freed, upTo)
-	n := int64(upTo - f.freed)
+	f.disk.noteFree(int64(upTo - f.freed))
 	f.freed = upTo
-	f.disk.noteFree(n)
-	f.disk.creditBlocks(n)
 }
 
 // blockLen returns the element count of block i without bounds checking:
@@ -241,7 +237,7 @@ func (f *File) AppendBlock(payload []Elem) error {
 	if err := f.disk.checkCancel(); err != nil {
 		return err
 	}
-	if err := f.disk.chargeAppend(f); err != nil {
+	if err := f.disk.admitAppend(f); err != nil {
 		return err
 	}
 	f.disk.stats.Writes++
@@ -249,7 +245,6 @@ func (f *File) AppendBlock(payload []Elem) error {
 		if err := hook(f, f.nblocks); err != nil {
 			f.disk.log(slog.LevelWarn, "injected write fault",
 				slog.String("file", f.name), slog.Int("block", f.nblocks))
-			f.disk.creditBlocks(1)
 			return &FaultError{Op: "write", File: f.name, Block: f.nblocks, Off: -1, Err: err}
 		}
 	}
@@ -271,8 +266,6 @@ func (f *File) AppendBlock(payload []Elem) error {
 		m.logWriteNS.ObserveEx(int64(time.Since(t0)), f.disk.exemplarSeq())
 	}
 	if err != nil {
-		// The block never landed; return its budget reservation.
-		f.disk.creditBlocks(1)
 		return &FaultError{Op: "write", File: f.name, Block: f.nblocks, Off: -1, Err: err}
 	}
 	if f.disk.checksum {

@@ -62,8 +62,8 @@ func (f *File) Manifest() (FileManifest, error) {
 // have been opened with NewFileBackedDiskResume over the same backing file
 // and adoption must happen before new writes (the append cursor is raised
 // past every adopted extent, so later allocations cannot resurrect on top of
-// journaled data). Adopted blocks are force-charged against the disk budget
-// and footprint meters; scratch tags the file for the leak detector like
+// journaled data). Adopted blocks count toward the live footprint, and so
+// the disk budget, without admission; scratch tags the file for the leak detector like
 // Ctx.Scratch would. Adopted files are sealed (resume only reads them).
 func (d *Disk) AdoptFile(m FileManifest, scratch bool) (*File, error) {
 	fs, ok := d.store.(*fileStore)
@@ -96,7 +96,6 @@ func (d *Disk) AdoptFile(m FileManifest, scratch bool) (*File, error) {
 	}
 	fs.adoptFloor(end)
 	d.noteAlloc(int64(nblocks))
-	d.forceBlocks(int64(nblocks))
 	if scratch {
 		d.markScratch(f)
 	}

@@ -91,7 +91,7 @@ const histBuckets = 64
 // exact per-phase numbers for post-hoc work).
 type Histogram struct {
 	help, unit string
-	count, sum atomic.Int64
+	sum        atomic.Int64
 	max        atomic.Int64
 	// maxSeq is the exemplar: the span sequence number active when max was
 	// stored, linking the worst observation to the phase that caused it.
@@ -110,7 +110,6 @@ func (h *Histogram) ObserveEx(v, seq int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -152,22 +151,22 @@ type HistogramSnapshot struct {
 	P50, P95, P99 int64
 }
 
-// snapshot reads the histogram and computes quantiles.
+// snapshot reads the histogram and computes quantiles. A scrape may run
+// while the job records, so Count is the sum of the buckets read, and Max is
+// read after them: ObserveEx raises max before it bumps a bucket, so Max
+// covers every observation the buckets hold.
 func (h *Histogram) snapshot() HistogramSnapshot {
-	snap := HistogramSnapshot{
-		Count:  h.count.Load(),
-		Sum:    h.sum.Load(),
-		Max:    h.max.Load(),
-		MaxSeq: h.maxSeq.Load(),
-	}
+	var snap HistogramSnapshot
 	var buckets [histBuckets]int64
 	hi := -1
 	for b := range h.buckets {
 		if n := h.buckets[b].Load(); n != 0 {
 			buckets[b] = n
+			snap.Count += n
 			hi = b
 		}
 	}
+	snap.Sum, snap.Max, snap.MaxSeq = h.sum.Load(), h.max.Load(), h.maxSeq.Load()
 	if hi >= 0 {
 		snap.Buckets = append([]int64(nil), buckets[:hi+1]...)
 	}

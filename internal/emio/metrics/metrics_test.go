@@ -3,10 +3,13 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,7 +17,9 @@ import (
 // TestConcurrentRecordingAndScrape records into one counter and one
 // histogram from 16 goroutines while another scrapes: run under -race it
 // checks that each instrument is a set of atomics, as a Cancel from another
-// goroutine and the scrape readers need.
+// goroutine and the scrape readers need. It then observes on one goroutine
+// for about a second while this one snapshots and scrapes, and requires
+// every snapshot and every exposition taken mid-run to be self-consistent.
 func TestConcurrentRecordingAndScrape(t *testing.T) {
 	r := New()
 	c := r.Counter("test_total", "help")
@@ -57,6 +62,84 @@ func TestConcurrentRecordingAndScrape(t *testing.T) {
 	if r.Counter("test_total", "help") != c {
 		t.Fatal("re-registration returned a different counter")
 	}
+
+	live := New()
+	lh := live.Histogram("live_ns", "help", "ns")
+	var halt atomic.Bool
+	observed := make(chan struct{})
+	go func() {
+		defer close(observed)
+		for j := int64(0); !halt.Load(); j++ {
+			lh.ObserveEx(j, j)
+		}
+	}()
+	var snaps, badCount, badMax, scrapes, badScrape int
+	var text strings.Builder
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		s := lh.snapshot()
+		snaps++
+		var sum int64
+		for _, n := range s.Buckets {
+			sum += n
+		}
+		if sum != s.Count {
+			badCount++
+		}
+		// Max must cover every bucketed observation. The observed values are
+		// distinct non-negative integers, so of the sum bucketed ones the
+		// largest is at least sum-1.
+		if sum > 0 && s.Max < sum-1 {
+			badMax++
+		}
+		text.Reset()
+		if err := live.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		scrapes++
+		if err := checkHistogramExposition(text.String(), "live_ns"); err != nil {
+			if badScrape == 0 {
+				t.Errorf("mid-run scrape: %v", err)
+			}
+			badScrape++
+		}
+	}
+	halt.Store(true)
+	<-observed
+	if badCount+badMax+badScrape > 0 {
+		t.Errorf("mid-run: %d of %d snapshots with bucket sum != Count, %d with Max below a bucketed value; %d of %d expositions invalid",
+			badCount, snaps, badMax, badScrape, scrapes)
+	}
+}
+
+// checkHistogramExposition checks histogram name in a Prometheus exposition:
+// every cumulative _bucket is at most the +Inf bucket, which equals _count.
+func checkHistogramExposition(text, name string) error {
+	value := func(line string) int64 {
+		f := strings.Fields(line)
+		v, _ := strconv.ParseInt(f[len(f)-1], 10, 64)
+		return v
+	}
+	inf, count := int64(-1), int64(-2)
+	var finite []int64
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, name+`_bucket{le="+Inf"} `):
+			inf = value(line)
+		case strings.HasPrefix(line, name+"_bucket{"):
+			finite = append(finite, value(line))
+		case strings.HasPrefix(line, name+"_count "):
+			count = value(line)
+		}
+	}
+	if inf != count {
+		return fmt.Errorf("%s: +Inf bucket %d != _count %d", name, inf, count)
+	}
+	for _, n := range finite {
+		if n > inf {
+			return fmt.Errorf("%s: cumulative bucket %d above +Inf %d", name, n, inf)
+		}
+	}
+	return nil
 }
 
 func TestGauge(t *testing.T) {

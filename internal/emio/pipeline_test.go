@@ -456,11 +456,7 @@ func TestAsyncWriteErrorNamesFileAndOffset(t *testing.T) {
 		}
 		return nil
 	}
-	el, err := NewEventLog(LogConfig{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AttachEventLog(el)
+	buf := captureLog(d)
 	ctx, err := NewCtxWithDisk(Config{M: 64, B: 8}, d)
 	if err != nil {
 		t.Fatal(err)
@@ -485,19 +481,19 @@ func TestAsyncWriteErrorNamesFileAndOffset(t *testing.T) {
 	// The event log records the failure when it happens, with the same
 	// attribution, and again when Close surfaces it.
 	var recorded, surfaced bool
-	for _, ev := range el.Events() {
-		switch ev.Msg {
+	for _, rec := range logRecords(t, buf.Bytes()) {
+		switch rec["msg"] {
 		case "write-behind failure recorded":
-			recorded = ev.Attrs["file"] == f.Name() && ev.Attrs["off"] == failAt
+			recorded = rec["file"] == f.Name() && rec["off"] == float64(failAt)
 		case "unreported write-behind failure surfaced at close":
 			surfaced = true
 		}
 	}
 	if !recorded {
-		t.Errorf("event log lacks the failure record for %s at offset %d: %+v", f.Name(), failAt, el.Events())
+		t.Errorf("event log lacks the failure record for %s at offset %d: %s", f.Name(), failAt, buf)
 	}
 	if !surfaced {
-		t.Errorf("event log lacks the close-time surfacing record: %+v", el.Events())
+		t.Errorf("event log lacks the close-time surfacing record: %s", buf)
 	}
 }
 

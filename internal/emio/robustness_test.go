@@ -145,8 +145,8 @@ func TestDiskBudgetMetersAndEnforces(t *testing.T) {
 	if got := d.DiskBytes(); got != 0 {
 		t.Errorf("DiskBytes after release = %d, want 0", got)
 	}
-	if got := d.PeakDiskBytes(); got != 3*bb {
-		t.Errorf("PeakDiskBytes = %d, want %d", got, 3*bb)
+	if got := d.PeakLiveBlocks() * bb; got != 3*bb {
+		t.Errorf("peak footprint = %d bytes, want %d", got, 3*bb)
 	}
 }
 

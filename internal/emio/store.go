@@ -150,11 +150,7 @@ func storeWriteError(d *Disk, fname string, off int64, err error) error {
 	if errors.Is(err, syscall.ENOSPC) {
 		var re *ResourceError
 		if !errors.As(err, &re) {
-			var used, budget int64
-			if d != nil && d.budget != nil {
-				used, budget = d.budget.used.Load(), max(d.budget.limit, 0)
-			}
-			err = &ResourceError{Resource: "disk", File: fname, Used: used, Budget: budget, Err: err}
+			err = &ResourceError{Resource: "disk", File: fname, Used: d.DiskBytes(), Budget: d.DiskBudget(), Err: err}
 		}
 	}
 	return &FaultError{Op: "write", File: fname, Block: -1, Off: off, Err: err}

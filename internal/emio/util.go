@@ -180,11 +180,10 @@ func BuildFile(d *Disk, name string, elems []Elem) *File {
 			f.sums = append(f.sums, checksumElems(elems[:k]))
 		}
 		f.nblocks++
-		d.noteAlloc(1)
 		// Staged inputs occupy real space but must never be rejected by the
 		// quota (the budget bounds the job, admission of its input is the
-		// caller's decision), so they are recorded without enforcement.
-		d.forceBlocks(1)
+		// caller's decision), so they are recorded without admission.
+		d.noteAlloc(1)
 		f.n += int64(k)
 		if k < b {
 			f.sealed = true

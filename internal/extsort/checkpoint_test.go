@@ -290,7 +290,7 @@ func TestBudgetDegradationTradesPassesForFootprint(t *testing.T) {
 			t.Fatalf("budgeted output differs at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
-	if peak := d.PeakDiskBytes(); peak > budget {
+	if peak := d.PeakLiveBlocks() * d.BlockBytes(); peak > budget {
 		t.Errorf("peak disk %d exceeded budget %d", peak, budget)
 	}
 	if w := d.Stats().Writes; w <= plainWrites {

@@ -131,7 +131,7 @@ func resumeSortJob(jc JobConfig) (*SortJob, error) {
 		return nil, fmt.Errorf("empart: journal %s was written with M=%d B=%d, refusing resume with M=%d B=%d (the run structure would differ)",
 			jc.Journal, ck.M, ck.B, jc.Config.M, jc.Config.B)
 	}
-	sys, err := NewFileBackedResume(jc.Config, jc.Path)
+	sys, err := newFileBackedResume(jc.Config, jc.Path)
 	if err != nil {
 		ck.Close()
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,30 +14,24 @@ import (
 )
 
 // The telemetry parity suite: the FULL telemetry bus — tracer, metrics
-// registry and structured event log (ring + JSON-lines file) attached at
-// once — must be strictly observational. For every facade driver and every
-// backend, a fully-instrumented run must produce byte-equal outputs, equal
-// logical Stats, and bit-identical trace JSON compared to a telemetry-off
-// run (tracer only, which both sides need for the trace comparison). The
-// suite runs under -race (the event log's sinks are shared state) and again
-// pinned to GOMAXPROCS=1.
+// registry and structured event log (the JSON-lines file Config.Log names)
+// attached at once — must be strictly observational. For every facade
+// driver and every backend, a fully-instrumented run must produce byte-equal
+// outputs, equal logical Stats, and bit-identical trace JSON compared to a
+// telemetry-off run (tracer only, which both sides need for the trace
+// comparison). The suite runs under -race (the event log file is shared
+// state) and again pinned to GOMAXPROCS=1.
 
-// runTelemetryParity is runParity with, optionally, the whole telemetry
-// stack armed: metrics registry plus a debug-level event log writing
-// JSON lines to a temp file.
-func runTelemetryParity(t *testing.T, d parityDriver, mk func(t *testing.T) *System, elems []Elem, withTelemetry bool) (parityRun, *System, string) {
+// runTelemetryParity is runParity with, optionally, a metrics registry
+// attached; the event log is armed by the System's own Config.Log.
+func runTelemetryParity(t *testing.T, d parityDriver, mk func(t *testing.T) *System, elems []Elem, withTelemetry bool) (parityRun, *System) {
 	t.Helper()
 	sys := mk(t)
-	logPath := ""
 	f := sys.Stage(elems)
 	sys.ResetStats()
 	sys.SetTracer(NewTracer())
 	if withTelemetry {
 		sys.SetMetrics(NewMetricsRegistry())
-		logPath = filepath.Join(t.TempDir(), "events.jsonl")
-		if _, err := sys.EnableLog(LogConfig{Level: slog.LevelDebug, Path: logPath}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	out := d.run(t, sys, f)
 	trace, err := sys.Tracer().JSON()
@@ -49,7 +42,7 @@ func runTelemetryParity(t *testing.T, d parityDriver, mk func(t *testing.T) *Sys
 	if leaks := sys.LiveScratchFiles(); len(leaks) != 0 {
 		t.Fatalf("%s leaked scratch files: %v", d.name, leaks)
 	}
-	return parityRun{output: out, stats: sys.Stats(), trace: trace}, sys, logPath
+	return parityRun{output: out, stats: sys.Stats(), trace: trace}, sys
 }
 
 // spanSeqs collects every span sequence number in the recorded trace.
@@ -84,9 +77,13 @@ func telemetryParitySuite(t *testing.T) {
 	elems := workload.Elems(workload.Uniform, n, cfg.B, 0x6e7)
 	for _, d := range parityDrivers(n) {
 		t.Run(d.name, func(t *testing.T) {
-			for _, be := range metricsParityBackends(cfg) {
-				off, _, _ := runTelemetryParity(t, d, be.mk, elems, false)
-				on, sys, logPath := runTelemetryParity(t, d, be.mk, elems, true)
+			for i, be := range metricsParityBackends(cfg) {
+				// The "on" backend is the same one, built with Config.Log set.
+				logPath := filepath.Join(t.TempDir(), "events.jsonl")
+				logged := cfg
+				logged.Log = logPath
+				off, _ := runTelemetryParity(t, d, be.mk, elems, false)
+				on, sys := runTelemetryParity(t, d, metricsParityBackends(logged)[i].mk, elems, true)
 				if !bytes.Equal(on.output, off.output) {
 					t.Errorf("%s: output differs with telemetry on", be.name)
 				}
@@ -97,65 +94,53 @@ func telemetryParitySuite(t *testing.T) {
 					t.Errorf("%s: trace JSON differs with telemetry on", be.name)
 				}
 
-				// The run must actually have been narrated: phase boundaries
-				// land in the ring at debug level, every event's span_seq
-				// resolves to a real span of the recorded trace, and its
-				// phase is that span's path in the trace.
-				events := sys.EventLog().Events()
-				if len(events) == 0 {
-					t.Fatalf("%s: telemetry-on run logged no events", be.name)
-				}
-				paths := spanPaths(sys)
-				sawPhase := false
-				for _, ev := range events {
-					if ev.Attrs["disk"] == nil {
-						t.Errorf("%s: event %q lacks disk attr", be.name, ev.Msg)
-					}
-					seq, ok := ev.Attrs["span_seq"].(int64)
-					if !ok {
-						continue
-					}
-					sawPhase = true
-					want, ok := paths[seq]
-					if !ok {
-						t.Errorf("%s: event %q carries span_seq=%d, not a recorded span", be.name, ev.Msg, seq)
-						continue
-					}
-					if phase, _ := ev.Attrs["phase"].(string); phase != want {
-						t.Errorf("%s: event %q has phase %q, want its span's path %q", be.name, ev.Msg, phase, want)
-					}
-				}
-				if !sawPhase {
-					t.Errorf("%s: no event carried span enrichment", be.name)
-				}
-
-				// The JSON-lines sink holds one valid JSON object per kept
-				// event (the ring may have evicted; the file never does).
-				// Flush first: file lines are buffered until Flush/Close.
-				if err := sys.EventLog().Flush(); err != nil {
+				// The run must actually have been narrated: the file holds one
+				// valid JSON object per line, phase boundaries land in it at
+				// debug level, every record's span_seq resolves to a real span
+				// of the recorded trace, and its phase is that span's path in
+				// the trace. The lines are buffered until Close flushes them,
+				// and the last one is Close's own.
+				if err := sys.Close(); err != nil {
 					t.Fatal(err)
 				}
-				total := sys.EventLog().Total()
-				lines := int64(0)
-				lf, err := os.Open(logPath)
+				data, err := os.ReadFile(logPath)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sc := bufio.NewScanner(lf)
+				paths := spanPaths(sys)
+				sawPhase := false
+				var last string
+				sc := bufio.NewScanner(bytes.NewReader(data))
 				sc.Buffer(make([]byte, 1<<20), 1<<20)
 				for sc.Scan() {
 					var rec map[string]any
 					if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 						t.Fatalf("%s: bad JSONL line %q: %v", be.name, sc.Text(), err)
 					}
-					if rec["msg"] == nil || rec["disk"] == nil {
+					last, _ = rec["msg"].(string)
+					if last == "" || rec["disk"] == nil {
 						t.Errorf("%s: JSONL line missing msg/disk: %q", be.name, sc.Text())
 					}
-					lines++
+					// JSON numbers decode as float64.
+					seq, ok := rec["span_seq"].(float64)
+					if !ok {
+						continue
+					}
+					sawPhase = true
+					want, ok := paths[int64(seq)]
+					if !ok {
+						t.Errorf("%s: event %q carries span_seq=%v, not a recorded span", be.name, last, seq)
+						continue
+					}
+					if phase, _ := rec["phase"].(string); phase != want {
+						t.Errorf("%s: event %q has phase %q, want its span's path %q", be.name, last, phase, want)
+					}
 				}
-				lf.Close()
-				if lines != total {
-					t.Errorf("%s: JSONL file has %d lines, event log kept %d", be.name, lines, total)
+				if last != "disk closed" {
+					t.Errorf("%s: last JSONL record is %q, want Close's %q", be.name, last, "disk closed")
+				}
+				if !sawPhase {
+					t.Errorf("%s: no event carried span enrichment", be.name)
 				}
 			}
 		})

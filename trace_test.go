@@ -245,7 +245,7 @@ func TestSuiteLeavesNoScratchFiles(t *testing.T) {
 			t.Errorf("%s: leaked %d scratch files: %v", tc.name, len(leaked), leaked)
 		}
 		// The staged input is the only file that should remain.
-		if live := sys.LiveFiles(); len(live) != 1 || live[0] != "staged" {
+		if live := sys.Ctx().Disk().LiveFiles(); len(live) != 1 || live[0] != "staged" {
 			t.Errorf("%s: live files = %v, want [staged]", tc.name, live)
 		}
 	}
